@@ -27,6 +27,7 @@ from .body import (
 from .errors import (
     DimensionMismatchError,
     GenerationError,
+    NonFiniteError,
     NonHemisphericalError,
     NormalizationError,
     NotAWulffShapeError,
@@ -82,6 +83,7 @@ __all__ = [
     "BACKEND",
     "DimensionMismatchError",
     "GenerationError",
+    "NonFiniteError",
     "NonHemisphericalError",
     "NormalizationError",
     "NotAWulffShapeError",

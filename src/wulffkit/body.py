@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import cones
-from .errors import DimensionMismatchError, ShapeFileError
+from .errors import DimensionMismatchError, NonFiniteError, ShapeFileError
 from .geometry import (
     MEMBERSHIP_TOL,
     UnitPoint,
@@ -115,6 +115,11 @@ def from_generators(points):
         raw = np.array([as_vector(p) for p in pts], dtype=float)
     if raw.ndim != 2 or raw.shape[0] == 0:
         raise ValueError("need at least one generator")
+    if not np.isfinite(raw).all():
+        raise NonFiniteError("generator coordinates must be finite")
+    # rows larger than unit scale are brought down by their largest entry,
+    # so the norms taken while normalizing cannot overflow
+    raw = raw / np.maximum(np.abs(raw).max(axis=1, keepdims=True), 1.0)
     gens = _build_canonical(raw)
     if gens.shape[0] == 0:
         raise ValueError("generators span no direction")

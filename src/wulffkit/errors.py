@@ -9,6 +9,10 @@ class DimensionMismatchError(WulffkitError):
     """Operands live on spheres of different ambient dimension."""
 
 
+class NonFiniteError(WulffkitError, ValueError):
+    """Input coordinates contain NaN or infinity."""
+
+
 class NormalizationError(WulffkitError):
     """A vector too close to zero was asked to become a unit vector."""
 

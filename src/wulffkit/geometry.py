@@ -9,7 +9,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError
+from .errors import DimensionMismatchError, NonFiniteError, NormalizationError
 
 # Construction guarantee: unit vectors are normalized to this accuracy.
 NORM_TOL = 1e-12
@@ -53,6 +53,9 @@ class UnitPoint:
         v = np.array(coords, dtype=float).reshape(-1)
         if v.size < 2:
             raise ValueError("a sphere point needs at least 2 coordinates")
+        _check_finite(v)
+        # scaled first so that the norm of a huge vector cannot overflow
+        v = v / max(1.0, float(np.abs(v).max()))
         n = float(np.linalg.norm(v))
         if n < NEAR_ZERO:
             raise NormalizationError(
@@ -106,7 +109,13 @@ def as_vector(value):
     if isinstance(value, UnitPoint):
         return value.vec
     v = np.asarray(value, dtype=float).reshape(-1)
+    _check_finite(v)
     return v
+
+
+def _check_finite(v):
+    if not np.isfinite(v).all():
+        raise NonFiniteError("coordinates must be finite")
 
 
 def _check_same_dim(p, q):

@@ -1,15 +1,15 @@
 """Distances on the sphere: point-to-body, directed, Pompeiu-Hausdorff.
 
-Exact point-to-body distances come from two independent routes that are
-combined (each produces genuine body members, so each candidate is an
-upper bound and the best route is exact):
-
-- face enumeration: project the query onto the linear span of every
-  generator subset, normalize, keep feasible projections (used for
-  bodies with few generators, and vectorized over large point blocks);
-- cone projection: Euclidean nearest point in the underlying cone via
-  non-negative least squares, polished by an exact projection onto the
-  span of the active generators.
+Every point-to-body distance comes from one batched routine,
+`_nearest_body_points`, which returns the nearest body point of each
+row of a query block together with its geodesic angle (a single point
+is a batch of one).  Its candidates are genuine body members: the row
+itself when it is inside, the nearest generator, and the normalized
+projections onto the body's face spans, found at once for the whole
+block; bodies with too many generators to enumerate their faces use a
+per-point cone projection instead.  The closest candidate is exact.
+The sampling band and the alternating projections of `min_body_gap`
+use the same routine.
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
@@ -32,13 +32,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import kernels, oracles
-from .body import SphericalBody, contains, hemisphere_body
+from .body import hemisphere_body
 from .cones import (
     FEAS_EPS,
     project_onto_cone,
     span_basis,
 )
-from .errors import ResolutionError, SeparationError
+from .errors import NonFiniteError, ResolutionError, SeparationError
 from .geometry import (
     MEMBERSHIP_TOL,
     NEAR_ZERO,
@@ -66,6 +66,10 @@ _FACE_CAP = {2: 48, 3: 30, 4: 18, 5: 13}
 _BAND_LIMIT = 2_000_000
 
 _SAFE_ASSIGN = 1e-12
+
+# nearest-point blocks hold about this many (row, generator or face
+# span) pairs, which bounds the temporaries of a large query block
+_BLOCK_PAIRS = 1 << 16
 
 
 def default_resolution():
@@ -98,11 +102,15 @@ def _resolve_resolution(resolution):
     return resolution
 
 
-def _stable_angle(x, y):
-    """Geodesic angle between unit vectors via the perpendicular part."""
-    c = float(x @ y)
-    perp = y - c * x
-    return math.atan2(float(np.linalg.norm(perp)), c)
+def _norms(A):
+    """Euclidean norms along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", A, A))
+
+
+def _angles(X, Y):
+    """Row-wise geodesic angles between unit rows, via the perpendicular part."""
+    c = np.einsum("ij,ij->i", X, Y)
+    return np.arctan2(_norms(Y - c[:, None] * X), c)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +119,14 @@ def _stable_angle(x, y):
 
 
 def _face_spans(body):
-    """Orthonormal bases (stacked rows) for candidate face spans.
+    """Orthonormal bases of candidate face spans, stacked by dimension.
 
-    Enumerates generator subsets of size up to the body's rank, keeps
+    Enumerates generator subsets of size 2 up to the body's rank, keeps
     one orthonormal basis per distinct span, and drops spans filling
     the whole ambient space (projection there is the identity, which
-    the membership test already covers).  Returns None when the
-    generator count exceeds the per-dimension enumeration cap.
+    the membership test already covers).  Returns a list of (s, f, d)
+    arrays, one per span dimension f, or None when the generator count
+    exceeds the per-dimension enumeration cap.
     """
     cached = body._cache.get("face_spans", False)
     if cached is not False:
@@ -131,126 +140,123 @@ def _face_spans(body):
     rank = body.span()[1]
     # a proper face span never needs more generators than its dimension,
     # which is at most d - 1 for full-rank bodies and `rank` otherwise
-    # (the body's own span carries relative-interior projections)
+    # (the body's own span carries relative-interior projections); single
+    # generators are left out, as the nearest generator is always tried
     max_size = min(m, rank if rank < d else d - 1)
     seen = {}
-    for size in range(1, max_size + 1):
+    for size in range(2, max_size + 1):
         for subset in itertools.combinations(range(m), size):
             B, r = span_basis(G[list(subset)])
             if r == d:
                 continue
-            P = B.T @ B
-            key = np.round(P, 9).tobytes()
-            if key not in seen:
-                seen[key] = np.ascontiguousarray(B)
-    spans = list(seen.values())
+            seen.setdefault(np.round(B.T @ B, 9).tobytes(), B)
+    by_dim = {}
+    for B in seen.values():
+        by_dim.setdefault(B.shape[0], []).append(B)
+    spans = [np.stack(bases) for bases in by_dim.values()]
     body._cache["face_spans"] = spans
     return spans
 
 
 # ---------------------------------------------------------------------------
-# point-to-body distance (exact)
+# nearest body points (exact)
 # ---------------------------------------------------------------------------
 
 
-def _projection_candidates(v, body):
-    """Body members that are candidate nearest points to v (unit rows)."""
+def _nearest_body_points(X, body):
+    """Nearest body point to each row of an (n, d) block of unit rows.
+
+    Returns (angles, points): the geodesic distance from each row to the
+    body and a body point attaining it.  Every candidate is a genuine
+    body member, so each is an upper bound and the closest is exact:
+
+    - members are their own nearest point, at distance 0;
+    - the nearest generator is always a candidate; it is the answer for
+      a row at a nonpositive inner product with every generator, since
+      such a row meets the whole cone that way;
+    - when the body admits face enumeration, the block is projected onto
+      every face span at once and the feasible normalized projections
+      compete (the nearest cone point lies in the relative interior of
+      a face, so one of them is it);
+    - above the enumeration cap, each remaining row gets its Euclidean
+      cone projection (non-negative least squares) and the exact
+      projection onto the span of its active generators, which removes
+      the solver's iteration residue.
+
+    Angles take the stable form atan2(|perp|, dot): arccos of a cosine
+    has a 1e-8 precision floor near zero distance.
+    """
+    X = np.asarray(X, dtype=float)
+    G = body.generator_array
+    if X.ndim != 2 or X.shape[1] != G.shape[1]:
+        raise ValueError("point block does not match the body's ambient space")
+    if not np.isfinite(X).all():
+        raise NonFiniteError("point block has non-finite coordinates")
+    spans = _face_spans(body)
+    width = G.shape[0] + (0 if spans is None else sum(T.shape[0] for T in spans))
+    step = max(1, _BLOCK_PAIRS // width)
+    angles = np.empty(X.shape[0])
+    points = np.empty_like(X)
+    for lo in range(0, X.shape[0], step):
+        blk = slice(lo, lo + step)
+        angles[blk], points[blk] = _nearest_block(X[blk], body, spans)
+    return angles, points
+
+
+def _nearest_block(X, body, spans):
     G = body.generator_array
     N = body.normal_array
-    out = []
-    proj, lam = project_onto_cone(G, v)
-    pnorm = float(np.linalg.norm(proj))
-    if pnorm > NEAR_ZERO:
-        y = proj / pnorm
-        if N.shape[0] == 0 or float((N @ y).min()) >= -MEMBERSHIP_TOL:
-            out.append(y)
-        # polish: the NNLS point identifies the active face; the exact
-        # least-squares projection onto that face's span removes the
-        # solver's iteration residue
-        active = lam > 1e-12
-        if active.any():
-            B, _ = span_basis(G[active])
-            w = (v @ B.T) @ B
-            wn = float(np.linalg.norm(w))
-            if wn > NEAR_ZERO:
-                y2 = w / wn
-                if N.shape[0] == 0 or float((N @ y2).min()) >= -MEMBERSHIP_TOL:
-                    out.append(y2)
-    return out
+    d = G.shape[1]
+    dots = X @ G.T
+    pick = dots.argmax(axis=1)
+    Y = G[pick]
+    ang = _angles(X, Y)
+    member = kernels.min_slack(X, N) >= -MEMBERSHIP_TOL
+    live = np.flatnonzero(~member & (dots[np.arange(X.shape[0]), pick] > 0.0))
+    Xl = X[live]
+    # P[i, k]: orthogonal projection of live row i onto its k-th candidate
+    # subspace (cone projections are orthogonal too, by Moreau), so the
+    # normalized candidate sits at angle atan2(|x - p|, |p|) from the row
+    if spans is None:
+        P = np.empty((live.size, 2, d))
+        for row, x in enumerate(Xl):
+            proj, lam = project_onto_cone(G, x)
+            B, _ = span_basis(G[lam > 1e-12])
+            P[row] = proj, (x @ B.T) @ B
+    else:
+        parts = [np.empty((live.size, 0, d))]
+        for T in spans:
+            C = (Xl @ T.reshape(-1, d).T).reshape(live.size, *T.shape[:2])
+            parts.append(np.matmul(C.swapaxes(0, 1), T).swapaxes(0, 1))
+        P = np.concatenate(parts, axis=1)
+    if P.shape[1]:
+        c = _norms(P)
+        ok = c > 1e-12
+        c[~ok] = 1.0
+        Z = P / c[..., None]
+        ok &= kernels.min_slack(Z.reshape(-1, d), N).reshape(ok.shape) >= -MEMBERSHIP_TOL
+        r = _norms(Xl[:, None, :] - P)
+        # rank by the tangent |x - p| / |p|, which orders angles below a
+        # quarter turn as the angle does, without an arctan per candidate
+        k = np.where(ok, r / c, np.inf).argmin(axis=1)
+        pos = np.arange(live.size)
+        a = np.where(ok[pos, k], np.arctan2(r[pos, k], c[pos, k]), np.inf)
+        win = a < ang[live]
+        ang[live[win]] = a[win]
+        Y[live[win]] = Z[win, k[win]]
+    Y[member] = X[member]
+    ang[member] = 0.0
+    return ang, Y
 
 
 def point_body_distance(x, body):
     """Exact geodesic distance from a point to a body (an Angle)."""
-    v = as_vector(x)
-    if v.size != body.generator_array.shape[1]:
-        raise ValueError(
-            f"point lives in R^{v.size}, body in R^{body.generator_array.shape[1]}"
-        )
-    if contains(body, v):
-        return Angle(0.0)
-    G = body.generator_array
-    N = body.normal_array
-    # generator candidates; these are also exactly the nearest points
-    # whenever the cone projection of v degenerates to the origin
-    best = min(_stable_angle(v, g) for g in G)
-    for y in _projection_candidates(v, body):
-        best = min(best, _stable_angle(v, y))
-    spans = _face_spans(body)
-    if spans is not None:
-        for B in spans:
-            w = (v @ B.T) @ B
-            wn = float(np.linalg.norm(w))
-            if wn <= NEAR_ZERO:
-                continue
-            y = w / wn
-            if N.shape[0] == 0 or float((N @ y).min()) >= -MEMBERSHIP_TOL:
-                best = min(best, _stable_angle(v, y))
-    return Angle(max(best, 0.0))
+    return Angle(_nearest_body_points(as_vector(x)[None, :], body)[0][0])
 
 
 def batch_point_body_distance(X, body):
-    """Exact distances from each row of X to the body (vectorized).
-
-    Mirrors point_body_distance over a block: generator candidates
-    always, face-span projections when the body admits enumeration,
-    per-point cone projections otherwise.
-    """
-    X = np.ascontiguousarray(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[1] != body.generator_array.shape[1]:
-        raise ValueError("point block does not match the body's ambient space")
-    G = body.generator_array
-    N = body.normal_array
-    n = X.shape[0]
-    if n == 0:
-        return np.empty(0)
-    best_cos = kernels.max_dot(X, G)
-    if N.shape[0]:
-        member = kernels.min_slack(X, N) >= -MEMBERSHIP_TOL
-    else:
-        member = np.ones(n, dtype=bool)
-    spans = _face_spans(body)
-    if spans is not None:
-        for B in spans:
-            C = X @ B.T
-            cos = np.linalg.norm(C, axis=1)
-            gain = cos > best_cos + 1e-15
-            gain &= cos > 1e-12
-            if not gain.any():
-                continue
-            Y = (C[gain] @ B) / cos[gain, None]
-            if N.shape[0]:
-                ok = kernels.min_slack(np.ascontiguousarray(Y), N) >= -MEMBERSHIP_TOL
-            else:
-                ok = np.ones(Y.shape[0], dtype=bool)
-            idx = np.flatnonzero(gain)[ok]
-            best_cos[idx] = cos[idx]
-    else:
-        for i in np.flatnonzero(~member):
-            for y in _projection_candidates(X[i], body):
-                best_cos[i] = max(best_cos[i], float(X[i] @ y))
-    out = np.arccos(np.clip(best_cos, -1.0, 1.0))
-    out[member] = 0.0
-    return out
+    """Exact distances from each row of X to the body (vectorized)."""
+    return _nearest_body_points(X, body)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +269,9 @@ def _body_sample_points(body, resolution):
 
     Grid points already inside the body are kept; grid points whose
     worst constraint slack puts them within one covering radius of the
-    body are replaced by their nearest body point (cone projection).
-    Together with the generators these samples cover the body: every
-    body point has a sample within 2 * (resolution/2.05) < resolution.
+    body are replaced by their nearest body points.  Together with the
+    generators these samples cover the body: every body point has a
+    sample within 2 * (resolution/2.05) < resolution.
     """
     d = body.generator_array.shape[1]
     sphere_dim = d - 1
@@ -287,19 +293,8 @@ def _body_sample_points(body, resolution):
             f"sampling at resolution {resolution} needs {band_idx.size} projections; "
             "increase the resolution"
         )
-    G = body.generator_array
-    parts = [grid[inside], G]
-    if band_idx.size:
-        projected = np.empty((band_idx.size, d))
-        keep = np.zeros(band_idx.size, dtype=bool)
-        for row, i in enumerate(band_idx):
-            proj, _ = project_onto_cone(G, grid[i])
-            nrm = float(np.linalg.norm(proj))
-            if nrm > NEAR_ZERO:
-                projected[row] = proj / nrm
-                keep[row] = True
-        parts.append(projected[keep])
-    return np.ascontiguousarray(np.vstack(parts))
+    _, nearest = _nearest_body_points(grid[band_idx], body)
+    return np.ascontiguousarray(np.vstack([grid[inside], body.generator_array, nearest]))
 
 
 def point_body_distance_sampled(x, body, resolution=None):
@@ -616,7 +611,7 @@ def dilation_intersection_check(w, r, samples, seed, route="body"):
 def min_body_gap(a, b, max_iter=120):
     """Smallest geodesic distance between points of two bodies.
 
-    Alternating nearest-point iteration on the two cones, started from
+    Alternating nearest-point iteration on the two bodies, started from
     the closest generator pair.  For bodies in a common open hemisphere
     this converges to the minimizing pair; it is used as a disjointness
     gate, with the separation solve providing the final certificate.
@@ -627,22 +622,12 @@ def min_body_gap(a, b, max_iter=120):
         raise ValueError("bodies live in different ambient spaces")
     dots = Ga @ Gb.T
     i, j = np.unravel_index(int(np.argmax(dots)), dots.shape)
-    x, y = Ga[i], Gb[j]
-    best = _stable_angle(x, y)
+    y = Gb[j][None, :]
+    best = float(_angles(Ga[i][None, :], y)[0])
     for _ in range(max_iter):
-        px, _ = project_onto_cone(Ga, y)
-        nx = float(np.linalg.norm(px))
-        if nx > NEAR_ZERO:
-            x = px / nx
-        else:
-            x = Ga[int(np.argmax(Ga @ y))]
-        py, _ = project_onto_cone(Gb, x)
-        ny = float(np.linalg.norm(py))
-        if ny > NEAR_ZERO:
-            y = py / ny
-        else:
-            y = Gb[int(np.argmax(Gb @ x))]
-        current = _stable_angle(x, y)
+        _, x = _nearest_body_points(y, a)
+        gap, y = _nearest_body_points(x, b)
+        current = float(gap[0])
         if best - current < 1e-14:
             best = min(best, current)
             break

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wulffkit import body, cones
-from wulffkit.errors import DimensionMismatchError, ShapeFileError
+from wulffkit.errors import DimensionMismatchError, NonFiniteError, ShapeFileError
 
 
 def cap_points(colat, azimuths_deg):
@@ -58,6 +58,21 @@ class TestConstruction:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             body.from_generators([])
+
+    def test_non_finite_input_rejected(self):
+        pts = cap_points(0.4, [0, 120, 240])
+        pts[1, 2] = math.nan
+        with pytest.raises(NonFiniteError):
+            body.from_generators(pts)
+        with pytest.raises(NonFiniteError):
+            body.from_generators([[0.0, 0.0, 1.0], [math.inf, 0.0, 1.0]])
+
+    def test_huge_rows_normalize_without_overflow(self):
+        # the norms of 1e200-sized rows overflow unless each row is first
+        # scaled by its largest entry
+        pts = cap_points(0.4, [0, 120, 240])
+        huge = body.from_generators(1e200 * pts)
+        assert body.bodies_equal(huge, body.from_generators(pts), 1e-12)
 
     def test_generator_normal_cross_consistency(self):
         # every generator weakly inside every supporting half-space
@@ -127,6 +142,10 @@ class TestContains:
         b = body.from_generators(cap_points(0.4, [0, 120, 240]))
         with pytest.raises(DimensionMismatchError):
             body.contains(b, [1.0, 0.0])
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(NonFiniteError):
+            body.contains(body.hemisphere_body([0.0, 0.0, 1.0]), [math.nan, 0.0, 1.0])
 
     def test_tolerance_knob(self):
         b = body.from_generators(cap_points(0.6, [0, 90, 180, 270]))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wulffkit.errors import DimensionMismatchError, NormalizationError
+from wulffkit.errors import DimensionMismatchError, NonFiniteError, NormalizationError, WulffkitError
 from wulffkit.geometry import (
     Angle,
     UnitPoint,
@@ -57,6 +57,21 @@ class TestUnitPoint:
     def test_rejects_near_zero(self):
         with pytest.raises(NormalizationError):
             UnitPoint((1e-12, 0.0))
+
+    def test_huge_input_normalizes_without_overflow(self):
+        assert np.allclose(UnitPoint((3e200, 4e200)).vec, [0.6, 0.8], atol=1e-15)
+
+    def test_rejects_non_finite(self):
+        for bad in ((math.nan, 1.0), (math.inf, 0.0), (0.0, -math.inf)):
+            with pytest.raises(NonFiniteError):
+                UnitPoint(bad)
+
+    def test_as_vector_rejects_non_finite(self):
+        with pytest.raises(NonFiniteError) as ei:
+            as_vector([math.nan, 0.0, 1.0])
+        # a package error that existing ValueError handlers still catch
+        assert isinstance(ei.value, WulffkitError)
+        assert isinstance(ei.value, ValueError)
 
     def test_rejects_single_coordinate(self):
         with pytest.raises(ValueError):

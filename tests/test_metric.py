@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wulffkit import body, harness, metric, transforms
-from wulffkit.errors import ResolutionError, SeparationError
+from wulffkit import body, harness, metric, oracles, transforms
+from wulffkit.errors import NonFiniteError, ResolutionError, SeparationError
+from wulffkit.geometry import geodesic_distance
 
 POLE = np.array([0.0, 0.0, 1.0])
 
@@ -141,6 +144,85 @@ class TestBatchConsistency:
         with pytest.raises(ValueError):
             metric.batch_point_body_distance(np.eye(2), b)
         assert metric.batch_point_body_distance(np.empty((0, 3)), b).size == 0
+
+    def test_non_finite_rows_rejected(self):
+        b = body.hemisphere_body(POLE)
+        X = np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])
+        with pytest.raises(NonFiniteError):
+            metric.batch_point_body_distance(X, b)
+        with pytest.raises(NonFiniteError):
+            metric.point_body_distance([math.nan, 0.0, 1.0], b)
+        with pytest.raises(NonFiniteError):
+            metric.point_body_distance([math.inf, 0.0, 1.0], b)
+
+    def test_stable_angle_just_outside_a_vertex(self):
+        # a point pushed delta beyond a vertex of a triangle, along the
+        # meridian through it, is nearest to that vertex; arccos of the
+        # cosine would lose the offset (1e-8 reads as 0)
+        b = cap_body(0.5, [0, 120, 240])
+        deltas = np.array([1e-8, 3e-8])
+        X = np.array([[math.sin(0.5 + t), 0.0, math.cos(0.5 + t)] for t in deltas])
+        got = metric.batch_point_body_distance(X, b)
+        assert np.abs(got - deltas).max() <= 1e-12
+
+
+@st.composite
+def body_and_points(draw):
+    """A seeded body of any drawn kind plus query rows on its sphere.
+
+    The rows mix uniform points with points scattered around the
+    generators, so members, face projections and far points all occur;
+    on S^2 and S^3 the "many" kind exceeds the face enumeration cap.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["wulff", "hull", "arc", "point", "wide_cap", "many"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pole = harness.pole_axis(dim)
+    if kind == "wulff":
+        b = harness.gen_wulff(pole, dim + 2 + int(rng.integers(0, 5)), rng.uniform(0.1, 1.3), seed)
+    elif kind == "many":
+        b = harness.cap_polytope(pole, rng.uniform(0.2, 1.3), metric._FACE_CAP[dim + 1] + 4)
+    else:
+        b = harness.gen_convex_body(pole, kind, rng)
+    G = b.generator_array
+    near = G[rng.integers(0, G.shape[0], 12)] + 0.1 * rng.normal(size=(12, dim + 1))
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    return b, np.vstack([oracles.uniform_sphere_points(dim, 12, seed), near])
+
+
+class TestNearestBodyPointsProperties:
+    """Properties of the one nearest-point routine on drawn bodies."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(body_and_points())
+    def test_nearest_points(self, case):
+        b, X = case
+        angles, points = metric._nearest_body_points(X, b)
+        # generators, points on the chords between generator pairs and
+        # random convex combinations are all body points
+        G = b.generator_array
+        p, q = np.triu_indices(G.shape[0], 1)
+        t = np.array([0.25, 0.5, 0.75])[:, None, None]
+        others = np.vstack(
+            [
+                G,
+                ((1 - t) * G[p] + t * G[q]).reshape(-1, G.shape[1]),
+                np.random.default_rng(0).exponential(size=(64, G.shape[0])) @ G,
+            ]
+        )
+        others = others[np.linalg.norm(others, axis=1) > 1e-6]
+        others /= np.linalg.norm(others, axis=1, keepdims=True)
+        for i, (x, a, y) in enumerate(zip(X, angles, points)):
+            # the nearest point is a member at the returned distance, no
+            # farther than any of those body points
+            assert body.contains(b, y)
+            assert abs(float(geodesic_distance(x, y)) - a) <= 1e-12
+            chord = np.linalg.norm(others - x, axis=1)
+            assert a <= float(2.0 * np.arcsin(chord / 2.0).min()) + 1e-12
+            # a batch of one agrees with its row inside the block
+            one, _ = metric._nearest_body_points(X[i : i + 1], b)
+            assert abs(one[0] - a) <= 1e-12
 
 
 class TestDirectedDistance:
