@@ -150,6 +150,37 @@ def project_onto_cone(G, x):
     return G.T @ lam, lam
 
 
+def least_distance(G, h):
+    """Least-norm z with G z >= h, or None when no z satisfies it.
+
+    The Lawson-Hanson least-distance program: fit f = e_{d+1} by
+    E u with E = [G^T; h^T] and u >= 0 (non-negative least squares),
+    and let r = E u - f.  The optimality conditions give r_{d+1} =
+    -|r|^2, so r vanishes exactly when the system is infeasible (up to
+    the rounding of E u); else z = -r[:d] / r_{d+1} satisfies G z >= h
+    and is a non-negative combination of the rows tight at z, which
+    makes it the least-norm solution.  That quotient cancels badly when
+    |r| is small, so z is recomputed as the least-norm solution of the
+    rows with u > 0 held tight, which is the same point.
+    """
+    G = np.asarray(G, dtype=float)
+    h = np.asarray(h, dtype=float)
+    d = G.shape[1]
+    if G.shape[0] == 0:
+        return np.zeros(d)
+    E = np.vstack([G.T, h[None, :]])
+    f = np.zeros(d + 1)
+    f[d] = 1.0
+    u, res = nonneg_lstsq(E, f)
+    if res <= 1e-12 * max(1.0, float(np.abs(E).max() * u.sum())):
+        return None
+    tight = u > 0.0
+    if not tight.any():
+        return np.zeros(d)
+    z, *_ = np.linalg.lstsq(G[tight], h[tight], rcond=None)
+    return z
+
+
 def pointed_witness(G):
     """Unit q with q . g >= FEAS_EPS for every row g, or None.
 

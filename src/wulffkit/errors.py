@@ -5,7 +5,7 @@ class WulffkitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(WulffkitError):
+class DimensionMismatchError(WulffkitError, ValueError):
     """Operands live on spheres of different ambient dimension."""
 
 

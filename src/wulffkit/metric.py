@@ -5,26 +5,27 @@ Every point-to-body distance comes from one batched routine,
 row of a query block together with its geodesic angle (a single point
 is a batch of one).  Its candidates are genuine body members: the row
 itself when it is inside, the nearest generator, and the normalized
-projections onto the body's face spans, found at once for the whole
-block; bodies with too many generators to enumerate their faces use a
+projections onto the spans of the body's faces, found at once for the
+whole block; bodies with more generators than `_FACE_CAP` use a
 per-point cone projection instead.  The closest candidate is exact.
+The faces are read off the generator-normal incidence (`_face_spans`).
 The sampling band and the alternating projections of `min_body_gap`
 use the same routine.
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
-whole source): the squared cosine of the distance is then C^1, every
-interior extremum over a source face is an eigenvector of a small
-projected operator, and the finite candidate set (source generators
-plus those eigenvectors) provably contains the maximizer.  The
-maximum can land strictly inside a face — generators alone are NOT
-enough; a regression test pins a pair where the best generator is
-off by more than 1e-2.  Outside the certified regime the directed
+whole source, found by a least-distance program): the squared cosine
+of the distance is then C^1, every interior extremum over a source
+face is an eigenvector of a small operator projected on a source face
+span and a target face span, and the finite candidate set (source
+generators plus those eigenvectors) provably contains the maximizer.
+The maximum can land strictly inside a face — generators alone are
+NOT enough; a regression test pins a pair where the best generator is
+off by more than 2.5e-3.  Outside the certified regime the directed
 distance falls back to dense sampling of the source with an explicit
 error bound.
 """
 
-import itertools
 import math
 import os
 
@@ -33,12 +34,13 @@ from scipy.optimize import linprog
 
 from . import kernels, oracles
 from .body import hemisphere_body
-from .cones import (
-    FEAS_EPS,
-    project_onto_cone,
-    span_basis,
+from .cones import FEAS_EPS, least_distance, project_onto_cone, span_basis
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    ResolutionError,
+    SeparationError,
 )
-from .errors import NonFiniteError, ResolutionError, SeparationError
 from .geometry import (
     MEMBERSHIP_TOL,
     NEAR_ZERO,
@@ -58,8 +60,9 @@ DISJOINTNESS_GAP = 1e-7
 #: boundary band excluded by the dilation-intersection identity check
 IDENTITY_BAND = 1e-6
 
-# face enumeration is used when the subset count stays desk-scale;
-# keyed by ambient dimension (subset sizes grow with the rank)
+# nearest points project onto the face spans of bodies with at most this
+# many generators, keyed by ambient dimension; larger bodies get one cone
+# projection per query row, whose cost does not grow with the face count
 _FACE_CAP = {2: 48, 3: 30, 4: 18, 5: 13}
 
 # sampled paths refuse to expand more than this many band points
@@ -119,36 +122,37 @@ def _angles(X, Y):
 
 
 def _face_spans(body):
-    """Orthonormal bases of candidate face spans, stacked by dimension.
+    """Orthonormal bases of the spans of the body's faces, stacked by dimension.
 
-    Enumerates generator subsets of size 2 up to the body's rank, keeps
-    one orthonormal basis per distinct span, and drops spans filling
-    the whole ambient space (projection there is the identity, which
-    the membership test already covers).  Returns a list of (s, f, d)
-    arrays, one per span dimension f, or None when the generator count
-    exceeds the per-dimension enumeration cap.
+    Reads the faces off the generator-normal incidence: the generators
+    tight on one support normal form a face, every intersection of
+    faces is a face, and a rank-deficient body is a face of itself.
+    The sets are closed under pairwise intersection, and one basis is
+    kept per distinct span of rank 2 up to d - 1 (single generators
+    are covered by the nearest-generator candidate, and the whole
+    space by the membership test).  Returns a list of (s, f, d) arrays,
+    one per span dimension f.
     """
-    cached = body._cache.get("face_spans", False)
-    if cached is not False:
+    cached = body._cache.get("face_spans")
+    if cached is not None:
         return cached
     G = body.generator_array
+    N = body.normal_array
     m, d = G.shape
-    cap = _FACE_CAP.get(d, 12)
-    if m > cap:
-        body._cache["face_spans"] = None
-        return None
-    rank = body.span()[1]
-    # a proper face span never needs more generators than its dimension,
-    # which is at most d - 1 for full-rank bodies and `rank` otherwise
-    # (the body's own span carries relative-interior projections); single
-    # generators are left out, as the nearest generator is always tried
-    max_size = min(m, rank if rank < d else d - 1)
+    sets = (np.abs(G @ N.T) <= 1e-9).T
+    if body.span()[1] < d:
+        sets = np.vstack([sets, np.ones((1, m), dtype=bool)])
+    sets = np.unique(sets[sets.sum(axis=1) >= 2], axis=0)
+    while True:
+        meets = (sets[:, None, :] & sets[None, :, :]).reshape(-1, m)
+        grown = np.unique(np.vstack([sets, meets[meets.sum(axis=1) >= 2]]), axis=0)
+        if grown.shape[0] == sets.shape[0]:
+            break
+        sets = grown
     seen = {}
-    for size in range(2, max_size + 1):
-        for subset in itertools.combinations(range(m), size):
-            B, r = span_basis(G[list(subset)])
-            if r == d:
-                continue
+    for face in sets:
+        B, r = span_basis(G[face])
+        if 2 <= r < d:
             seen.setdefault(np.round(B.T @ B, 9).tobytes(), B)
     by_dim = {}
     for B in seen.values():
@@ -174,11 +178,11 @@ def _nearest_body_points(X, body):
     - the nearest generator is always a candidate; it is the answer for
       a row at a nonpositive inner product with every generator, since
       such a row meets the whole cone that way;
-    - when the body admits face enumeration, the block is projected onto
-      every face span at once and the feasible normalized projections
-      compete (the nearest cone point lies in the relative interior of
-      a face, so one of them is it);
-    - above the enumeration cap, each remaining row gets its Euclidean
+    - up to `_FACE_CAP` generators, the block is projected onto every
+      face span at once and the feasible normalized projections compete
+      (the nearest cone point lies in the relative interior of a face,
+      so one of them is it);
+    - above the cap, each remaining row gets its Euclidean
       cone projection (non-negative least squares) and the exact
       projection onto the span of its active generators, which removes
       the solver's iteration residue.
@@ -188,12 +192,13 @@ def _nearest_body_points(X, body):
     """
     X = np.asarray(X, dtype=float)
     G = body.generator_array
-    if X.ndim != 2 or X.shape[1] != G.shape[1]:
-        raise ValueError("point block does not match the body's ambient space")
+    m, d = G.shape
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionMismatchError("point block does not match the body's ambient space")
     if not np.isfinite(X).all():
         raise NonFiniteError("point block has non-finite coordinates")
-    spans = _face_spans(body)
-    width = G.shape[0] + (0 if spans is None else sum(T.shape[0] for T in spans))
+    spans = _face_spans(body) if m <= _FACE_CAP.get(d, 12) else None
+    width = m + (0 if spans is None else sum(T.shape[0] for T in spans))
     step = max(1, _BLOCK_PAIRS // width)
     angles = np.empty(X.shape[0])
     points = np.empty_like(X)
@@ -310,89 +315,29 @@ def point_body_distance_sampled(x, body, resolution=None):
 # ---------------------------------------------------------------------------
 
 
-def _extrema_spans(body):
-    """Orthonormal bases of the proper face spans of the body's cone.
-
-    The directed-distance extremum search needs every span that can
-    carry a boundary face of the body: generator pairs (edges), the
-    zero sets of single support normals (facets), zero sets of normal
-    pairs (lower faces in dimension >= 4), and the body's own span when
-    it is rank-deficient.  Distinct spans are returned once each.
-    """
-    cached = body._cache.get("extrema_spans")
-    if cached is not None:
-        return cached
-    G = body.generator_array
-    N = body.normal_array
-    m, d = G.shape
-    rank = body.span()[1]
-    seen = {}
-
-    def add(rows):
-        if rows.shape[0] < 2:
-            return
-        B, r = span_basis(rows)
-        if r < 2 or r > d - 1:
-            return
-        key = np.round(B.T @ B, 9).tobytes()
-        seen.setdefault(key, np.ascontiguousarray(B))
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            add(G[[i, j]])
-    if N.shape[0]:
-        tight = np.abs(G @ N.T) <= 1e-9
-        for jn in range(N.shape[0]):
-            add(G[tight[:, jn]])
-        if d >= 4:
-            for jn in range(N.shape[0]):
-                for kn in range(jn + 1, N.shape[0]):
-                    add(G[tight[:, jn] & tight[:, kn]])
-    spans = list(seen.values())
-    if rank < d:
-        B, _ = body.span()
-        spans.append(np.ascontiguousarray(B))
-    body._cache["extrema_spans"] = spans
-    return spans
-
-
 def _deep_witness(a, b):
-    """A point of b making a quarter-turn-free pair with a, or None.
+    """A point of b strictly within a quarter turn of all of a, or None.
 
-    Solves a small linear program for a convex combination w of b's
-    generators maximizing the worst inner product with a's generators.
-    A strictly positive optimum certifies that every point of a is
-    strictly within a quarter turn of w (hence of b), which keeps all
-    point-to-body distances in the regime where the exact extremum
-    enumeration is complete.
+    Solves the least-distance program min |z| subject to G_a z >= 1 and
+    N_b z >= 0 (`cones.least_distance`).  The canonical normal list N_b,
+    with its +/- lineality rows, generates the dual cone of b, so
+    N_b z >= 0 says exactly that z lies in cone(G_b).  A unit w in that
+    cone with G_a w > 0 scales to a feasible z, and a feasible z
+    normalizes to such a w, so the program is feasible exactly when
+    some point of b is strictly within a quarter turn of every
+    generator of a, hence of every point of a.  The witness w = z / |z|
+    is re-verified on the raw arrays before it is returned.  It keeps
+    all point-to-body distances of the pair in the regime where the
+    exact extremum enumeration is complete.
     """
     Ga = a.generator_array
-    Gb = b.generator_array
-    mb = Gb.shape[0]
-    # variables (lambda, t): maximize t subject to Ga (Gb^T lambda) >= t
-    c = np.zeros(mb + 1)
-    c[mb] = -1.0
-    A_ub = np.hstack([-(Ga @ Gb.T), np.ones((Ga.shape[0], 1))])
-    A_eq = np.zeros((1, mb + 1))
-    A_eq[0, :mb] = 1.0
-    bounds = [(0.0, None)] * mb + [(None, 2.0)]
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.zeros(Ga.shape[0]),
-        A_eq=A_eq,
-        b_eq=np.ones(1),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success or res.x is None or res.x[mb] <= 1e-9:
+    Nb = b.normal_array
+    h = np.concatenate([np.ones(Ga.shape[0]), np.zeros(Nb.shape[0])])
+    z = least_distance(np.vstack([Ga, Nb]), h)
+    if z is None:
         return None
-    w = Gb.T @ res.x[:mb]
-    nw = float(np.linalg.norm(w))
-    if nw < NEAR_ZERO:
-        return None
-    w = w / nw
-    if float((Ga @ w).min()) <= 1e-9:
+    w = z / float(np.linalg.norm(z))
+    if float((Ga @ w).min()) <= 1e-9 or float((Nb @ w).min(initial=0.0)) < -MEMBERSHIP_TOL:
         return None
     return w
 
@@ -416,16 +361,9 @@ def _exact_directed(a, b):
     best = float(batch_point_body_distance(Ga, b).max())
     parts = []
     sigs = []
-    by_dim_a = {}
-    for B in _extrema_spans(a):
-        by_dim_a.setdefault(B.shape[0], []).append(B)
-    by_dim_b = {}
-    for B in _extrema_spans(b):
-        by_dim_b.setdefault(B.shape[0], []).append(B)
-    for f, bases_a in by_dim_a.items():
-        TF = np.stack(bases_a)
-        for e, bases_b in by_dim_b.items():
-            TE = np.stack(bases_b)
+    for TF in _face_spans(a):
+        f = TF.shape[1]
+        for TE in _face_spans(b):
             T = np.einsum("afd,bed->abfe", TF, TE, optimize=True)
             M = (T @ np.swapaxes(T, 2, 3)).reshape(-1, f, f)
             vals, vecs = np.linalg.eigh(M)
@@ -480,7 +418,7 @@ def directed_distance_with_bound(a, b, resolution=None):
     resolution) for the dense fallback.
     """
     if a.generator_array.shape[1] != b.generator_array.shape[1]:
-        raise ValueError("bodies live in different ambient spaces")
+        raise DimensionMismatchError("bodies live in different ambient spaces")
     Ga = a.generator_array
     if Ga.shape[0] == 1:
         return point_body_distance(Ga[0], b), 0.0, "exact"
@@ -619,7 +557,7 @@ def min_body_gap(a, b, max_iter=120):
     Ga = a.generator_array
     Gb = b.generator_array
     if Ga.shape[1] != Gb.shape[1]:
-        raise ValueError("bodies live in different ambient spaces")
+        raise DimensionMismatchError("bodies live in different ambient spaces")
     dots = Ga @ Gb.T
     i, j = np.unravel_index(int(np.argmax(dots)), dots.shape)
     y = Gb[j][None, :]
@@ -647,7 +585,7 @@ def separate(a, b):
     Ga = a.generator_array
     Gb = b.generator_array
     if Ga.shape[1] != Gb.shape[1]:
-        raise ValueError("bodies live in different ambient spaces")
+        raise DimensionMismatchError("bodies live in different ambient spaces")
     gap = min_body_gap(a, b)
     if float(gap) <= DISJOINTNESS_GAP:
         raise SeparationError(

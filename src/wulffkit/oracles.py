@@ -1,4 +1,5 @@
-"""Deterministic sphere sampling used by the sampled-distance routines.
+"""Deterministic sphere sampling used by the sampled-distance routines,
+and a subset-enumeration oracle for the face spans of `metric`.
 
 The grid construction is recursive: a circle is sampled at equal
 angles, and the n-sphere is built as colatitude rings, each ring
@@ -20,10 +21,12 @@ The coefficients are validated empirically in the test-suite by
 probing random points against the grids.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from .cones import span_basis
 from .errors import ResolutionError
 
 #: geodesic covering radius of ``sphere_grid(dim, s)`` is at most
@@ -125,3 +128,28 @@ def uniform_sphere_points(dim, count, seed):
         norms = np.linalg.norm(pts, axis=1)
         bad = norms < 1e-12
     return pts / norms[:, None]
+
+
+def face_spans_bruteforce(body):
+    """Subset-enumeration oracle for `metric._face_spans`.
+
+    A span of rank r is spanned by r of the generators in it, so the
+    spans of all generator subsets of size 2 up to min(rank, d - 1)
+    include every face span of rank 2 to d - 1, along with spans that
+    carry no face (whose projections the nearest-point routine rejects
+    as infeasible or beaten).  Same layout as the production routine:
+    one (s, f, d) stack per span dimension f.  The count grows as
+    C(m, d - 1); it is a test oracle, not a production path.
+    """
+    G = body.generator_array
+    m, d = G.shape
+    seen = {}
+    for size in range(2, min(m, body.span()[1], d - 1) + 1):
+        for subset in itertools.combinations(range(m), size):
+            B, r = span_basis(G[list(subset)])
+            if 2 <= r < d:
+                seen.setdefault(np.round(B.T @ B, 9).tobytes(), B)
+    by_dim = {}
+    for B in seen.values():
+        by_dim.setdefault(B.shape[0], []).append(B)
+    return [np.stack(bases) for bases in by_dim.values()]

@@ -340,3 +340,68 @@ class TestNonnegLstsq:
         x, rnorm = cones.nonneg_lstsq(A, b)
         assert np.allclose(x, 0.0)
         assert rnorm == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+
+class TestLeastDistance:
+    """The Lawson-Hanson least-distance program min |z| s.t. G z >= h."""
+
+    @staticmethod
+    def _systems():
+        rng = np.random.default_rng(419)
+        for t in range(320):
+            d = 2 + t % 4
+            m = int(rng.integers(1, 3 * d + 1))
+            yield rng.normal(size=(m, d)), rng.normal(size=m)
+
+    def test_feasibility_agrees_with_lp(self):
+        from scipy.optimize import linprog
+
+        feasible = 0
+        for G, h in self._systems():
+            z = cones.least_distance(G, h)
+            res = linprog(
+                np.zeros(G.shape[1]),
+                A_ub=-G,
+                b_ub=-h,
+                bounds=[(None, None)] * G.shape[1],
+                method="highs",
+            )
+            assert res.status in (0, 2)
+            assert (z is not None) == (res.status == 0)
+            feasible += z is not None
+        # both outcomes occur often enough to matter
+        assert 50 <= feasible <= 300
+
+    def test_feasible_answers_satisfy_the_system_and_kkt(self):
+        # z is optimal iff it is feasible and a non-negative combination
+        # of the rows tight at z (then u . (G z - h) = 0 for that u)
+        for G, h in self._systems():
+            z = cones.least_distance(G, h)
+            if z is None:
+                continue
+            scale = max(1.0, float(np.linalg.norm(z)))
+            slack = G @ z - h
+            assert slack.min() >= -1e-12 * scale
+            tight = np.abs(slack) <= 1e-9 * scale
+            if not tight.any():
+                assert not z.any()
+                continue
+            u, res = cones.nonneg_lstsq(G[tight].T, z)
+            assert (u >= 0.0).all()
+            assert res <= 1e-9 * scale
+            assert abs(float(u @ slack[tight])) <= 1e-9 * scale * max(1.0, float(u.sum()))
+
+    def test_zero_right_hand_side_gives_origin(self):
+        G = np.random.default_rng(3).normal(size=(5, 3))
+        z = cones.least_distance(G, np.zeros(5))
+        assert z is not None and not z.any()
+
+    def test_no_rows_gives_origin(self):
+        z = cones.least_distance(np.zeros((0, 4)), np.zeros(0))
+        assert z.shape == (4,) and not z.any()
+
+    def test_infeasible_systems_give_none(self):
+        # z >= 1 and -z >= 1 on a line; three half-planes with no common point
+        assert cones.least_distance(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2)) is None
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        assert cones.least_distance(G, np.array([1.0, 1.0, -1.0])) is None

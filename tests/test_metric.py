@@ -1,14 +1,21 @@
 """Distances, dilations, separation: exact paths vs independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from wulffkit import body, harness, metric, oracles, transforms
-from wulffkit.errors import NonFiniteError, ResolutionError, SeparationError
+from wulffkit.errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    ResolutionError,
+    SeparationError,
+)
 from wulffkit.geometry import geodesic_distance
 
 POLE = np.array([0.0, 0.0, 1.0])
@@ -166,16 +173,8 @@ class TestBatchConsistency:
         assert np.abs(got - deltas).max() <= 1e-12
 
 
-@st.composite
-def body_and_points(draw):
-    """A seeded body of any drawn kind plus query rows on its sphere.
-
-    The rows mix uniform points with points scattered around the
-    generators, so members, face projections and far points all occur;
-    on S^2 and S^3 the "many" kind exceeds the face enumeration cap.
-    """
-    dim = draw(st.sampled_from([1, 2, 3]))
-    kind = draw(st.sampled_from(["wulff", "hull", "arc", "point", "wide_cap", "many"]))
+def _draw_body(draw, dim, kinds):
+    kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     pole = harness.pole_axis(dim)
@@ -185,10 +184,44 @@ def body_and_points(draw):
         b = harness.cap_polytope(pole, rng.uniform(0.2, 1.3), metric._FACE_CAP[dim + 1] + 4)
     else:
         b = harness.gen_convex_body(pole, kind, rng)
+    return b, rng, seed
+
+
+def _query_rows(b, rng, seed):
+    dim = b.generator_array.shape[1] - 1
     G = b.generator_array
     near = G[rng.integers(0, G.shape[0], 12)] + 0.1 * rng.normal(size=(12, dim + 1))
     near /= np.linalg.norm(near, axis=1, keepdims=True)
-    return b, np.vstack([oracles.uniform_sphere_points(dim, 12, seed), near])
+    return np.vstack([oracles.uniform_sphere_points(dim, 12, seed), near])
+
+
+_KINDS = ["wulff", "hull", "arc", "point", "wide_cap", "many"]
+
+
+@st.composite
+def body_and_points(draw):
+    """A seeded body of any drawn kind plus query rows on its sphere.
+
+    The rows mix uniform points with points scattered around the
+    generators, so members, face projections and far points all occur;
+    on S^2 and S^3 the "many" kind exceeds the face enumeration cap.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    b, rng, seed = _draw_body(draw, dim, _KINDS)
+    return b, _query_rows(b, rng, seed)
+
+
+@st.composite
+def body_pair_and_points(draw):
+    """Two seeded bodies on one sphere plus query rows around the second.
+
+    The source may exceed the face cap; the target stays within it, so
+    the subset oracle's span products remain small.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    a, _, _ = _draw_body(draw, dim, _KINDS)
+    b, rng, seed = _draw_body(draw, dim, _KINDS[:-1])
+    return a, b, _query_rows(b, rng, seed)
 
 
 class TestNearestBodyPointsProperties:
@@ -223,6 +256,73 @@ class TestNearestBodyPointsProperties:
             # a batch of one agrees with its row inside the block
             one, _ = metric._nearest_body_points(X[i : i + 1], b)
             assert abs(one[0] - a) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(body_pair_and_points())
+    def test_face_spans_match_the_subset_oracle(self, case):
+        # the spans of all generator subsets include every face span, so
+        # swapping them in must leave distances and exact directed
+        # distances unchanged
+        a, b, X = case
+        new = metric._nearest_body_points(X, b)[0]
+        new_directed = metric._exact_directed(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_face_spans", oracles.face_spans_bruteforce)
+            old = metric._nearest_body_points(X, b)[0]
+            old_directed = metric._exact_directed(a, b)
+        assert np.abs(new - old).max() <= 1e-12
+        assert (new_directed is None) == (old_directed is None)
+        if new_directed is not None:
+            assert abs(new_directed - old_directed) <= 1e-12
+
+
+def _span_projector(T):
+    return np.round(T.T @ T, 9)
+
+
+class TestFaceSpans:
+    """The face spans are exactly the body's faces of rank 2 to d - 1."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
+    def test_regular_polygon_has_one_span_per_edge(self, m):
+        b = harness.cap_polytope(harness.pole_axis(2), 0.7, m)
+        spans = metric._face_spans(b)
+        assert [T.shape for T in spans] == [(m, 2, 3)]
+        # the subset oracle also carries every diagonal plane
+        assert [T.shape for T in oracles.face_spans_bruteforce(b)] == [(math.comb(m, 2), 2, 3)]
+        # each edge plane holds two adjacent vertices
+        G = b.generator_array
+        inside = np.abs(np.linalg.norm(G @ spans[0].transpose(0, 2, 1), axis=2) - 1.0) <= 1e-12
+        assert (inside.sum(axis=1) == 2).all()
+
+    def test_hemisphere_has_its_boundary_circle(self):
+        spans = metric._face_spans(body.hemisphere_body(POLE))
+        assert [T.shape for T in spans] == [(1, 2, 3)]
+        assert np.allclose(_span_projector(spans[0][0]), np.diag([1.0, 1.0, 0.0]))
+
+    def test_arc_has_its_own_plane(self):
+        arc = body.from_generators([[1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
+        spans = metric._face_spans(arc)
+        assert [T.shape for T in spans] == [(1, 2, 3)]
+        B, _ = arc.span()
+        assert np.array_equal(_span_projector(spans[0][0]), _span_projector(B))
+
+    def test_cube_cone_on_s3(self):
+        G = np.array([[x, y, z, 3.0] for x, y, z in itertools.product([1.0, -1.0], repeat=3)])
+        cube = body.from_generators(G)
+        spans = sorted(metric._face_spans(cube), key=lambda T: T.shape[1])
+        assert [T.shape for T in spans] == [(12, 2, 4), (6, 3, 4)]
+        assert sum(T.shape[0] for T in oracles.face_spans_bruteforce(cube)) == 82
+        # edge planes hold 2 cube vertices, facet 3-spaces hold 4
+        U = cube.generator_array
+        for T, per in zip(spans, (2, 4)):
+            inside = np.abs(np.linalg.norm(U @ T.transpose(0, 2, 1), axis=2) - 1.0) <= 1e-12
+            assert (inside.sum(axis=1) == per).all()
+
+    def test_no_spans_for_a_point_or_the_whole_sphere(self):
+        assert metric._face_spans(body.from_generators([POLE])) == []
+        full = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
+        assert metric._face_spans(full) == []
 
 
 class TestDirectedDistance:
@@ -293,6 +393,88 @@ class TestDirectedDistance:
         c = body.from_generators([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             metric.directed_distance_with_bound(a, c)
+
+
+def _lp_deep_margin(a, b):
+    """Best worst-case inner product of a convex combination of b's
+    generators with a's generators (the linear-program formulation)."""
+    Ga, Gb = a.generator_array, b.generator_array
+    mb = Gb.shape[0]
+    c = np.zeros(mb + 1)
+    c[mb] = -1.0
+    res = linprog(
+        c,
+        A_ub=np.hstack([-(Ga @ Gb.T), np.ones((Ga.shape[0], 1))]),
+        b_ub=np.zeros(Ga.shape[0]),
+        A_eq=np.hstack([np.ones((1, mb)), np.zeros((1, 1))]),
+        b_eq=np.ones(1),
+        bounds=[(0.0, None)] * mb + [(None, 2.0)],
+        method="highs",
+    )
+    return res.x[mb]
+
+
+class TestDeepWitness:
+    def test_decisions_agree_with_the_linear_program(self):
+        # points, arcs, hulls, wide caps, their polars and hemispheres on
+        # S^1 to S^3, including pairs whose margin is exactly zero
+        kinds = ["hull", "arc", "point", "wide_cap"]
+        seen = {True: 0, False: 0}
+        for dim in (1, 2, 3):
+            pole = harness.pole_axis(dim)
+            for t in range(16):
+                rng = np.random.default_rng([dim, t, 5])
+                a = harness.gen_convex_body(pole, kinds[t % 4], rng)
+                b2 = harness.gen_convex_body(pole, kinds[t // 4], rng)
+                pa = transforms.polar(a) if transforms.polar_admissible(a) else a
+                hemi = body.hemisphere_body(-pole.vec)
+                for x, y in ((a, b2), (b2, a), (pa, b2), (b2, pa), (b2, hemi), (hemi, b2)):
+                    w = metric._deep_witness(x, y)
+                    assert (w is not None) == (_lp_deep_margin(x, y) > 1e-9)
+                    seen[w is not None] += 1
+                    if w is not None:
+                        assert body.contains(y, w)
+                        assert float((x.generator_array @ w).min()) > 1e-9
+        assert min(seen.values()) >= 50
+
+    def test_exact_route_solves_no_linear_program(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called on the exact route")
+
+        monkeypatch.setattr(metric, "linprog", refuse)
+        pole = harness.pole_axis(2)
+        w1 = harness.gen_wulff(pole, 8, 0.9, 9)
+        w2 = harness.gen_wulff(pole, 8, 0.9, 10009)
+        _, err, path = metric.hausdorff_with_bound(w1, w2)
+        assert (err, path) == (0.0, "exact")
+
+
+class TestDimensionMismatchErrors:
+    """Every entry point raises the package error, still a ValueError."""
+
+    S2 = cap_body(0.5, [0, 120, 240])
+    S1 = body.from_generators([[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, c: metric.point_body_distance([1.0, 0.0], a),
+            lambda a, c: metric.batch_point_body_distance(np.eye(2), a),
+            lambda a, c: metric.directed_distance_with_bound(a, c),
+            lambda a, c: metric.min_body_gap(a, c),
+            lambda a, c: metric.separate(a, c),
+        ],
+        ids=[
+            "point_body_distance",
+            "batch_point_body_distance",
+            "directed_distance_with_bound",
+            "min_body_gap",
+            "separate",
+        ],
+    )
+    def test_raises_package_error(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call(self.S2, self.S1)
 
 
 class TestHausdorff:

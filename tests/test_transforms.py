@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wulffkit import body, cones, transforms
+from wulffkit import body, cones, harness, metric, transforms
 from wulffkit.errors import (
     NonHemisphericalError,
     NotAWulffShapeError,
@@ -225,3 +227,28 @@ class TestAntitone:
             big = body.from_generators(pts)
             sub = body.from_generators(pts[rng.permutation(8)[:4]])
             assert transforms.polar_antitone_check(sub, big)
+
+
+def _isometry_wulff(seed):
+    # the shape draw of the isometry suite on S^2
+    rng = np.random.default_rng(seed)
+    return harness.gen_wulff(
+        harness.pole_axis(2), int(rng.integers(4, 10)), rng.uniform(0.1, 1.2), seed
+    )
+
+
+class TestPolarIsometryProperty:
+    """The paper's claim: the polar transform preserves the Hausdorff
+    distance between spherical Wulff shapes, on the exact route."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_hausdorff_preserved_on_wulff_pairs(self, seed_a, seed_b):
+        a = _isometry_wulff(seed_a)
+        b2 = _isometry_wulff(seed_b)
+        h, err, path = metric.hausdorff_with_bound(a, b2)
+        hd, err_d, path_d = metric.hausdorff_with_bound(transforms.polar(a), transforms.polar(b2))
+        assert (path, path_d) == ("exact", "exact")
+        assert err == err_d == 0.0
+        assert abs(float(hd) - float(h)) <= 1e-8
+
