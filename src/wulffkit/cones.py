@@ -17,8 +17,6 @@ Conventions
   stable under downstream arithmetic.
 """
 
-from itertools import combinations
-
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
@@ -91,6 +89,8 @@ def nonneg_lstsq(A, b, max_iter=None):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
+    if n == 0:
+        return np.zeros(0), float(np.linalg.norm(b))
     if max_iter is None:
         max_iter = 6 * n + 60
     scale = float(np.abs(A).max(initial=0.0)) * float(np.linalg.norm(b))
@@ -130,8 +130,6 @@ def nonneg_lstsq(A, b, max_iter=None):
 
 def cone_member(G, x, tol=RAY_TOL):
     """Whether x lies in cone(rows of G), via a nonnegative fit."""
-    if G.shape[0] == 0:
-        return float(np.linalg.norm(x)) <= tol
     _, res = nonneg_lstsq(G.T, np.asarray(x, dtype=float))
     return res <= tol
 
@@ -144,8 +142,6 @@ def project_onto_cone(G, x):
     of the cone.
     """
     x = np.asarray(x, dtype=float)
-    if G.shape[0] == 0:
-        return np.zeros_like(x), np.zeros(0)
     lam, _ = nonneg_lstsq(G.T, x)
     return G.T @ lam, lam
 
@@ -166,13 +162,11 @@ def least_distance(G, h):
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
     d = G.shape[1]
-    if G.shape[0] == 0:
-        return np.zeros(d)
     E = np.vstack([G.T, h[None, :]])
     f = np.zeros(d + 1)
     f[d] = 1.0
     u, res = nonneg_lstsq(E, f)
-    if res <= 1e-12 * max(1.0, float(np.abs(E).max() * u.sum())):
+    if res <= 1e-12 * max(1.0, float(np.abs(E).max(initial=0.0) * u.sum())):
         return None
     tight = u > 0.0
     if not tight.any():
@@ -222,35 +216,6 @@ def interior_witness(N, dim):
         e[0] = 1.0
         return e
     return pointed_witness(N)
-
-
-def nontrivial_dual_witness(G):
-    """A nonzero q with q . g >= 0 for all rows, or None if the dual
-    cone is the origin alone.
-
-    Sweeps the +/- coordinate objectives over the feasible box; the
-    dual cone is nontrivial iff one sweep finds a point with positive
-    norm (any unit dual vector has box-norm >= 1/sqrt(d), far above the
-    decision threshold).
-    """
-    G = np.asarray(G, dtype=float)
-    m, d = G.shape
-    for j in range(d):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(d)
-            c[j] = -sgn
-            res = linprog(
-                c,
-                A_ub=-G,
-                b_ub=np.zeros(m),
-                bounds=[(-1.0, 1.0)] * d,
-                method="highs",
-            )
-            if res.success and sgn * res.x[j] > 1e-7:
-                q = res.x / np.linalg.norm(res.x)
-                if float((G @ q).min()) >= -FEAS_EPS:
-                    return q
-    return None
 
 
 def _orthonormalize(rows):
@@ -390,43 +355,6 @@ def dual_cone_rays(G):
     return rays, lin
 
 
-def dual_cone_rays_bruteforce(G):
-    """Subset-enumeration oracle for dual_cone_rays.
-
-    Every extreme ray of the (pointed, in span coordinates) dual cone
-    has at least s-1 linearly independent active constraints, so the
-    nullspace directions of all (s-1)-subsets of the generators, kept
-    when feasible, enumerate all extreme rays.  Slow and independent of
-    the double-description code; used for cross-validation.
-    """
-    G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
-    d = G.shape[1]
-    B, s = span_basis(G)
-    if s == 0:
-        raise NormalizationError("cone has no span")
-    Gs = unitize(G @ B.T)
-    m = Gs.shape[0]
-    cands = []
-    for subset in combinations(range(m), s - 1):
-        if subset:
-            A = Gs[list(subset)]
-            _, sv, Vt = np.linalg.svd(A)
-            rank = int((sv > 1e-8).sum())
-            if rank < s - 1:
-                continue
-            q = Vt[-1]
-        else:
-            q = np.ones(1)
-        for cand in (q, -q):
-            if float((Gs @ cand).min()) >= -RAY_TOL:
-                cands.append(cand / np.linalg.norm(cand))
-    rays_s = dedupe_rays(np.array(cands)) if cands else np.zeros((0, s))
-    rays = rays_s @ B if rays_s.shape[0] else np.zeros((0, d))
-    lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
-    rays = lex_sorted_rows(rays) if rays.shape[0] else rays
-    return rays, lin
-
-
 def _nnls_reduce(R):
     """Irredundant rays of a pointed cone by per-ray membership tests.
 
@@ -438,15 +366,9 @@ def _nnls_reduce(R):
     keep = []
     for i in range(m):
         others = np.delete(R, i, axis=0)
-        if others.shape[0] == 0 or not cone_member(others, R[i]):
+        if not cone_member(others, R[i]):
             keep.append(i)
     return R[keep]
-
-
-def extreme_rays_nnls(G):
-    """Slow-path canonical V-form (pointed part only); cross-check API."""
-    G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
-    return lex_sorted_rows(_nnls_reduce(G))
 
 
 def _pointed_extreme(R):

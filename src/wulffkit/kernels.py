@@ -1,34 +1,21 @@
-"""Backend selector for the batch kernels.
-
-Imports the compiled extension when it is available and the
-``WULFFKIT_PURE_PYTHON`` environment variable is unset (or "0");
-otherwise falls back to the numpy implementations.  Both backends
-export the same three functions with identical semantics:
+"""Batch kernels on (N, d) point blocks against small (m, d) direction sets.
 
 - ``min_slack(X, M)``: per-row min of ``X @ M.T``
 - ``max_dot(X, M)``: per-row max of ``X @ M.T``
 - ``angles_to_point(X, p)``: stable geodesic angle from each row to p
-"""
 
-import os
+Inputs are validated once at entry.  Large blocks run in chunks of
+``_CHUNK`` rows to bound the temporaries.  The reductions run across
+the m rows of the (m, chunk) product, elementwise over long rows,
+which numpy does several times faster than reducing each short row of
+the transposed (chunk, m) product.
+"""
 
 import numpy as np
 
-from . import _kernels_py
+BACKEND = "python"
 
-_FORCE_PURE = os.environ.get("WULFFKIT_PURE_PYTHON", "0") not in ("0", "", None)
-
-if not _FORCE_PURE:
-    try:
-        from . import _kernels as _impl
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
-else:
-    _impl = _kernels_py
-    BACKEND = "python"
+_CHUNK = 262144  # keep the (m, chunk) temporaries around 8-32 MB
 
 
 def _prep(X):
@@ -38,29 +25,43 @@ def _prep(X):
     return X
 
 
-def min_slack(X, M):
+def _reduce_products(X, M, ufunc, empty):
     X = _prep(X)
     M = _prep(M)
     if M.shape[0] == 0:
-        return np.full(X.shape[0], np.inf)
+        return np.full(X.shape[0], empty)
     if X.shape[1] != M.shape[1]:
         raise ValueError("point block and direction set disagree on dimension")
-    return _impl.min_slack(X, M)
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _CHUNK):
+        out[lo:lo + _CHUNK] = ufunc.reduce(M @ X[lo:lo + _CHUNK].T, axis=0)
+    return out
+
+
+def min_slack(X, M):
+    """Per-row minimum of X @ M.T (worst constraint slack per point)."""
+    return _reduce_products(X, M, np.minimum, np.inf)
 
 
 def max_dot(X, M):
-    X = _prep(X)
-    M = _prep(M)
-    if M.shape[0] == 0:
-        return np.full(X.shape[0], -np.inf)
-    if X.shape[1] != M.shape[1]:
-        raise ValueError("point block and direction set disagree on dimension")
-    return _impl.max_dot(X, M)
+    """Per-row maximum of X @ M.T (best generator alignment per point)."""
+    return _reduce_products(X, M, np.maximum, -np.inf)
 
 
 def angles_to_point(X, p):
+    """Stable geodesic angle from each row of X to the unit vector p.
+
+    Uses atan2 of the explicit perpendicular component; plain arccos of
+    the dot product loses precision near 0 and pi.
+    """
     X = _prep(X)
-    p = np.ascontiguousarray(np.asarray(p, dtype=float).reshape(-1))
+    p = np.asarray(p, dtype=float).reshape(-1)
     if X.shape[1] != p.size:
         raise ValueError("point block and reference point disagree on dimension")
-    return _impl.angles_to_point(X, p)
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _CHUNK):
+        block = X[lo:lo + _CHUNK]
+        c = block @ p
+        perp = block - c[:, None] * p[None, :]
+        out[lo:lo + _CHUNK] = np.arctan2(np.linalg.norm(perp, axis=1), c)
+    return out

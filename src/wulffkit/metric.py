@@ -463,12 +463,14 @@ def hemisphere_hausdorff(p, q, validate_resolution=None):
         sampled, err, path = hausdorff_with_bound(
             hemisphere_body(p), hemisphere_body(q), resolution=validate_resolution
         )
-        assert path == "sampled"
+        if path != "sampled":
+            raise AssertionError(f"hemisphere pair took the {path} route, not sampled")
         tol = max(1e-8, 2.0 * err)
-        assert abs(float(closed) - float(sampled)) <= tol, (
-            f"closed form {float(closed)} vs sampled {float(sampled)} "
-            f"disagree beyond {tol}"
-        )
+        if not abs(float(closed) - float(sampled)) <= tol:
+            raise AssertionError(
+                f"closed form {float(closed)} vs sampled {float(sampled)} "
+                f"disagree beyond {tol}"
+            )
     return closed
 
 

@@ -1,5 +1,12 @@
 """Deterministic sphere sampling used by the sampled-distance routines,
-and a subset-enumeration oracle for the face spans of `metric`.
+and the test oracles.
+
+The oracles are slow routes, independent of the production code, to
+answers it computes another way: subset enumeration for the face spans
+of `metric` and for the extreme rays of a dual cone, per-ray membership
+fits for extreme rays, and a linear-program sweep for a nontrivial dual
+cone.  The tests cross-validate against them; no production path calls
+them.
 
 The grid construction is recursive: a circle is sampled at equal
 angles, and the n-sphere is built as colatitude rings, each ring
@@ -25,9 +32,11 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
-from .cones import span_basis
-from .errors import ResolutionError
+from . import cones
+from .errors import NormalizationError, PolarEmptyError, ResolutionError
+from .geometry import UnitPoint, as_vector, subspace_canonical_basis
 
 #: geodesic covering radius of ``sphere_grid(dim, s)`` is at most
 #: ``COVERING_COEFF[dim] * s`` (dim = dimension of the sphere itself)
@@ -146,10 +155,94 @@ def face_spans_bruteforce(body):
     seen = {}
     for size in range(2, min(m, body.span()[1], d - 1) + 1):
         for subset in itertools.combinations(range(m), size):
-            B, r = span_basis(G[list(subset)])
+            B, r = cones.span_basis(G[list(subset)])
             if 2 <= r < d:
                 seen.setdefault(np.round(B.T @ B, 9).tobytes(), B)
     by_dim = {}
     for B in seen.values():
         by_dim.setdefault(B.shape[0], []).append(B)
     return [np.stack(bases) for bases in by_dim.values()]
+
+
+def dual_cone_rays_bruteforce(G):
+    """Subset-enumeration oracle for `cones.dual_cone_rays`.
+
+    Every extreme ray of the (pointed, in span coordinates) dual cone
+    has at least s-1 linearly independent active constraints, so the
+    nullspace directions of all (s-1)-subsets of the generators, kept
+    when feasible, enumerate all extreme rays.  Slow and independent of
+    the double-description code; used for cross-validation.
+    """
+    G = cones.dedupe_rays(cones.unitize(np.asarray(G, dtype=float)))
+    d = G.shape[1]
+    B, s = cones.span_basis(G)
+    if s == 0:
+        raise NormalizationError("cone has no span")
+    Gs = cones.unitize(G @ B.T)
+    m = Gs.shape[0]
+    cands = []
+    for subset in itertools.combinations(range(m), s - 1):
+        if subset:
+            A = Gs[list(subset)]
+            _, sv, Vt = np.linalg.svd(A)
+            rank = int((sv > 1e-8).sum())
+            if rank < s - 1:
+                continue
+            q = Vt[-1]
+        else:
+            q = np.ones(1)
+        for cand in (q, -q):
+            if float((Gs @ cand).min()) >= -cones.RAY_TOL:
+                cands.append(cand / np.linalg.norm(cand))
+    rays_s = cones.dedupe_rays(np.array(cands)) if cands else np.zeros((0, s))
+    rays = rays_s @ B if rays_s.shape[0] else np.zeros((0, d))
+    lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
+    rays = cones.lex_sorted_rows(rays) if rays.shape[0] else rays
+    return rays, lin
+
+
+def dual_cone_convert_bruteforce(generators):
+    """Subset-enumeration oracle with the same contract as
+    `transforms.dual_cone_convert`; kept independent for cross-validation."""
+    G = np.array([as_vector(g) for g in generators], dtype=float)
+    rays, lin = dual_cone_rays_bruteforce(G)
+    out = cones.rays_with_lineality(rays, lin)
+    if out.shape[0] == 0:
+        raise PolarEmptyError("dual cone is trivial")
+    return [UnitPoint(r) for r in out]
+
+
+def extreme_rays_nnls(G):
+    """Per-ray membership-fit oracle for the pointed part of
+    `cones.extreme_rays`, rows lex-sorted."""
+    G = cones.dedupe_rays(cones.unitize(np.asarray(G, dtype=float)))
+    return cones.lex_sorted_rows(cones._nnls_reduce(G))
+
+
+def nontrivial_dual_witness(G):
+    """A nonzero q with q . g >= 0 for all rows, or None if the dual
+    cone is the origin alone.
+
+    Sweeps the +/- coordinate objectives over the feasible box; the
+    dual cone is nontrivial iff one sweep finds a point with positive
+    norm (any unit dual vector has box-norm >= 1/sqrt(d), far above the
+    decision threshold).
+    """
+    G = np.asarray(G, dtype=float)
+    m, d = G.shape
+    for j in range(d):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(d)
+            c[j] = -sgn
+            res = linprog(
+                c,
+                A_ub=-G,
+                b_ub=np.zeros(m),
+                bounds=[(-1.0, 1.0)] * d,
+                method="highs",
+            )
+            if res.success and sgn * res.x[j] > 1e-7:
+                q = res.x / np.linalg.norm(res.x)
+                if float((G @ q).min()) >= -cones.FEAS_EPS:
+                    return q
+    return None

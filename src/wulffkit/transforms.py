@@ -35,24 +35,13 @@ def dual_cone_convert(generators):
     return [UnitPoint(r) for r in out]
 
 
-def dual_cone_convert_bruteforce(generators):
-    """Subset-enumeration oracle with the same contract as
-    dual_cone_convert; kept independent for cross-validation."""
-    G = np.array([as_vector(g) for g in generators], dtype=float)
-    rays, lin = cones.dual_cone_rays_bruteforce(G)
-    out = cones.rays_with_lineality(rays, lin)
-    if out.shape[0] == 0:
-        raise PolarEmptyError("dual cone is trivial")
-    return [UnitPoint(r) for r in out]
-
-
 def polar_admissible(body):
     """Whether the polar set is nonempty.
 
     The support normals are the dual cone's generators, computed at
     construction, so admissibility is their nonemptiness.  (The
     feasibility-solve formulation — some nonzero q with q . g >= 0 for
-    all generators — is available as cones.nontrivial_dual_witness and
+    all generators — is available as oracles.nontrivial_dual_witness and
     is exercised against this in the tests.)
     """
     return body.normal_array.shape[0] > 0
@@ -94,9 +83,8 @@ def dual_wulff(body, p):
     if not is_wulff_relative(body, p):
         raise NotAWulffShapeError()
     result = polar(body)
-    assert is_wulff_relative(result, p), (
-        "polar of a Wulff shape failed the Wulff test"
-    )
+    if not is_wulff_relative(result, p):
+        raise AssertionError("polar of a Wulff shape failed the Wulff test")
     return result
 
 
@@ -118,7 +106,8 @@ def spherical_hull(points):
     hull = from_generators(G)
     roundtrip = double_polar(hull)
     gap = body_mod.body_match_angle(hull, roundtrip)
-    assert gap <= 1e-10, f"hull is not double-polar stable (gap {gap:.3e})"
+    if not gap <= 1e-10:
+        raise AssertionError(f"hull is not double-polar stable (gap {gap:.3e})")
     return hull
 
 

@@ -132,7 +132,7 @@ def test_dual_conversion_matches_bruteforce_200_sets():
             G[:, -1] = np.abs(G[:, -1]) + 0.3
         G = cones.unitize(G)
         fast = cones.rays_with_lineality(*cones.dual_cone_rays(G))
-        slow = cones.rays_with_lineality(*cones.dual_cone_rays_bruteforce(G))
+        slow = cones.rays_with_lineality(*oracles.dual_cone_rays_bruteforce(G))
         gap = ray_set_match_angle(fast, slow)
         assert gap <= 1e-9, f"set {t} (dim {d}, m {m}): ray mismatch {gap}"
 

@@ -30,7 +30,7 @@ def ray_set_match_angle(A, B):
 def dual_pair(G):
     """(double-description rays, brute-force rays) as plain generator lists."""
     r1, l1 = cones.dual_cone_rays(G)
-    r2, l2 = cones.dual_cone_rays_bruteforce(G)
+    r2, l2 = oracles.dual_cone_rays_bruteforce(G)
     return (
         cones.rays_with_lineality(r1, l1),
         cones.rays_with_lineality(r2, l2),
@@ -122,7 +122,7 @@ class TestWitnesses:
             d = 2 + trial % 3
             m = int(rng.integers(2, 9))
             G = oracles.uniform_sphere_points(d - 1, m, 100 + trial)
-            w = cones.nontrivial_dual_witness(G)
+            w = oracles.nontrivial_dual_witness(G)
             rays, lin = cones.dual_cone_rays(G)
             nontrivial = rays.shape[0] > 0 or lin.shape[0] > 0
             assert (w is not None) == nontrivial
@@ -238,7 +238,7 @@ class TestExtremeRays:
             G = cones.unitize(G)
             fast, lin = cones.extreme_rays(G)
             assert lin.shape[0] == 0
-            slow = cones.extreme_rays_nnls(G)
+            slow = oracles.extreme_rays_nnls(G)
             assert ray_set_match_angle(fast, slow) <= 1e-9, f"trial {trial}"
 
     def test_extreme_rays_generate_the_same_cone(self):
@@ -340,6 +340,20 @@ class TestNonnegLstsq:
         x, rnorm = cones.nonneg_lstsq(A, b)
         assert np.allclose(x, 0.0)
         assert rnorm == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+    def test_no_columns_gives_empty_fit(self):
+        # an empty generator set: the fit is empty and leaves all of b;
+        # membership and projection follow from it without guards
+        b = np.array([1.0, 2.0, 2.0])
+        x, rnorm = cones.nonneg_lstsq(np.zeros((3, 0)), b)
+        assert x.shape == (0,)
+        assert rnorm == 3.0
+        G = np.zeros((0, 3))
+        assert cones.cone_member(G, np.zeros(3))
+        assert not cones.cone_member(G, b)
+        proj, lam = cones.project_onto_cone(G, b)
+        assert proj.shape == (3,) and not proj.any()
+        assert lam.shape == (0,)
 
 
 class TestLeastDistance:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wulffkit import body, cones, harness, metric, transforms
+from wulffkit import body, cones, harness, metric, oracles, transforms
 from wulffkit.errors import (
     NonHemisphericalError,
     NotAWulffShapeError,
@@ -121,7 +121,7 @@ class TestPolarBasics:
                 b = body.from_generators(pts)
             except ValueError:
                 continue
-            w = cones.nontrivial_dual_witness(b.generator_array)
+            w = oracles.nontrivial_dual_witness(b.generator_array)
             assert transforms.polar_admissible(b) == (w is not None)
             if w is not None:
                 assert (b.generator_array @ w).min() >= -1e-12
@@ -151,9 +151,9 @@ class TestDualConeConvert:
                 fast = transforms.dual_cone_convert(G)
             except PolarEmptyError:
                 with pytest.raises(PolarEmptyError):
-                    transforms.dual_cone_convert_bruteforce(G)
+                    oracles.dual_cone_convert_bruteforce(G)
                 continue
-            slow = transforms.dual_cone_convert_bruteforce(G)
+            slow = oracles.dual_cone_convert_bruteforce(G)
             fast_rows = np.array([u.vec for u in fast])
             slow_rows = np.array([u.vec for u in slow])
             assert fast_rows.shape == slow_rows.shape, f"trial {t}"
@@ -252,3 +252,42 @@ class TestPolarIsometryProperty:
         assert err == err_d == 0.0
         assert abs(float(hd) - float(h)) <= 1e-8
 
+
+
+@st.composite
+def seeded_body(draw):
+    """A body from `gen_wulff` or `gen_convex_body` on S^1-S^3."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["wulff", "hull", "arc", "point", "wide_cap"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pole = harness.pole_axis(dim)
+    if kind == "wulff":
+        return harness.gen_wulff(
+            pole, dim + 2 + int(rng.integers(0, 5)), rng.uniform(0.1, 1.3), seed
+        )
+    return harness.gen_convex_body(pole, kind, rng)
+
+
+@st.composite
+def body_and_sub_body(draw):
+    """A seeded body and the hull of a drawn nonempty subset of its generators."""
+    b = draw(seeded_body())
+    G = b.generator_array
+    subset = draw(st.sets(st.integers(0, G.shape[0] - 1), min_size=1))
+    return b, body.from_generators(G[sorted(subset)])
+
+
+class TestDualityProperties:
+    """Double duality and antitonicity of the polar on drawn bodies."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seeded_body())
+    def test_double_polar_recovers_body(self, b):
+        assert body.bodies_equal(transforms.double_polar(b), b, 1e-10)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(body_and_sub_body())
+    def test_polar_reverses_inclusion(self, case):
+        b, sub = case
+        assert transforms.polar_antitone_check(sub, b) is True
