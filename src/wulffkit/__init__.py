@@ -55,7 +55,6 @@ from .harness import (
 )
 from .kernels import BACKEND
 from .metric import (
-    default_resolution,
     dilation_contains,
     dilation_intersection_check,
     directed_distance,
@@ -103,7 +102,6 @@ __all__ = [
     "body_match_angle",
     "canonicalize",
     "contains",
-    "default_resolution",
     "dilation_contains",
     "dilation_intersection_check",
     "directed_distance",

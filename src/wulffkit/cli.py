@@ -12,8 +12,7 @@ gen        generate a random shape file
 Shape files use the JSON grammar documented in the README: an object
 with integer field "dim" (the sphere dimension n), field "generators"
 (a nonempty array of arrays of n+1 reals), and an optional string
-"label".  The environment variable WULFF_DEFAULT_RESOLUTION overrides
-the default sampling resolution of the sampled distance paths.
+"label".
 """
 
 import argparse
@@ -86,7 +85,6 @@ def _cmd_verify(args):
             seed=args.seed,
             tolerance=args.tol,
             sampling_resolution=args.resolution,
-            output_path=args.out,
         )
         reports.extend(harness.run_suite(cfg))
     if args.out is not None:

@@ -43,15 +43,15 @@ def unitize(M):
     return M / norms[:, None]
 
 
-def dedupe_rays(M, tol=RAY_TOL):
-    """Drop rows that repeat an earlier row within chordal distance tol."""
+def dedupe_rays(M):
+    """Drop rows that repeat an earlier row within chordal distance RAY_TOL."""
     if M.shape[0] <= 1:
         return M
     keep = []
     for i in range(M.shape[0]):
         if keep:
             gaps = np.linalg.norm(M[keep] - M[i], axis=1)
-            if gaps.min() <= tol:
+            if gaps.min() <= RAY_TOL:
                 continue
         keep.append(i)
     return M[keep]
@@ -65,17 +65,17 @@ def lex_sorted_rows(M):
     return M[order]
 
 
-def span_basis(M, tol=SPAN_TOL):
+def span_basis(M):
     """Orthonormal basis (rows) of the row span of M, plus its rank."""
     M = np.asarray(M, dtype=float)
     if M.shape[0] == 0:
         return np.zeros((0, M.shape[1] if M.ndim == 2 else 0)), 0
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    rank = int((sv > tol).sum())
+    rank = int((sv > SPAN_TOL).sum())
     return Vt[:rank], rank
 
 
-def nonneg_lstsq(A, b, max_iter=None):
+def nonneg_lstsq(A, b):
     """min |A x - b| over x >= 0 by the classical active-set algorithm.
 
     scipy.optimize.nnls (the >= 1.12 rewrite) returns KKT-violating
@@ -91,8 +91,7 @@ def nonneg_lstsq(A, b, max_iter=None):
     m, n = A.shape
     if n == 0:
         return np.zeros(0), float(np.linalg.norm(b))
-    if max_iter is None:
-        max_iter = 6 * n + 60
+    max_iter = 6 * n + 60
     scale = float(np.abs(A).max(initial=0.0)) * float(np.linalg.norm(b))
     grad_tol = 1e-12 * max(1.0, scale)
     x = np.zeros(n)
@@ -128,10 +127,10 @@ def nonneg_lstsq(A, b, max_iter=None):
     return x, float(np.linalg.norm(A @ x - b))
 
 
-def cone_member(G, x, tol=RAY_TOL):
+def cone_member(G, x):
     """Whether x lies in cone(rows of G), via a nonnegative fit."""
     _, res = nonneg_lstsq(G.T, np.asarray(x, dtype=float))
-    return res <= tol
+    return res <= RAY_TOL
 
 
 def project_onto_cone(G, x):

@@ -163,12 +163,12 @@ def arc_point(p, q, t):
     return UnitPoint(chord / n)
 
 
-def hemisphere_contains(center, q, tol=MEMBERSHIP_TOL):
+def hemisphere_contains(center, q):
     """Whether q lies in the closed hemisphere H(center)."""
     center = as_unit_point(center)
     q = as_unit_point(q)
     _check_same_dim(center, q)
-    return float(center.vec @ q.vec) >= -tol
+    return float(center.vec @ q.vec) >= -MEMBERSHIP_TOL
 
 
 def subspace_canonical_basis(projector, expected_dim=None):

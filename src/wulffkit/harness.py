@@ -15,10 +15,8 @@ import numpy as np
 
 from . import metric, oracles
 from .body import (
-    SphericalBody,
     bodies_equal,
     body_match_angle,
-    contains,
     from_generators,
     hemisphere_body,
     is_wulff_relative,
@@ -43,6 +41,9 @@ IDENTITY_SAMPLES = 10_000
 #: dilation steps used by the approximation suite
 APPROX_STEPS = (4, 8, 16, 32)
 
+#: tangent directions per ring of a dilation approximant
+RING_COUNT = 16
+
 
 @dataclasses.dataclass(frozen=True)
 class SuiteConfig:
@@ -57,7 +58,6 @@ class SuiteConfig:
     seed: int = 0
     tolerance: float = 1e-8
     sampling_resolution: float | None = None
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
@@ -72,17 +72,6 @@ class SuiteConfig:
             metric._check_resolution(self.sampling_resolution)
         if not (self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
-
-    @property
-    def resolution(self):
-        if self.sampling_resolution is not None:
-            return self.sampling_resolution
-        # the default resolution is affordable on S^1 and S^2; S^3 grids
-        # grow with the cube of the inverse spacing, so sampled fallbacks
-        # there run at the coarsest still-meaningful resolution
-        if self.dim >= 3:
-            return max(metric.default_resolution(), 0.06)
-        return metric.default_resolution()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,16 +177,11 @@ def cap_polytope(center, radius, count, phase=0.0):
     return from_generators(pts)
 
 
-def rotate_body(body, angle, axes=(0, 1)):
-    """Rotate a body in the plane of two coordinate axes."""
-    d = body.generator_array.shape[1]
-    i, j = axes
-    R = np.eye(d)
+def rotate_body(body, angle):
+    """Rotate a body in the plane of the first two coordinate axes."""
+    R = np.eye(body.generator_array.shape[1])
     c, s = math.cos(angle), math.sin(angle)
-    R[i, i] = c
-    R[i, j] = -s
-    R[j, i] = s
-    R[j, j] = c
+    R[:2, :2] = [[c, -s], [s, c]]
     return from_generators(body.generator_array @ R.T)
 
 
@@ -314,8 +298,10 @@ def suite_bilipschitz(cfg):
         t0 = time.perf_counter()
         a = gen_convex_body(p, kind_a, rng)
         b = gen_convex_body(p, kind_b, rng)
-        h, e_primal, _ = metric.hausdorff_with_bound(a, b, cfg.resolution)
-        hd, e_dual, _ = metric.hausdorff_with_bound(polar(a), polar(b), cfg.resolution)
+        h, e_primal, _ = metric.hausdorff_with_bound(a, b, cfg.sampling_resolution)
+        hd, e_dual, _ = metric.hausdorff_with_bound(
+            polar(a), polar(b), cfg.sampling_resolution
+        )
         excess = max(0.5 * float(h) - float(hd), float(hd) - 2.0 * float(h))
         err = 2.0 * e_primal + e_dual
         ms = 1000.0 * (time.perf_counter() - t0)
@@ -471,7 +457,7 @@ def suite_metric_identities(cfg):
         p2 = UnitPoint(math.cos(spread) * p1.vec + math.sin(spread) * u)
         closed = float(metric.hemisphere_hausdorff(p1, p2))
         sampled, err, path = metric.hausdorff_with_bound(
-            hemisphere_body(p1), hemisphere_body(p2), cfg.resolution
+            hemisphere_body(p1), hemisphere_body(p2), cfg.sampling_resolution
         )
         gap = abs(closed - float(sampled))
         tol = max(cfg.tolerance, 2.0 * err)
@@ -488,7 +474,7 @@ def suite_metric_identities(cfg):
         )
         r = rng.uniform(0.05, 1.55)
         bad, _tested = metric.dilation_intersection_mismatches(
-            w, r, IDENTITY_SAMPLES, int(rng.integers(2**63)), route="body"
+            w, r, IDENTITY_SAMPLES, int(rng.integers(2**63))
         )
         ms = 1000.0 * (time.perf_counter() - t0)
         reports.append(
@@ -500,18 +486,18 @@ def suite_metric_identities(cfg):
     return reports
 
 
-def _ring_directions(dim, count):
-    """About `count` well-spread tangent directions on S^{dim-2}."""
+def _ring_directions(dim):
+    """About RING_COUNT well-spread tangent directions on S^{dim-1}."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
-        ang = 2.0 * math.pi * np.arange(count) / count
+        ang = 2.0 * math.pi * np.arange(RING_COUNT) / RING_COUNT
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    spacing = 2.0 * math.pi / count * 2.2
+    spacing = 2.0 * math.pi / RING_COUNT * 2.2
     return oracles.sphere_grid(dim - 1, spacing).copy()
 
 
-def dilation_approximant(body, radius, ring_count=16):
+def dilation_approximant(body, radius):
     """Inscribed polytopal stand-in for the radius-dilation of a body.
 
     Hulls the body's generators with a ring of points at geodesic
@@ -520,7 +506,7 @@ def dilation_approximant(body, radius, ring_count=16):
     """
     G = body.generator_array
     d = G.shape[1]
-    dirs = _ring_directions(d - 1, ring_count)
+    dirs = _ring_directions(d - 1)
     parts = [G]
     for g in G:
         B = complement_basis(UnitPoint(g))

@@ -27,13 +27,11 @@ error bound.
 """
 
 import math
-import os
 
 import numpy as np
 from scipy.optimize import linprog
 
 from . import kernels, oracles
-from .body import hemisphere_body
 from .cones import FEAS_EPS, least_distance, project_onto_cone, span_basis
 from .errors import (
     DimensionMismatchError,
@@ -51,8 +49,11 @@ from .geometry import (
 )
 from .transforms import polar, polar_admissible
 
-#: default sampling resolution (radians) for all sampled distances
-DEFAULT_RESOLUTION = 0.005
+#: default sampling resolution (radians) of the sampled distances, keyed by
+#: the sphere dimension n of the sampled body: 0.005 on S^1 and S^2, 0.06 on
+#: S^3, whose grid grows with the cube of the inverse spacing (about 3.6e6
+#: points at 0.06; 0.005 would need 6.2e9, over `oracles.GRID_POINT_LIMIT`)
+DEFAULT_RESOLUTION = {1: 0.005, 2: 0.005, 3: 0.06}
 
 #: bodies with a smaller minimum gap than this are treated as touching
 DISJOINTNESS_GAP = 1e-7
@@ -70,24 +71,12 @@ _BAND_LIMIT = 2_000_000
 
 _SAFE_ASSIGN = 1e-12
 
+# alternating projections of `min_body_gap` stop after this many rounds
+_GAP_ITERATIONS = 120
+
 # nearest-point blocks hold about this many (row, generator or face
 # span) pairs, which bounds the temporaries of a large query block
 _BLOCK_PAIRS = 1 << 16
-
-
-def default_resolution():
-    """Sampling resolution: WULFF_DEFAULT_RESOLUTION override or 0.005."""
-    raw = os.environ.get("WULFF_DEFAULT_RESOLUTION")
-    if raw is None or raw == "":
-        return DEFAULT_RESOLUTION
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ResolutionError(
-            f"WULFF_DEFAULT_RESOLUTION is not a number: {raw!r}"
-        ) from exc
-    _check_resolution(value)
-    return value
 
 
 def _check_resolution(resolution):
@@ -97,9 +86,13 @@ def _check_resolution(resolution):
         )
 
 
-def _resolve_resolution(resolution):
+def _resolve_resolution(resolution, body):
+    """The given resolution, checked, or the default for the body's sphere."""
     if resolution is None:
-        return default_resolution()
+        n = body.generator_array.shape[1] - 1
+        if n not in DEFAULT_RESOLUTION:
+            raise ResolutionError(f"sampled distances cover S^1 to S^3, got S^{n}")
+        return DEFAULT_RESOLUTION[n]
     resolution = float(resolution)
     _check_resolution(resolution)
     return resolution
@@ -305,7 +298,7 @@ def _body_sample_points(body, resolution):
 def point_body_distance_sampled(x, body, resolution=None):
     """Sampled distance oracle; within `resolution` of the exact value."""
     v = as_vector(x)
-    resolution = _resolve_resolution(resolution)
+    resolution = _resolve_resolution(resolution, body)
     samples = _body_sample_points(body, resolution)
     return Angle(float(kernels.angles_to_point(samples, v).min()))
 
@@ -404,7 +397,7 @@ def directed_distance_sampled(a, b, resolution=None):
     Always samples the source body, regardless of whether the exact
     path applies; the result is within `resolution` of the true value.
     """
-    resolution = _resolve_resolution(resolution)
+    resolution = _resolve_resolution(resolution, a)
     samples = _body_sample_points(a, resolution)
     dist = batch_point_body_distance(samples, b)
     return Angle(float(dist.max())), resolution
@@ -447,31 +440,14 @@ def hausdorff(a, b, resolution=None):
     return hausdorff_with_bound(a, b, resolution)[0]
 
 
-def hemisphere_hausdorff(p, q, validate_resolution=None):
+def hemisphere_hausdorff(p, q):
     """Closed-form Hausdorff distance between hemisphere bodies.
 
     Equals the angle between the centers, saturating at pi/2 once the
-    centers are more than a quarter turn apart.  When
-    validate_resolution is given, the closed form is checked against
-    the dense-sampling route on the actual hemisphere bodies (which
-    always take the sampling path) and an assertion enforces agreement
-    within max(1e-8, 2 * resolution).
+    centers are more than a quarter turn apart.
     """
     d = geodesic_distance(p, q)
-    closed = Angle(min(float(d), math.pi / 2.0))
-    if validate_resolution is not None:
-        sampled, err, path = hausdorff_with_bound(
-            hemisphere_body(p), hemisphere_body(q), resolution=validate_resolution
-        )
-        if path != "sampled":
-            raise AssertionError(f"hemisphere pair took the {path} route, not sampled")
-        tol = max(1e-8, 2.0 * err)
-        if not abs(float(closed) - float(sampled)) <= tol:
-            raise AssertionError(
-                f"closed form {float(closed)} vs sampled {float(sampled)} "
-                f"disagree beyond {tol}"
-            )
-    return closed
+    return Angle(min(float(d), math.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -487,25 +463,22 @@ def dilation_contains(body, r, x):
     return float(point_body_distance(x, body)) <= r + 1e-10
 
 
-def dilation_intersection_mismatches(w, r, samples, seed, route="body"):
+def dilation_intersection_mismatches(w, r, samples, seed):
     """Count sample points where the two r-dilation routes disagree.
 
     Route one: membership in the r-dilation of the polar body.  Route
     two: membership in the intersection of the r-dilations of the
-    single hemispheres carried by the body's points:
+    single hemispheres carried by the body's points P.  The worst
+    hemisphere deficit sup_P max(0, angle(x, P) - pi/2) is computed
+    exactly from the antipode, because max_P angle(x, P) = pi - min_P
+    angle(-x, P) = pi - (distance from -x to the body); no convexity
+    argument is involved.
 
-    - route="body" intersects over every point P of the body.  The
-      worst hemisphere deficit sup_P max(0, angle(x, P) - pi/2) is
-      computed exactly from the antipode, because max_P angle(x, P)
-      = pi - min_P angle(-x, P) = pi - (distance from -x to the body);
-      no convexity argument is involved.
-    - route="generators" intersects over the generators only, with
-      deficit max over g of max(0, angle(x, g) - pi/2).  This is NOT
-      equivalent: angle(x, .) is not geodesically convex past pi/2,
-      so its maximum over the body can land in a face interior and
-      exceed the generator maximum (points between the two routes'
-      thresholds then disagree).  Kept as the literal finite formula;
-      tests pin a concrete square where it fails while "body" agrees.
+    Intersecting over the generators only is NOT equivalent: angle(x, .)
+    is not geodesically convex past pi/2, so its maximum over the body
+    can land in a face interior and exceed the generator maximum (points
+    between the two thresholds then disagree); tests pin a concrete
+    square where that finite formula fails while this route agrees.
 
     Points within IDENTITY_BAND of either boundary are excluded.
     Returns (mismatches, tested).
@@ -515,18 +488,13 @@ def dilation_intersection_mismatches(w, r, samples, seed, route="body"):
         raise ValueError(f"identity check needs 0 < r < pi/2, got {r}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
-    if route not in ("body", "generators"):
-        raise ValueError(f"route must be 'body' or 'generators', got {route!r}")
     if not polar_admissible(w):
         raise ValueError("body has a trivial polar; identity check undefined")
     pw = polar(w)
     d = w.generator_array.shape[1]
     X = oracles.uniform_sphere_points(d - 1, samples, seed)
     dist_polar = batch_point_body_distance(X, pw)
-    if route == "body":
-        worst = math.pi - batch_point_body_distance(-X, w)
-    else:
-        worst = np.arccos(np.clip(kernels.min_slack(X, w.generator_array), -1.0, 1.0))
+    worst = math.pi - batch_point_body_distance(-X, w)
     dist_hemis = np.maximum(worst - math.pi / 2.0, 0.0)
     in_polar = dist_polar <= r + 1e-10
     in_hemis = dist_hemis <= r + 1e-10
@@ -537,9 +505,9 @@ def dilation_intersection_mismatches(w, r, samples, seed, route="body"):
     return int(mismatch.sum()), int((~near).sum())
 
 
-def dilation_intersection_check(w, r, samples, seed, route="body"):
+def dilation_intersection_check(w, r, samples, seed):
     """True iff both r-dilation routes agree away from the boundary."""
-    bad, _ = dilation_intersection_mismatches(w, r, samples, seed, route=route)
+    bad, _ = dilation_intersection_mismatches(w, r, samples, seed)
     return bad == 0
 
 
@@ -548,7 +516,7 @@ def dilation_intersection_check(w, r, samples, seed, route="body"):
 # ---------------------------------------------------------------------------
 
 
-def min_body_gap(a, b, max_iter=120):
+def min_body_gap(a, b):
     """Smallest geodesic distance between points of two bodies.
 
     Alternating nearest-point iteration on the two bodies, started from
@@ -564,7 +532,7 @@ def min_body_gap(a, b, max_iter=120):
     i, j = np.unravel_index(int(np.argmax(dots)), dots.shape)
     y = Gb[j][None, :]
     best = float(_angles(Ga[i][None, :], y)[0])
-    for _ in range(max_iter):
+    for _ in range(_GAP_ITERATIONS):
         _, x = _nearest_body_points(y, a)
         gap, y = _nearest_body_points(x, b)
         current = float(gap[0])

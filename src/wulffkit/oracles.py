@@ -1,12 +1,17 @@
 """Deterministic sphere sampling used by the sampled-distance routines,
 and the test oracles.
 
+The sampling part (`sphere_grid`, `uniform_sphere_points` and
+`COVERING_COEFF`) is on the production path: the sampled distance
+route and the dilation-identity check of `metric`, and the harness
+suites, call it.
+
 The oracles are slow routes, independent of the production code, to
 answers it computes another way: subset enumeration for the face spans
 of `metric` and for the extreme rays of a dual cone, per-ray membership
 fits for extreme rays, and a linear-program sweep for a nontrivial dual
 cone.  The tests cross-validate against them; no production path calls
-them.
+the oracles.
 
 The grid construction is recursive: a circle is sampled at equal
 angles, and the n-sphere is built as colatitude rings, each ring

@@ -71,7 +71,7 @@ def test_bilipschitz_sandwich_500_pairs():
         assert len(rows) == plan["trials"]
         for r in rows:
             assert r.passed
-            allowed = 1e-8 if not r.error_bound else 2.0 * cfg.resolution
+            allowed = 1e-8 if not r.error_bound else 2.0 * cfg.sampling_resolution
             assert r.value <= allowed, (
                 f"dim {plan['dim']} seed {r.trial_seed}: sandwich excess "
                 f"{r.value} > {allowed}"
@@ -201,7 +201,7 @@ def test_dilation_intersection_identity_20_draws():
         )
         r = rng.uniform(0.05, 1.55)
         bad, tested = metric.dilation_intersection_mismatches(
-            w, r, samples=10_000, seed=5000 + t, route="body"
+            w, r, samples=10_000, seed=5000 + t
         )
         assert bad == 0, f"draw {t}: {bad} mismatches of {tested} (r={r:.3f})"
 

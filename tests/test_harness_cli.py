@@ -2,7 +2,6 @@
 
 import csv
 import math
-import os
 import pathlib
 
 import numpy as np
@@ -50,12 +49,6 @@ class TestSuiteConfig:
 
         with pytest.raises(ResolutionError):
             harness.SuiteConfig(suite="isometry", sampling_resolution=0.5)
-
-    def test_dim3_resolution_floor(self):
-        cfg = harness.SuiteConfig(suite="isometry", dim=3)
-        assert cfg.resolution >= 0.06
-        cfg2 = harness.SuiteConfig(suite="isometry", dim=2)
-        assert cfg2.resolution == metric.default_resolution()
 
 
 class TestSuitesSmoke:
@@ -229,8 +222,7 @@ class TestCliShapes:
         assert float(out) == pytest.approx(0.9, abs=1e-14)
         assert "sampled" not in out
 
-    def test_hausdorff_sampled_reports_bound(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WULFF_DEFAULT_RESOLUTION", "0.05")
+    def test_hausdorff_sampled_reports_bound(self, tmp_path, capsys):
         pa = tmp_path / "a.shape"
         pb = tmp_path / "b.shape"
         body.save_shape(body.hemisphere_body([0.0, 1.0]), pa)
@@ -239,8 +231,20 @@ class TestCliShapes:
         rc = main(["hausdorff", str(pa), str(pb)])
         assert rc == 0
         out = capsys.readouterr().out.strip()
-        assert "error bound 0.05" in out
-        assert float(out.split()[0]) == pytest.approx(0.3, abs=0.05)
+        assert "error bound 0.005" in out
+        assert float(out.split()[0]) == pytest.approx(0.3, abs=0.005)
+
+    def test_hausdorff_sampled_on_s3(self, tmp_path, capsys):
+        pa = tmp_path / "a.shape"
+        pb = tmp_path / "b.shape"
+        body.save_shape(body.hemisphere_body([0.0, 0.0, 0.0, 1.0]), pa)
+        c = [0.0, 0.0, math.sin(0.3), math.cos(0.3)]
+        body.save_shape(body.hemisphere_body(c), pb)
+        rc = main(["hausdorff", str(pa), str(pb)])
+        assert rc == 0
+        out = capsys.readouterr().out.strip()
+        assert "error bound 0.06" in out
+        assert float(out.split()[0]) == pytest.approx(0.3, abs=0.06)
 
     def test_hull_command(self, tmp_path, capsys):
         p = tmp_path / "pts.shape"
