@@ -18,6 +18,7 @@ Conventions
 """
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
@@ -217,84 +218,38 @@ def interior_witness(N, dim):
     return pointed_witness(N)
 
 
-def _orthonormalize(rows):
-    """Gram-Schmidt with a repeat pass; drops dependent rows."""
-    out = []
-    for w in rows:
-        w = w.copy()
-        for _ in range(2):
-            for b in out:
-                w -= (b @ w) * b
-        nw = float(np.linalg.norm(w))
-        if nw > NEAR_ZERO:
-            out.append(w / nw)
-    return out
-
-
-def _project_off(v, basis_rows):
-    for b in basis_rows:
-        v = v - (b @ v) * b
-    return v
-
-
 def _dd_in_span(C):
-    """Incremental double description for {q in R^s : C q >= 0}.
+    """Incremental double description for the cone {q in R^s : C q >= 0}.
 
-    C rows must be unit vectors.  State is an orthonormal lineality
-    basis L plus unit rays R kept orthogonal to span(L); constraints
-    are added one at a time.  A constraint acting on the lineality
-    triggers a pivot cut; otherwise rays are split by sign and adjacent
-    positive/negative pairs are combined (adjacency decided by the
-    combinatorial zero-set containment test against the constraints
-    processed so far).
+    C rows must be unit vectors spanning R^s, so the solution cone is
+    pointed and its extreme rays describe it completely.  The start is
+    the simplicial cone of s independent rows, picked by QR with column
+    pivoting (largest residual first): its extreme rays are the columns
+    of inv(C[first]), column j being tight on every picked row but j.
+    The remaining rows are added one at a time in their given order;
+    rays are split by sign and adjacent positive/negative pairs are
+    combined (adjacency decided by the combinatorial zero-set
+    containment test against the rows processed so far).
 
-    Returns (rays (k, s), leftover lineality rows).  When C spans R^s
-    the leftover lineality is empty and the rays are exactly the
-    extreme rays of the (pointed) solution cone.
+    Returns the extreme rays (k, s) as unit rows.
     """
-    m, s = C.shape
-    L = [np.eye(s)[j] for j in range(s)]
-    R = np.zeros((0, s))
-    processed = np.zeros((0, s))
-    for g in C:
-        if L:
-            dl = np.array([g @ l for l in L])
-            k = int(np.argmax(np.abs(dl)))
-            if abs(dl[k]) > CLASS_TOL:
-                # lineality cut: the pivot direction w leaves the
-                # lineality and becomes the one ray with g . w = 1
-                w = L[k] / dl[k]
-                newL = _orthonormalize(
-                    [L[j] - (g @ L[j]) * w for j in range(len(L)) if j != k]
-                )
-                newR = []
-                for r in R:
-                    r2 = _project_off(r - (g @ r) * w, newL)
-                    nr = float(np.linalg.norm(r2))
-                    if nr > NEAR_ZERO:
-                        newR.append(r2 / nr)
-                w2 = _project_off(w, newL)
-                newR.append(w2 / np.linalg.norm(w2))
-                L = newL
-                R = dedupe_rays(np.array(newR))
-                processed = np.vstack([processed, g[None, :]])
-                continue
-        # ray step: g vanishes on the current lineality
-        sv = R @ g if R.shape[0] else np.zeros(0)
+    s = C.shape[1]
+    first = qr(C.T, mode="r", pivoting=True)[1][:s]
+    C = np.vstack([C[first], np.delete(C, first, axis=0)])
+    R = unitize(np.linalg.inv(C[:s]).T)
+    for k in range(s, C.shape[0]):
+        g = C[k]
+        sv = R @ g
         pos = sv > CLASS_TOL
         neg = sv < -CLASS_TOL
         zer = ~pos & ~neg
         if not neg.any():
-            processed = np.vstack([processed, g[None, :]])
             continue
         if not pos.any():
             R = R[zer]
-            processed = np.vstack([processed, g[None, :]])
             continue
-        if processed.shape[0]:
-            Zb = np.abs(R @ processed.T) <= CLASS_TOL
-        else:
-            Zb = np.zeros((R.shape[0], 0), dtype=bool)
+        # rows processed so far: C[:k]
+        Zb = np.abs(R @ C[:k].T) <= CLASS_TOL
         not_Zb = (~Zb).astype(float)
         pi = np.where(pos)[0]
         ni = np.where(neg)[0]
@@ -319,39 +274,26 @@ def _dd_in_span(C):
             R = dedupe_rays(np.vstack([kept, np.array(new_rays)]))
         else:
             R = kept
-        processed = np.vstack([processed, g[None, :]])
-    return R, L
+    return R
 
 
 def dual_cone_rays(G):
     """Extreme structure of the dual cone {q : q . g >= 0 for rows g}.
 
     Returns (rays, lineality_basis), both with lexicographically sorted
-    rows.  The computation runs in span(G) coordinates, where the dual
-    is pointed; the orthogonal complement of span(G) is the dual's
-    lineality and is appended directly.
+    rows.  The lineality is exactly the orthogonal complement of
+    span(G).  The rays are computed in span(G) coordinates, where the
+    rows of G span the space and so the dual is pointed; mapped back,
+    they are orthogonal to the lineality by construction.
     """
     G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
     d = G.shape[1]
     B, s = span_basis(G)
     if s == 0:
         raise NormalizationError("cone has no span")
-    Gs = unitize(G @ B.T)
-    rays_s, leftover = _dd_in_span(lex_sorted_rows(Gs))
-    rays = rays_s @ B if rays_s.shape[0] else np.zeros((0, d))
-    perp = np.eye(d) - B.T @ B
-    if leftover:
-        M = np.array(leftover) @ B
-        perp = perp + M.T @ M
-    lin = subspace_canonical_basis(perp)
-    if lin.shape[0] and rays.shape[0]:
-        rays = rays - (rays @ lin.T) @ lin
-        norms = np.linalg.norm(rays, axis=1)
-        rays = rays[norms > NEAR_ZERO]
-        if rays.shape[0]:
-            rays = unitize(rays)
-    rays = lex_sorted_rows(dedupe_rays(rays)) if rays.shape[0] else rays
-    return rays, lin
+    rays = _dd_in_span(lex_sorted_rows(unitize(G @ B.T))) @ B
+    lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
+    return lex_sorted_rows(rays), lin
 
 
 def _nnls_reduce(R):

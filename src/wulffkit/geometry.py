@@ -25,11 +25,14 @@ class Angle(float):
     """A geodesic length/radius/distance in radians, clamped to [0, pi].
 
     Values that overshoot the range by more than 1e-9 are rejected;
-    smaller excursions are rounding noise and get clamped.
+    smaller excursions are rounding noise and get clamped.  NaN and
+    infinities raise NonFiniteError.
     """
 
     def __new__(cls, radians):
         r = float(radians)
+        if not np.isfinite(r):
+            raise NonFiniteError(f"angle {r!r} is not finite")
         if r < 0.0:
             if r < -1e-9:
                 raise ValueError(f"angle {r!r} is negative")

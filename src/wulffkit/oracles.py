@@ -40,8 +40,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import cones
-from .errors import NormalizationError, PolarEmptyError, ResolutionError
-from .geometry import UnitPoint, as_vector, subspace_canonical_basis
+from .errors import NormalizationError, ResolutionError
+from .geometry import subspace_canonical_basis
 
 #: geodesic covering radius of ``sphere_grid(dim, s)`` is at most
 #: ``COVERING_COEFF[dim] * s`` (dim = dimension of the sphere itself)
@@ -204,17 +204,6 @@ def dual_cone_rays_bruteforce(G):
     lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
     rays = cones.lex_sorted_rows(rays) if rays.shape[0] else rays
     return rays, lin
-
-
-def dual_cone_convert_bruteforce(generators):
-    """Subset-enumeration oracle with the same contract as
-    `transforms.dual_cone_convert`; kept independent for cross-validation."""
-    G = np.array([as_vector(g) for g in generators], dtype=float)
-    rays, lin = dual_cone_rays_bruteforce(G)
-    out = cones.rays_with_lineality(rays, lin)
-    if out.shape[0] == 0:
-        raise PolarEmptyError("dual cone is trivial")
-    return [UnitPoint(r) for r in out]
 
 
 def extreme_rays_nnls(G):

@@ -17,22 +17,7 @@ from .errors import (
     NotAWulffShapeError,
     PolarEmptyError,
 )
-from .geometry import UnitPoint, as_vector
-
-
-def dual_cone_convert(generators):
-    """Extreme rays of {q : q . g >= 0 for all g}, as UnitPoints.
-
-    Incremental double description; non-pointed duals follow the
-    "+/- lineality basis plus pointed rays" convention.  Errors out
-    when the dual cone is the origin alone.
-    """
-    G = np.array([as_vector(g) for g in generators], dtype=float)
-    rays, lin = cones.dual_cone_rays(G)
-    out = cones.rays_with_lineality(rays, lin)
-    if out.shape[0] == 0:
-        raise PolarEmptyError("dual cone is trivial")
-    return [UnitPoint(r) for r in out]
+from .geometry import as_vector
 
 
 def polar_admissible(body):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from wulffkit import cones, oracles
@@ -180,6 +182,7 @@ class TestDualConversion:
 
     def test_double_description_matches_bruteforce_random(self):
         rng = np.random.default_rng(43)
+        draws = []
         for trial in range(60):
             d = 2 + trial % 3
             m = int(rng.integers(d, 13))
@@ -190,9 +193,23 @@ class TestDualConversion:
                 G = rng.normal(size=(m, d)) * 0.4
                 G[:, -1] = np.abs(G[:, -1]) + 0.6
                 G = cones.unitize(G)
+            draws.append(G)
+        # plain normal draws, half of them tilted toward the last axis;
+        # the untilted ones include trivial duals
+        rng = np.random.default_rng(47)
+        for trial in range(40):
+            d = 2 + trial % 3
+            G = rng.normal(size=(int(rng.integers(d, d + 6)), d))
+            if trial % 2:
+                G[:, -1] = np.abs(G[:, -1]) + 0.3
+            draws.append(G)
+        trivial = 0
+        for trial, G in enumerate(draws):
             dd, bf = dual_pair(G)
             assert dd.shape[0] == bf.shape[0], f"trial {trial}: ray counts differ"
             assert ray_set_match_angle(dd, bf) <= 1e-9, f"trial {trial}"
+            trivial += dd.shape[0] == 0
+        assert trivial > 0
 
     def test_duality_is_involutive_on_pointed_full_cones(self):
         rng = np.random.default_rng(47)
@@ -207,6 +224,76 @@ class TestDualConversion:
             back, lin2 = cones.dual_cone_rays(cones.rays_with_lineality(rays, lin))
             assert lin2.shape[0] == 0
             assert ray_set_match_angle(back, prim) <= 1e-9
+
+
+@st.composite
+def degenerate_generators(draw):
+    """A generator set on S^1-S^3 that stresses the start of the double
+    description (kind, rows).
+
+    * "pairs": +/- pairs of the axes 1..k with zero first coordinate
+      and a few rows of positive first coordinate (half-spaces, lunes,
+      hemispheres, and planes when there are none), so the leading
+      lex-sorted rows contain a +/- pair;
+    * "coplanar" (S^2, S^3): three rows in one plane through e_0 with
+      first coordinate below -0.87, lex-sorted ahead of rows with a
+      positive one;
+    * "repeated": a random set whose lex-first row is repeated within
+      RAY_TOL;
+    * "thin" (S^2, S^3): points within 1e-6 of an arc of a great circle
+      plus the arc midpoint lifted 1e-3 off the circle's plane.
+    """
+    kind = draw(st.sampled_from(["thin", "coplanar", "repeated", "pairs"]))
+    d = draw(st.integers(3 if kind in ("thin", "coplanar") else 2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def forward(count):
+        rows = rng.normal(size=(count, d))
+        rows[:, 0] = np.abs(rows[:, 0]) + 0.1
+        return rows
+
+    if kind == "pairs":
+        axes = np.eye(d)[1 : draw(st.integers(1, d - 1)) + 1]
+        G = np.vstack([axes, -axes, forward(draw(st.integers(0, 3)))])
+    elif kind == "coplanar":
+        v = cones.unitize(rng.normal(size=(1, d - 1)))[0]
+        t = rng.uniform(0.0, 0.5, size=3)
+        plane = np.column_stack([-np.cos(t), np.sin(t)[:, None] * v])
+        G = np.vstack([plane, forward(draw(st.integers(0, 4)))])
+    elif kind == "repeated":
+        G = cones.lex_sorted_rows(cones.unitize(rng.normal(size=(d + 2, d))))
+        nudge = cones.unitize(rng.normal(size=(1, d)))[0]
+        G = np.vstack([G[0] + rng.uniform(0.0, cones.RAY_TOL) * nudge, G])
+    else:
+        u, w, n = np.linalg.qr(rng.normal(size=(d, d)))[0].T[:3]
+        ang = rng.uniform(0.0, 2.0, size=draw(st.integers(3, 8)))
+        arc = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * w
+        noise = cones.unitize(rng.normal(size=arc.shape))
+        arc = arc + rng.uniform(-1e-6, 1e-6, size=(len(ang), 1)) * noise
+        mid = np.cos(1.0) * u + np.sin(1.0) * w
+        G = np.vstack([arc, mid + 1e-3 * n])
+    return kind, G
+
+
+class TestDegenerateStarts:
+    """The double description against the brute-force oracle on inputs
+    whose leading rows are dependent or nearly so."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(degenerate_generators())
+    def test_matches_bruteforce(self, case):
+        kind, G = case
+        dd, bf = dual_pair(G)
+        assert dd.shape[0] == bf.shape[0], kind
+        assert ray_set_match_angle(dd, bf) <= 1e-9, kind
+        # where the rows span the space the engine sees them in input
+        # coordinates, leading dependent rows included
+        C = cones.lex_sorted_rows(cones.dedupe_rays(cones.unitize(G)))
+        if cones.span_basis(C)[1] == C.shape[1]:
+            rays = cones.lex_sorted_rows(cones._dd_in_span(C))
+            ref = oracles.dual_cone_rays_bruteforce(G)[0]
+            assert rays.shape == ref.shape, kind
+            assert ray_set_match_angle(rays, ref) <= 1e-9, kind
 
 
 class TestExtremeRays:

@@ -38,6 +38,12 @@ class TestAngle:
         with pytest.raises(ValueError):
             Angle(math.pi + 1e-3)
 
+    def test_rejects_non_finite(self):
+        # NaN fails both range comparisons, so it needs its own check
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteError):
+                Angle(bad)
+
     def test_is_a_float(self):
         assert isinstance(Angle(0.5), float)
         assert Angle(0.5) + 0.25 == 0.75

@@ -1,6 +1,7 @@
 """Verification suites, CSV reporting, and the command-line interface."""
 
 import csv
+import json
 import math
 import pathlib
 
@@ -195,6 +196,17 @@ class TestCliShapes:
         assert rc == 0
         out = capsys.readouterr().out
         assert out == (DATA / "square_dual.shape").read_text()
+
+    def test_dual_closed_form(self, capsys):
+        # the square's dual vertices sit at colatitude arccos(1/sqrt 7)
+        # on the coordinate axes; the golden file holds one rounding of
+        # these rows
+        rc = main(["dual", str(DATA / "square.shape")])
+        assert rc == 0
+        rows = np.array(json.loads(capsys.readouterr().out)["generators"])
+        a, c = math.sqrt(6.0 / 7.0), 1.0 / math.sqrt(7.0)
+        expected = [[-a, 0.0, c], [0.0, -a, c], [0.0, a, c], [a, 0.0, c]]
+        assert np.abs(rows - expected).max() <= 1e-15
 
     def test_dual_to_file(self, tmp_path):
         out = tmp_path / "dual.shape"

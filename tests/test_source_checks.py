@@ -41,3 +41,36 @@ def test_no_unused_imports():
     paths += sorted(Path(__file__).parent.glob("*.py"))
     found = [entry for path in paths for entry in _unused_imports(path)]
     assert found == []
+
+
+def _names_read(path):
+    # names a module loads, attributes it reads and its __all__ entries
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return read
+
+
+def test_every_package_definition_is_used():
+    # a module-level function or class that neither the package nor the
+    # tests read is dead code
+    package = Path(wulffkit.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    read = set()
+    for path in modules + sorted(Path(__file__).parent.glob("*.py")):
+        read |= _names_read(path)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+    ]
+    assert unused == []

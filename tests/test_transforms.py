@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wulffkit import body, cones, harness, metric, oracles, transforms
+from wulffkit import body, harness, metric, oracles, transforms
 from wulffkit.errors import (
     NonHemisphericalError,
     NotAWulffShapeError,
@@ -135,38 +135,6 @@ class TestPolarBasics:
                 b = body.from_generators(pts)
                 back = transforms.double_polar(b)
                 assert body.body_match_angle(back, b) <= 1e-10
-
-
-class TestDualConeConvert:
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(47)
-        for t in range(40):
-            d = 2 + t % 3
-            m = int(rng.integers(d, d + 6))
-            G = rng.normal(size=(m, d))
-            if t % 2:
-                G[:, -1] = np.abs(G[:, -1]) + 0.3
-            G = cones.unitize(G)
-            try:
-                fast = transforms.dual_cone_convert(G)
-            except PolarEmptyError:
-                with pytest.raises(PolarEmptyError):
-                    oracles.dual_cone_convert_bruteforce(G)
-                continue
-            slow = oracles.dual_cone_convert_bruteforce(G)
-            fast_rows = np.array([u.vec for u in fast])
-            slow_rows = np.array([u.vec for u in slow])
-            assert fast_rows.shape == slow_rows.shape, f"trial {t}"
-            assert ray_match(fast_rows, slow_rows) <= 1e-9, f"trial {t}"
-
-    def test_orthant_self_dual(self):
-        out = transforms.dual_cone_convert(np.eye(3))
-        assert ray_match(np.array([u.vec for u in out]), np.eye(3)) <= 1e-12
-
-    def test_trivial_dual_raises(self):
-        G = np.vstack([np.eye(3), -np.eye(3)])
-        with pytest.raises(PolarEmptyError):
-            transforms.dual_cone_convert(G)
 
 
 class TestDualWulff:
