@@ -117,9 +117,6 @@ def from_generators(points):
         raise ValueError("need at least one generator")
     if not np.isfinite(raw).all():
         raise NonFiniteError("generator coordinates must be finite")
-    # rows larger than unit scale are brought down by their largest entry,
-    # so the norms taken while normalizing cannot overflow
-    raw = raw / np.maximum(np.abs(raw).max(axis=1, keepdims=True), 1.0)
     gens = _build_canonical(raw)
     if gens.shape[0] == 0:
         raise ValueError("generators span no direction")
@@ -217,8 +214,9 @@ def is_wulff_relative(body, p):
     body is a spherical convex body (full rank with interior).
 
     Clause (a)'s witness makes the hemisphericity part of (c) automatic.
+    p is normalized first, so its scale does not matter.
     """
-    v = as_vector(p)
+    v = as_unit_point(p).vec
     if v.size != body.ambient_dim + 1:
         raise DimensionMismatchError("dimension mismatch in Wulff test")
     G = body.generator_array

@@ -32,12 +32,20 @@ SPAN_TOL = 1e-10  # singular values below this do not extend a span
 
 
 def unitize(M):
-    """Normalize rows to unit length; reject near-zero rows."""
+    """Normalize rows to unit length; reject near-zero rows.
+
+    A row whose largest |entry| exceeds 1 is first scaled by a power of
+    two to below 1, so its norm cannot overflow.  The scaling is exact,
+    so every row rounds as it would without it, and rows at unit scale
+    or below pass through it unchanged.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         M = M.reshape(1, -1) if M.ndim == 1 else M
     if M.shape[0] == 0:
         return M
+    top = np.abs(M).max(axis=1, keepdims=True)
+    M = np.ldexp(M, -np.where(top > 1.0, np.frexp(top)[1], 0))
     norms = np.linalg.norm(M, axis=1)
     if (norms < NEAR_ZERO).any():
         raise NormalizationError("zero row cannot define a ray")
@@ -74,6 +82,15 @@ def span_basis(M):
     _, sv, Vt = np.linalg.svd(M, full_matrices=False)
     rank = int((sv > SPAN_TOL).sum())
     return Vt[:rank], rank
+
+
+def span_key(B):
+    """Hashable key of the span of the orthonormal rows B.
+
+    The projector B^T B rounded to 9 decimals; adding 0.0 folds -0.0
+    into 0.0, so one span cannot get two keys from the sign of a zero.
+    """
+    return (np.round(B.T @ B, 9) + 0.0).tobytes()
 
 
 def nonneg_lstsq(A, b):

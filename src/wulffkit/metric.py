@@ -22,8 +22,12 @@ generators plus those eigenvectors) provably contains the maximizer.
 The maximum can land strictly inside a face — generators alone are
 NOT enough; a regression test pins a pair where the best generator is
 off by more than 2.5e-3.  Outside the certified regime the directed
-distance falls back to dense sampling of the source with an explicit
-error bound.
+distance falls back to dense sampling of the source, within the
+sampling resolution of the true value.  That route needs only the
+largest sampled distance: dist(., b) lies between the distance to b's
+most violated supporting hemisphere and the distance to b's nearest
+generator, two batch-kernel bounds per sample, and the exact routine
+runs only on samples whose upper bound can still reach the maximum.
 """
 
 import math
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import kernels, oracles
-from .cones import FEAS_EPS, least_distance, project_onto_cone, span_basis
+from .cones import FEAS_EPS, least_distance, project_onto_cone, span_basis, span_key
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -44,7 +48,7 @@ from .geometry import (
     NEAR_ZERO,
     Angle,
     UnitPoint,
-    as_vector,
+    as_unit_point,
     geodesic_distance,
 )
 from .transforms import polar, polar_admissible
@@ -77,6 +81,23 @@ _GAP_ITERATIONS = 120
 # nearest-point blocks hold about this many (row, generator or face
 # span) pairs, which bounds the temporaries of a large query block
 _BLOCK_PAIRS = 1 << 16
+
+# rows of a nearest-point query block may be off unit length by this much
+_UNIT_TOL = 1e-9
+
+# the sampled directed distance bounds its samples in blocks of this many
+# rows, so the kernels' temporaries stay small next to the sample set
+_BOUND_BLOCK = 1 << 15
+
+# it evaluates this many samples with the largest upper bounds first,
+# which sets the running maximum that prunes the rest
+_FIRST_PASS = 2048
+
+# a sample is pruned only when its upper bound lies this far below a
+# reached value: it covers the rounding of the arccos upper bound (up to
+# sqrt(2 * 4 ulp), about 3e-8, near zero distance) and the 1e-10
+# membership tolerance behind the lower bound
+_PRUNE_MARGIN = 1e-7
 
 
 def _check_resolution(resolution):
@@ -146,7 +167,7 @@ def _face_spans(body):
     for face in sets:
         B, r = span_basis(G[face])
         if 2 <= r < d:
-            seen.setdefault(np.round(B.T @ B, 9).tobytes(), B)
+            seen.setdefault(span_key(B), B)
     by_dim = {}
     for B in seen.values():
         by_dim.setdefault(B.shape[0], []).append(B)
@@ -190,6 +211,10 @@ def _nearest_body_points(X, body):
         raise DimensionMismatchError("point block does not match the body's ambient space")
     if not np.isfinite(X).all():
         raise NonFiniteError("point block has non-finite coordinates")
+    # rows are taken as they are, so a row off the sphere would get the
+    # angle of a different point; callers normalize single points
+    if (np.abs(_norms(X) - 1.0) > _UNIT_TOL).any():
+        raise ValueError(f"point block rows must be unit vectors within {_UNIT_TOL}")
     spans = _face_spans(body) if m <= _FACE_CAP.get(d, 12) else None
     width = m + (0 if spans is None else sum(T.shape[0] for T in spans))
     step = max(1, _BLOCK_PAIRS // width)
@@ -248,12 +273,21 @@ def _nearest_block(X, body, spans):
 
 
 def point_body_distance(x, body):
-    """Exact geodesic distance from a point to a body (an Angle)."""
-    return Angle(_nearest_body_points(as_vector(x)[None, :], body)[0][0])
+    """Exact geodesic distance from a point to a body (an Angle).
+
+    The point is normalized first, so any positive multiple of it gives
+    the same distance.
+    """
+    return Angle(_nearest_body_points(as_unit_point(x).vec[None, :], body)[0][0])
 
 
 def batch_point_body_distance(X, body):
-    """Exact distances from each row of X to the body (vectorized)."""
+    """Exact distances from each row of X to the body (vectorized).
+
+    The rows must be unit vectors within 1e-9 (ValueError otherwise).
+    They are not normalized here, since that would perturb rows that
+    are already unit, such as the sampled route's samples.
+    """
     return _nearest_body_points(X, body)[0]
 
 
@@ -297,7 +331,7 @@ def _body_sample_points(body, resolution):
 
 def point_body_distance_sampled(x, body, resolution=None):
     """Sampled distance oracle; within `resolution` of the exact value."""
-    v = as_vector(x)
+    v = as_unit_point(x).vec
     resolution = _resolve_resolution(resolution, body)
     samples = _body_sample_points(body, resolution)
     return Angle(float(kernels.angles_to_point(samples, v).min()))
@@ -391,16 +425,62 @@ def _exact_directed(a, b):
     return best
 
 
+def _distance_bounds(X, body):
+    """Lower and upper bounds on the distance from each unit row to the body.
+
+    Lower: asin(-n . x), the distance to the body's most violated
+    supporting hemisphere {n . y >= 0}, or 0 when none is violated.  The
+    normal list carries the +/- lineality rows, so the body lies inside
+    every one of these hemispheres.  Upper: arccos(g . x), the angle to
+    the nearest generator, which is a body point.
+    """
+    slack = kernels.min_slack(X, body.normal_array)
+    align = kernels.max_dot(X, body.generator_array)
+    return np.arcsin(np.clip(-slack, 0.0, 1.0)), np.arccos(np.clip(align, -1.0, 1.0))
+
+
 def directed_distance_sampled(a, b, resolution=None):
     """Dense-sampling route for the directed distance.
 
     Always samples the source body, regardless of whether the exact
     path applies; the result is within `resolution` of the true value.
+
+    It returns the maximum of the exact distances to b over the sample
+    set, but evaluates only the samples that can still hold it.  Each
+    sample first gets a lower and an upper bound (`_distance_bounds`,
+    in blocks of `_BOUND_BLOCK` rows).  The `_FIRST_PASS` samples with
+    the largest upper bounds are evaluated first.  The others follow
+    block by block, and a sample is evaluated only when its upper bound
+    exceeds the larger of the running maximum and the best lower bound,
+    less `_PRUNE_MARGIN`.
+
+    A skipped sample cannot change the result.  Its exact distance is
+    at most its upper bound plus the bound's rounding, which is smaller
+    than the margin (the nearest generator is one of the exact
+    routine's candidates), so it lies below the larger of the two
+    values.  The running maximum is reached by an evaluated sample.
+    The best lower bound is at most the exact distance of its own
+    sample, whose upper bound is at least that distance, so that sample
+    is evaluated too.
     """
     resolution = _resolve_resolution(resolution, a)
     samples = _body_sample_points(a, resolution)
-    dist = batch_point_body_distance(samples, b)
-    return Angle(float(dist.max())), resolution
+    n = samples.shape[0]
+    upper = np.empty(n)
+    floor = 0.0
+    for lo in range(0, n, _BOUND_BLOCK):
+        lower, upper[lo:lo + _BOUND_BLOCK] = _distance_bounds(samples[lo:lo + _BOUND_BLOCK], b)
+        floor = max(floor, float(lower.max()))
+    k = min(n, _FIRST_PASS)
+    first = np.argpartition(upper, n - k)[n - k:]
+    best = float(batch_point_body_distance(samples[first], b).max())
+    upper[first] = -np.inf  # already evaluated
+    for lo in range(0, n, _BOUND_BLOCK):
+        live = np.flatnonzero(upper[lo:lo + _BOUND_BLOCK] > max(best, floor) - _PRUNE_MARGIN)
+        if live.size:
+            dist = batch_point_body_distance(samples[lo + live], b)
+            best = max(best, float(dist.max()))
+    return Angle(best), resolution
 
 
 def directed_distance_with_bound(a, b, resolution=None):
@@ -456,7 +536,10 @@ def hemisphere_hausdorff(p, q):
 
 
 def dilation_contains(body, r, x):
-    """Whether x lies in the closed r-dilation of the body."""
+    """Whether x lies in the closed r-dilation of the body.
+
+    Like `point_body_distance`, it normalizes x first.
+    """
     r = float(r)
     if not (0.0 < r < math.pi):
         raise ValueError(f"dilation radius must lie in (0, pi), got {r}")

@@ -162,7 +162,7 @@ def face_spans_bruteforce(body):
         for subset in itertools.combinations(range(m), size):
             B, r = cones.span_basis(G[list(subset)])
             if 2 <= r < d:
-                seen.setdefault(np.round(B.T @ B, 9).tobytes(), B)
+                seen.setdefault(cones.span_key(B), B)
     by_dim = {}
     for B in seen.values():
         by_dim.setdefault(B.shape[0], []).append(B)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wulffkit import body, cones
+from wulffkit import body, cones, harness
 from wulffkit.errors import DimensionMismatchError, NonFiniteError, ShapeFileError
 
 
@@ -69,7 +69,7 @@ class TestConstruction:
 
     def test_huge_rows_normalize_without_overflow(self):
         # the norms of 1e200-sized rows overflow unless each row is first
-        # scaled by its largest entry
+        # scaled down to unit size
         pts = cap_points(0.4, [0, 120, 240])
         huge = body.from_generators(1e200 * pts)
         assert body.bodies_equal(huge, body.from_generators(pts), 1e-12)
@@ -194,6 +194,12 @@ class TestPredicates:
         assert not body.is_wulff_relative(hemi, pole)
         # wrong relative point: outside the cap
         assert not body.is_wulff_relative(cap, [1.0, 0.0, 0.0])
+
+    def test_wulff_test_ignores_the_scale_of_the_point(self):
+        w = harness.gen_wulff(harness.pole_axis(2), 6, 0.5, 1)
+        for scale in (1e-9, 1.0, 1e200):
+            assert body.is_wulff_relative(w, [0.0, 0.0, scale])
+        assert not body.is_wulff_relative(w, [0.0, 0.0, -1e-9])
 
     def test_wulff_dimension_mismatch(self):
         cap = body.from_generators(cap_points(0.5, [0, 120, 240]))

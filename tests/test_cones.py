@@ -48,6 +48,30 @@ class TestRowUtilities:
     def test_unitize_rejects_zero_rows(self):
         with pytest.raises(NormalizationError):
             cones.unitize(np.array([[0.0, 0.0]]))
+        with pytest.raises(NormalizationError):
+            cones.unitize(np.array([[1e-12, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_unitize_huge_rows_without_overflow(self):
+        M = np.array([[1.7e308, -1.7e308, 0.0], [3e200, 4e200, 0.0], [0.6, 0.8, 0.0]])
+        U = cones.unitize(M)
+        assert np.abs(U[0] - [math.sqrt(0.5), -math.sqrt(0.5), 0.0]).max() <= 1e-15
+        assert np.abs(U[1] - [0.6, 0.8, 0.0]).max() <= 1e-15
+        # rows at unit scale or below, and rows scaled by a power of two,
+        # come out as plain division by the norm gives them
+        R = np.random.default_rng(7).normal(size=(20, 4))
+        plain = R / np.linalg.norm(R, axis=1, keepdims=True)
+        assert np.array_equal(cones.unitize(R), plain)
+        assert np.array_equal(cones.unitize(2.0**900 * R), plain)
+        assert np.array_equal(cones.unitize(2.0**-20 * R), plain)
+
+    @pytest.mark.filterwarnings("error")
+    def test_dual_cone_of_huge_rows(self):
+        G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+        want, want_lin = cones.dual_cone_rays(G)
+        rays, lin = cones.dual_cone_rays(1e200 * G)
+        assert rays.shape == want.shape and lin.shape == want_lin.shape
+        assert np.abs(rays - want).max() <= 1e-15
 
     def test_dedupe_rays(self):
         M = np.array([[1.0, 0.0], [1.0, 1e-12], [0.0, 1.0]])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,26 @@ class TestBatchConsistency:
         with pytest.raises(ValueError):
             metric.batch_point_body_distance(np.eye(2), b)
         assert metric.batch_point_body_distance(np.empty((0, 3)), b).size == 0
+
+    def test_rows_off_the_sphere_rejected(self):
+        w = harness.gen_wulff(harness.pole_axis(2), 6, 0.5, 1)
+        x = np.array([1.0, 0.2, 0.3])
+        with pytest.raises(ValueError, match="unit"):
+            metric.batch_point_body_distance(np.array([x]), w)
+        u = x / np.linalg.norm(x)
+        with pytest.raises(ValueError, match="unit"):
+            metric.batch_point_body_distance(np.array([u, (1.0 + 2e-9) * u]), w)
+        near = metric.batch_point_body_distance(np.array([(1.0 + 5e-10) * u]), w)
+        assert abs(near[0] - float(metric.point_body_distance(u, w))) <= 1e-9
+
+    def test_single_points_are_normalized(self):
+        w = harness.gen_wulff(harness.pole_axis(2), 6, 0.5, 1)
+        x = np.array([1.0, 0.2, 0.3])
+        want = float(metric.batch_point_body_distance(np.array([x / np.linalg.norm(x)]), w)[0])
+        for scale in (1e-9, 1.0, 5.0, 1e200):
+            assert abs(float(metric.point_body_distance(scale * x, w)) - want) <= 1e-15
+            assert metric.dilation_contains(w, want + 1e-6, scale * x)
+            assert not metric.dilation_contains(w, want - 1e-6, scale * x)
 
     def test_non_finite_rows_rejected(self):
         b = body.hemisphere_body(POLE)
@@ -312,7 +333,9 @@ class TestFaceSpans:
         cube = body.from_generators(G)
         spans = sorted(metric._face_spans(cube), key=lambda T: T.shape[1])
         assert [T.shape for T in spans] == [(12, 2, 4), (6, 3, 4)]
-        assert sum(T.shape[0] for T in oracles.face_spans_bruteforce(cube)) == 82
+        # the oracle's spans: 28 planes of vertex pairs and 20 3-spaces of
+        # vertex triples, where each of the 12 coplanar quadruples gives one
+        assert sum(T.shape[0] for T in oracles.face_spans_bruteforce(cube)) == 48
         # edge planes hold 2 cube vertices, facet 3-spaces hold 4
         U = cube.generator_array
         for T, per in zip(spans, (2, 4)):
@@ -393,6 +416,140 @@ class TestDirectedDistance:
         c = body.from_generators([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             metric.directed_distance_with_bound(a, c)
+
+
+# resolutions of the pruning properties: coarse enough for 30 drawn
+# pairs, fine enough for wide bodies to get thousands of samples
+_PRUNE_RESOLUTION = {1: 0.01, 2: 0.04, 3: 0.099}
+
+
+@st.composite
+def sampled_pairs(draw):
+    """Two seeded bodies of any drawn kind on one sphere, S^1 to S^3."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    return _draw_body(draw, dim, _KINDS)[0], _draw_body(draw, dim, _KINDS)[0]
+
+
+def _all_sample_distances(a, b, resolution):
+    samples = metric._body_sample_points(a, resolution)
+    return samples, metric.batch_point_body_distance(samples, b)
+
+
+def _evaluated_rows(monkeypatch, a, b, resolution):
+    """The sampled value and the number of samples it evaluated exactly."""
+    rows = []
+    evaluate = metric.batch_point_body_distance
+
+    def counted(X, target):
+        rows.append(X.shape[0])
+        return evaluate(X, target)
+
+    monkeypatch.setattr(metric, "batch_point_body_distance", counted)
+    value, _ = metric.directed_distance_sampled(a, b, resolution)
+    return float(value), sum(rows)
+
+
+class TestSampledPruning:
+    """The sampled route returns the maximum over its whole sample set."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(sampled_pairs())
+    def test_pruned_maximum_is_the_full_maximum(self, pair):
+        a, b = pair
+        r = _PRUNE_RESOLUTION[a.ambient_dim]
+        samples, exact = _all_sample_distances(a, b, r)
+        lower, upper = metric._distance_bounds(samples, b)
+        # the bounds bracket every exact distance; the upper bound's
+        # arccos is off by up to sqrt(2 * 4 ulp) near zero
+        assert (lower <= exact + 1e-9).all()
+        assert (exact <= upper + 5e-8).all()
+        value, _ = metric.directed_distance_sampled(a, b, r)
+        assert abs(float(value) - exact.max()) <= 1e-15
+        # a small first pass and small bound blocks put the pruning pass
+        # to work on every pair, not only on those with many samples
+        with mock.patch.object(metric, "_FIRST_PASS", 8), mock.patch.object(
+            metric, "_BOUND_BLOCK", 100
+        ):
+            value, _ = metric.directed_distance_sampled(a, b, r)
+        assert abs(float(value) - exact.max()) <= 1e-15
+
+    def test_full_sphere_target(self):
+        full = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
+        assert full.normal_array.shape[0] == 0
+        value, _ = metric.directed_distance_sampled(cap_body(1.0, [0, 90, 180, 270]), full, 0.02)
+        assert float(value) == 0.0
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            body.hemisphere_body([1.0, 0.0, 0.0]),
+            body.from_generators([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0], [0, 1.0, 0]]),
+            body.from_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        ],
+        ids=["hemisphere", "lune", "arc"],
+    )
+    def test_targets_with_lineality_normals(self, monkeypatch, target):
+        source = cap_body(1.2, [0, 90, 180, 270])
+        samples, exact = _all_sample_distances(source, target, 0.01)
+        value, rows = _evaluated_rows(monkeypatch, source, target, 0.01)
+        assert value == exact.max()
+        assert rows < samples.shape[0] // 2
+
+    def test_hemisphere_target_closed_form(self):
+        # the distance to H(e1) is asin(-e1 . x); over the square it peaks
+        # at the vertex at azimuth 180, a sample, where it is 1.2
+        source = cap_body(1.2, [0, 90, 180, 270])
+        hemisphere = body.hemisphere_body([1.0, 0.0, 0.0])
+        value, _ = metric.directed_distance_sampled(source, hemisphere, 0.01)
+        assert abs(float(value) - 1.2) <= 1e-12
+
+    def test_point_source(self):
+        point = body.from_generators([[0.3, 0.1, 1.0]])
+        target = cap_body(0.3, [45, 165, 285])
+        val, err, path = metric.directed_distance_with_bound(point, target, 0.01)
+        assert path == "exact" and err == 0.0
+        assert float(val) == float(metric.point_body_distance(point.generator_array[0], target))
+        _, exact = _all_sample_distances(point, target, 0.01)
+        value, _ = metric.directed_distance_sampled(point, target, 0.01)
+        assert float(value) == exact.max()
+        assert abs(float(value) - float(val)) <= 1e-15
+
+    def test_maximizer_far_from_the_target_generators(self):
+        # a small cap just beyond the middle of a long edge: its farthest
+        # point is nearest to the edge's interior, about 1 from either end
+        target = cap_body(1.0, [0, 120, 240])
+        edge = target.generator_array[:2].sum(axis=0)
+        edge /= np.linalg.norm(edge)
+        center = edge - 0.25 * np.array([0.0, 0.0, 1.0])
+        center /= np.linalg.norm(center)
+        spread = 0.12 * np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
+        source = body.from_generators(center + spread)
+        r = 0.004
+        samples, exact = _all_sample_distances(source, target, r)
+        _, upper = metric._distance_bounds(samples, target)
+        top = int(exact.argmax())
+        assert upper[top] - exact[top] > 0.3
+        # every upper bound is loose, so nothing can be pruned here
+        assert samples.shape[0] > metric._FIRST_PASS
+        value, _ = metric.directed_distance_sampled(source, target, r)
+        assert float(value) == exact.max()
+
+    def test_source_leaving_the_target_by_rounding_size(self):
+        # one vertex of the source lies 5e-9 beyond a vertex of the target,
+        # so the cosine to it rounds to 1 and its upper bound reads 0,
+        # below its own lower bound: only the pruning margin keeps it
+        target = cap_body(0.8, [0, 90, 180, 270])
+        source = cap_body(0.8, [90, 180, 270])
+        pushed = np.array([math.sin(0.8 + 5e-9), 0.0, math.cos(0.8 + 5e-9)])
+        lower, upper = metric._distance_bounds(pushed[None, :], target)
+        assert upper[0] == 0.0 < lower[0]
+        source = body.from_generators(np.vstack([source.generator_array, pushed]))
+        r = 0.01
+        samples, exact = _all_sample_distances(source, target, r)
+        assert samples.shape[0] > metric._FIRST_PASS
+        assert abs(exact.max() - 5e-9) <= 1e-15
+        value, _ = metric.directed_distance_sampled(source, target, r)
+        assert float(value) == exact.max()
 
 
 def _lp_deep_margin(a, b):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wulffkit import body, harness, metric, oracles, transforms
 from wulffkit.errors import (
     NonHemisphericalError,
+    NormalizationError,
     NotAWulffShapeError,
     PolarEmptyError,
 )
@@ -155,6 +156,15 @@ class TestDualWulff:
         with pytest.raises(NotAWulffShapeError):
             transforms.dual_wulff(cap, [1.0, 0.0, 0.0])
 
+    def test_relative_point_is_normalized(self):
+        w = harness.gen_wulff(harness.pole_axis(2), 6, 0.5, 1)
+        unit = transforms.dual_wulff(w, POLE)
+        small = transforms.dual_wulff(w, [0.0, 0.0, 1e-9])
+        assert np.array_equal(small.generator_array, unit.generator_array)
+        # below the package's normalization floor the point has no direction
+        with pytest.raises(NormalizationError):
+            transforms.dual_wulff(w, [0.0, 0.0, 1e-12])
+
 
 class TestSphericalHull:
     def test_hull_is_canonical_body(self):
@@ -173,6 +183,19 @@ class TestSphericalHull:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             transforms.spherical_hull([])
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_points_give_the_unit_scale_hull(self):
+        unit = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+        want = transforms.spherical_hull(unit)
+        assert want.generator_array.shape == (3, 3)
+        # a power-of-two scale is undone exactly, a decimal one to rounding
+        exact = transforms.spherical_hull(2.0**600 * unit)
+        assert np.array_equal(exact.generator_array, want.generator_array)
+        assert np.array_equal(exact.normal_array, want.normal_array)
+        huge = transforms.spherical_hull(1e200 * unit)
+        assert np.abs(huge.generator_array - want.generator_array).max() <= 1e-15
+        assert np.abs(huge.normal_array - want.normal_array).max() <= 1e-15
 
 
 class TestAntitone:
