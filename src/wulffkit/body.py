@@ -28,11 +28,6 @@ from .geometry import (
     complement_basis,
 )
 
-# rank decisions (does the body span the ambient space, what is the
-# dimension of a face span) reuse the cone-layer tolerance
-_SPAN_TOL = cones.SPAN_TOL
-
-
 class SphericalBody:
     """Canonical polyhedral-cone cap on S^n.
 
@@ -201,10 +196,9 @@ def has_interior(body):
         if rank < body.ambient_dim + 1:
             body._cache["interior"] = False
         else:
-            w = cones.interior_witness(
-                body.normal_array, body.ambient_dim + 1
-            )
-            body._cache["interior"] = w is not None
+            # no normals: the cone is the whole space (the full sphere)
+            N = body.normal_array
+            body._cache["interior"] = N.shape[0] == 0 or cones.pointed_witness(N) is not None
     return body._cache["interior"]
 
 

@@ -221,20 +221,6 @@ def pointed_witness(G):
     return None
 
 
-def interior_witness(N, dim):
-    """Unit q with q . n >= FEAS_EPS for all constraint normals, or None.
-
-    With no constraints at all the whole space qualifies and the first
-    canonical direction is returned.
-    """
-    N = np.asarray(N, dtype=float).reshape(-1, dim)
-    if N.shape[0] == 0:
-        e = np.zeros(dim)
-        e[0] = 1.0
-        return e
-    return pointed_witness(N)
-
-
 def _dd_in_span(C):
     """Incremental double description for the cone {q in R^s : C q >= 0}.
 

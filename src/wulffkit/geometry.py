@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NormalizationError
 
-# Construction guarantee: unit vectors are normalized to this accuracy.
-NORM_TOL = 1e-12
 # Vectors shorter than this cannot be normalized meaningfully; the arc
 # formula is never evaluated at (numerically) zero vectors.
 NEAR_ZERO = 1e-9

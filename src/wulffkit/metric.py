@@ -6,8 +6,7 @@ row of a query block together with its geodesic angle (a single point
 is a batch of one).  Its candidates are genuine body members: the row
 itself when it is inside, the nearest generator, and the normalized
 projections onto the spans of the body's faces, found at once for the
-whole block; bodies with more generators than `_FACE_CAP` use a
-per-point cone projection instead.  The closest candidate is exact.
+whole block.  The closest candidate is exact.
 The faces are read off the generator-normal incidence (`_face_spans`).
 The sampling band and the alternating projections of `min_body_gap`
 use the same routine.
@@ -36,7 +35,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import kernels, oracles
-from .cones import FEAS_EPS, least_distance, project_onto_cone, span_basis, span_key
+from .cones import FEAS_EPS, least_distance, span_basis, span_key
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -64,11 +63,6 @@ DISJOINTNESS_GAP = 1e-7
 
 #: boundary band excluded by the dilation-intersection identity check
 IDENTITY_BAND = 1e-6
-
-# nearest points project onto the face spans of bodies with at most this
-# many generators, keyed by ambient dimension; larger bodies get one cone
-# projection per query row, whose cost does not grow with the face count
-_FACE_CAP = {2: 48, 3: 30, 4: 18, 5: 13}
 
 # sampled paths refuse to expand more than this many band points
 _BAND_LIMIT = 2_000_000
@@ -139,13 +133,16 @@ def _face_spans(body):
     """Orthonormal bases of the spans of the body's faces, stacked by dimension.
 
     Reads the faces off the generator-normal incidence: the generators
-    tight on one support normal form a face, every intersection of
-    faces is a face, and a rank-deficient body is a face of itself.
-    The sets are closed under pairwise intersection, and one basis is
-    kept per distinct span of rank 2 up to d - 1 (single generators
-    are covered by the nearest-generator candidate, and the whole
-    space by the membership test).  Returns a list of (s, f, d) arrays,
-    one per span dimension f.
+    tight on one support normal form a facet, a rank-deficient body is
+    a face of itself, and every other face is an intersection of
+    facets.  The closure therefore intersects only the sets found in
+    the previous round with the facets, until a round finds nothing
+    new; sets of fewer than two generators are dropped.  Sets are
+    deduplicated as rows packed big-endian by `np.packbits`, which sort
+    the way the boolean rows do.  One basis is kept per distinct span
+    of rank 2 up to d - 1 (single generators are covered by the
+    nearest-generator candidate, and the whole space by the membership
+    test).  Returns a list of (s, f, d) arrays, one per span dimension f.
     """
     cached = body._cache.get("face_spans")
     if cached is not None:
@@ -153,18 +150,19 @@ def _face_spans(body):
     G = body.generator_array
     N = body.normal_array
     m, d = G.shape
-    sets = (np.abs(G @ N.T) <= 1e-9).T
+    tight = (np.abs(G @ N.T) <= 1e-9).T
     if body.span()[1] < d:
-        sets = np.vstack([sets, np.ones((1, m), dtype=bool)])
-    sets = np.unique(sets[sets.sum(axis=1) >= 2], axis=0)
-    while True:
-        meets = (sets[:, None, :] & sets[None, :, :]).reshape(-1, m)
-        grown = np.unique(np.vstack([sets, meets[meets.sum(axis=1) >= 2]]), axis=0)
-        if grown.shape[0] == sets.shape[0]:
-            break
-        sets = grown
+        tight = np.vstack([tight, np.ones((1, m), dtype=bool)])
+    known = np.unique(np.packbits(tight[tight.sum(axis=1) >= 2], axis=1), axis=0)
+    facets = fresh = np.unpackbits(known, axis=1, count=m).astype(bool)
+    while fresh.shape[0]:
+        meets = (fresh[:, None, :] & facets[None, :, :]).reshape(-1, m)
+        meets = np.packbits(meets[meets.sum(axis=1) >= 2], axis=1)
+        grown, first = np.unique(np.vstack([known, meets]), axis=0, return_index=True)
+        fresh = np.unpackbits(grown[first >= known.shape[0]], axis=1, count=m).astype(bool)
+        known = grown
     seen = {}
-    for face in sets:
+    for face in np.unpackbits(known, axis=1, count=m).astype(bool):
         B, r = span_basis(G[face])
         if 2 <= r < d:
             seen.setdefault(span_key(B), B)
@@ -192,14 +190,11 @@ def _nearest_body_points(X, body):
     - the nearest generator is always a candidate; it is the answer for
       a row at a nonpositive inner product with every generator, since
       such a row meets the whole cone that way;
-    - up to `_FACE_CAP` generators, the block is projected onto every
-      face span at once and the feasible normalized projections compete
-      (the nearest cone point lies in the relative interior of a face,
-      so one of them is it);
-    - above the cap, each remaining row gets its Euclidean
-      cone projection (non-negative least squares) and the exact
-      projection onto the span of its active generators, which removes
-      the solver's iteration residue.
+    - the block is projected onto every face span at once and the
+      feasible normalized projections compete (the nearest cone point
+      lies in the relative interior of a face, so one of them is it);
+      only projections nearer than the nearest generator can win, so
+      only those get the membership test.
 
     Angles take the stable form atan2(|perp|, dot): arccos of a cosine
     has a 1e-8 precision floor near zero distance.
@@ -215,8 +210,8 @@ def _nearest_body_points(X, body):
     # angle of a different point; callers normalize single points
     if (np.abs(_norms(X) - 1.0) > _UNIT_TOL).any():
         raise ValueError(f"point block rows must be unit vectors within {_UNIT_TOL}")
-    spans = _face_spans(body) if m <= _FACE_CAP.get(d, 12) else None
-    width = m + (0 if spans is None else sum(T.shape[0] for T in spans))
+    spans = _face_spans(body)
+    width = m + sum(T.shape[0] for T in spans)
     step = max(1, _BLOCK_PAIRS // width)
     angles = np.empty(X.shape[0])
     points = np.empty_like(X)
@@ -237,36 +232,34 @@ def _nearest_block(X, body, spans):
     member = kernels.min_slack(X, N) >= -MEMBERSHIP_TOL
     live = np.flatnonzero(~member & (dots[np.arange(X.shape[0]), pick] > 0.0))
     Xl = X[live]
-    # P[i, k]: orthogonal projection of live row i onto its k-th candidate
-    # subspace (cone projections are orthogonal too, by Moreau), so the
-    # normalized candidate sits at angle atan2(|x - p|, |p|) from the row
-    if spans is None:
-        P = np.empty((live.size, 2, d))
-        for row, x in enumerate(Xl):
-            proj, lam = project_onto_cone(G, x)
-            B, _ = span_basis(G[lam > 1e-12])
-            P[row] = proj, (x @ B.T) @ B
-    else:
-        parts = [np.empty((live.size, 0, d))]
-        for T in spans:
-            C = (Xl @ T.reshape(-1, d).T).reshape(live.size, *T.shape[:2])
-            parts.append(np.matmul(C.swapaxes(0, 1), T).swapaxes(0, 1))
-        P = np.concatenate(parts, axis=1)
+    # P[i, k]: orthogonal projection of live row i onto its k-th face
+    # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
+    # from the row
+    parts = [np.empty((live.size, 0, d))]
+    for T in spans:
+        C = (Xl @ T.reshape(-1, d).T).reshape(live.size, *T.shape[:2])
+        parts.append(np.matmul(C.swapaxes(0, 1), T).swapaxes(0, 1))
+    P = np.concatenate(parts, axis=1)
     if P.shape[1]:
         c = _norms(P)
+        r = _norms(Xl[:, None, :] - P)
         ok = c > 1e-12
         c[~ok] = 1.0
-        Z = P / c[..., None]
-        ok &= kernels.min_slack(Z.reshape(-1, d), N).reshape(ok.shape) >= -MEMBERSHIP_TOL
-        r = _norms(Xl[:, None, :] - P)
         # rank by the tangent |x - p| / |p|, which orders angles below a
-        # quarter turn as the angle does, without an arctan per candidate
-        k = np.where(ok, r / c, np.inf).argmin(axis=1)
+        # quarter turn as the angle does, without an arctan per candidate;
+        # only candidates below the nearest generator's tangent (with
+        # slack for rounding) can win, so only they get the membership test
+        t = r / c
+        ok &= t < np.tan(ang[live])[:, None] * (1.0 + 1e-9)
+        sel = np.flatnonzero(ok)
+        Z = P.reshape(-1, d)[sel] / c.reshape(-1)[sel, None]
+        np.put(ok, sel, kernels.min_slack(Z, N) >= -MEMBERSHIP_TOL)
+        k = np.where(ok, t, np.inf).argmin(axis=1)
         pos = np.arange(live.size)
         a = np.where(ok[pos, k], np.arctan2(r[pos, k], c[pos, k]), np.inf)
         win = a < ang[live]
         ang[live[win]] = a[win]
-        Y[live[win]] = Z[win, k[win]]
+        Y[live[win]] = P[win, k[win]] / c[win, k[win], None]
     Y[member] = X[member]
     ang[member] = 0.0
     return ang, Y

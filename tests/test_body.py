@@ -181,6 +181,11 @@ class TestPredicates:
         assert body.has_interior(cap)
         assert not body.has_interior(arc)
         assert not body.has_interior(point)
+        # the full sphere has no normals at all; a hemisphere has one
+        full = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
+        assert full.normal_array.shape[0] == 0
+        assert body.has_interior(full)
+        assert body.has_interior(body.hemisphere_body([0.0, 0.0, 1.0]))
 
     def test_is_wulff_relative(self):
         pole = [0.0, 0.0, 1.0]

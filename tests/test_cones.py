@@ -137,10 +137,6 @@ class TestWitnesses:
         G = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert cones.pointed_witness(G) is None
 
-    def test_interior_witness_with_no_constraints(self):
-        w = cones.interior_witness(np.zeros((0, 3)), 3)
-        assert w is not None
-
     def test_nontrivial_dual_witness_agrees_with_conversion(self):
         # LP feasibility route vs the constructive dual-cone route
         rng = np.random.default_rng(37)

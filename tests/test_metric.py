@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from wulffkit import body, harness, metric, oracles, transforms
+from wulffkit import body, cones, harness, metric, oracles, transforms
 from wulffkit.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -133,12 +133,12 @@ class TestBatchConsistency:
                 float(metric.point_body_distance(X[i], arc)), abs=1e-12
             )
 
-    def test_matches_scalar_beyond_face_cap(self):
-        # more generators than the enumeration cap: per-point projections
-        # (points on a circle are all extreme, so none get reduced away)
+    def test_matches_scalar_many_generators(self):
+        # a 40-gon: points on a circle are all extreme, so none get
+        # reduced away
         rng = np.random.default_rng(73)
         b = cap_body(0.5, list(range(0, 360, 9)))
-        assert b.generator_array.shape[0] > metric._FACE_CAP[3]
+        assert b.generator_array.shape[0] == 40
         X = rng.normal(size=(20, 3))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         batch = metric.batch_point_body_distance(X, b)
@@ -146,6 +146,27 @@ class TestBatchConsistency:
             assert batch[i] == pytest.approx(
                 float(metric.point_body_distance(X[i], b)), abs=1e-12
             )
+
+    @pytest.mark.parametrize("case", ["40-gon on S^2", "80-vertex cap on S^3", "wulff on S^4"])
+    def test_matches_cone_projection_reference(self, case):
+        # bodies with many face spans against the per-row cone projection
+        rng = np.random.default_rng(79)
+        if case == "40-gon on S^2":
+            b = cap_body(0.5, list(range(0, 360, 9)))
+        elif case == "80-vertex cap on S^3":
+            pole = harness.pole_axis(3).vec
+            dirs = rng.normal(size=(80, 4)) * [1.0, 1.0, 1.0, 0.0]
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            b = body.from_generators(math.cos(0.6) * pole + math.sin(0.6) * dirs)
+            assert b.generator_array.shape[0] == 80
+        else:
+            b = harness.gen_wulff(harness.pole_axis(4), 25, 0.9, 1)
+            assert b.generator_array.shape[0] >= 19
+        X = _query_rows(b, rng, 79)
+        batch = metric.batch_point_body_distance(X, b)
+        want = np.array([_cone_projection_distance(x, b) for x in X])
+        assert np.abs(batch - want).max() <= 1e-12
+        assert (want > 0.0).sum() >= 12
 
     def test_input_validation(self):
         b = cap_body(0.5, [0, 120, 240])
@@ -194,6 +215,29 @@ class TestBatchConsistency:
         assert np.abs(got - deltas).max() <= 1e-12
 
 
+def _cone_projection_distance(x, b):
+    """Distance from the unit row x to b through its Euclidean cone
+    projection (non-negative least squares), polished by the exact
+    projection onto the span of the active generators."""
+    G = b.generator_array
+    N = b.normal_array
+    if N.shape[0] == 0 or (N @ x).min() >= -1e-10:
+        return 0.0
+    best = min(math.atan2(np.linalg.norm(x - (x @ g) * g), x @ g) for g in G)
+    if (G @ x).max() > 0.0:
+        proj, lam = cones.project_onto_cone(G, x)
+        B, _ = cones.span_basis(G[lam > 1e-12])
+        for p in (proj, (x @ B.T) @ B):
+            c = np.linalg.norm(p)
+            if c > 1e-12 and (N @ (p / c)).min() >= -1e-10:
+                best = min(best, math.atan2(np.linalg.norm(x - p), c))
+    return best
+
+
+# generator counts of the "many" kind on S^1, S^2 and S^3
+_MANY = {1: 52, 2: 34, 3: 22}
+
+
 def _draw_body(draw, dim, kinds):
     kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -202,7 +246,7 @@ def _draw_body(draw, dim, kinds):
     if kind == "wulff":
         b = harness.gen_wulff(pole, dim + 2 + int(rng.integers(0, 5)), rng.uniform(0.1, 1.3), seed)
     elif kind == "many":
-        b = harness.cap_polytope(pole, rng.uniform(0.2, 1.3), metric._FACE_CAP[dim + 1] + 4)
+        b = harness.cap_polytope(pole, rng.uniform(0.2, 1.3), _MANY[dim])
     else:
         b = harness.gen_convex_body(pole, kind, rng)
     return b, rng, seed
@@ -225,7 +269,7 @@ def body_and_points(draw):
 
     The rows mix uniform points with points scattered around the
     generators, so members, face projections and far points all occur;
-    on S^2 and S^3 the "many" kind exceeds the face enumeration cap.
+    the "many" kind gives S^2 and S^3 bodies with many face spans.
     """
     dim = draw(st.sampled_from([1, 2, 3]))
     b, rng, seed = _draw_body(draw, dim, _KINDS)
@@ -236,8 +280,8 @@ def body_and_points(draw):
 def body_pair_and_points(draw):
     """Two seeded bodies on one sphere plus query rows around the second.
 
-    The source may exceed the face cap; the target stays within it, so
-    the subset oracle's span products remain small.
+    The source may be of the "many" kind; the target never is, so the
+    subset oracle's span products remain small.
     """
     dim = draw(st.sampled_from([1, 2, 3]))
     a, _, _ = _draw_body(draw, dim, _KINDS)
@@ -341,6 +385,24 @@ class TestFaceSpans:
         for T, per in zip(spans, (2, 4)):
             inside = np.abs(np.linalg.norm(U @ T.transpose(0, 2, 1), axis=2) - 1.0) <= 1e-12
             assert (inside.sum(axis=1) == per).all()
+
+    @pytest.mark.parametrize(
+        "kind, counts",
+        [
+            ("cube", [(32, 2, 5), (24, 3, 5), (8, 4, 5)]),
+            ("orthoplex", [(24, 2, 5), (32, 3, 5), (16, 4, 5)]),
+        ],
+    )
+    def test_polytope_cones_on_s4(self, kind, counts):
+        # cube: 32 edges, 24 squares, 8 cubes; orthoplex: 24 edges,
+        # 32 triangles, 16 tetrahedra
+        if kind == "cube":
+            V = np.array(list(itertools.product([1.0, -1.0], repeat=4)))
+        else:
+            V = np.vstack([np.eye(4), -np.eye(4)])
+        b = body.from_generators(np.hstack([V, np.full((V.shape[0], 1), 3.0)]))
+        spans = sorted(metric._face_spans(b), key=lambda T: T.shape[1])
+        assert [T.shape for T in spans] == counts
 
     def test_no_spans_for_a_point_or_the_whole_sphere(self):
         assert metric._face_spans(body.from_generators([POLE])) == []

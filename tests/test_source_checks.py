@@ -59,18 +59,31 @@ def _names_read(path):
     return read
 
 
+def _module_definitions(path):
+    # (line, name) of the module-level functions, classes and assigned names
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
 def test_every_package_definition_is_used():
-    # a module-level function or class that neither the package nor the
-    # tests read is dead code
+    # a module-level function, class or constant that neither the package
+    # nor the tests read is dead code; dunder names are read by Python
     package = Path(wulffkit.__file__).parent
     modules = sorted(package.glob("*.py"))
     read = set()
     for path in modules + sorted(Path(__file__).parent.glob("*.py")):
         read |= _names_read(path)
     unused = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{line} {name}"
         for path in modules
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+        for line, name in _module_definitions(path)
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
