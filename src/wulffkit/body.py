@@ -22,7 +22,6 @@ from . import cones
 from .errors import DimensionMismatchError, NonFiniteError, ShapeFileError
 from .geometry import (
     MEMBERSHIP_TOL,
-    UnitPoint,
     as_unit_point,
     as_vector,
     complement_basis,
@@ -46,7 +45,6 @@ class SphericalBody:
         normals.flags.writeable = False
         self._gens = gens
         self._normals = normals
-        self.canonical = True
         self._cache = {}
 
     # -- representation ------------------------------------------------
@@ -62,14 +60,6 @@ class SphericalBody:
     @property
     def normal_array(self):
         return self._normals
-
-    @property
-    def generators(self):
-        return [UnitPoint(row) for row in self._gens]
-
-    @property
-    def support_normals(self):
-        return [UnitPoint(row) for row in self._normals]
 
     def span(self):
         """Orthonormal basis (rows) of the cone's linear span; cached."""

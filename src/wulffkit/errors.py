@@ -43,7 +43,7 @@ class SeparationError(WulffkitError):
 
 
 class GenerationError(WulffkitError):
-    """Random shape generation exhausted its retry budget."""
+    """A randomly drawn shape failed its validity check."""
 
 
 class ShapeFileError(WulffkitError):

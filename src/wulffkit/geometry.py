@@ -74,9 +74,6 @@ class UnitPoint:
     def ambient_dim(self):
         return self._vec.size - 1
 
-    def dot(self, other):
-        return float(self._vec @ as_vector(other))
-
     def __iter__(self):
         return iter(self._vec.tolist())
 

@@ -10,6 +10,7 @@ import pytest
 
 from wulffkit import body, harness, metric
 from wulffkit.cli import main
+from wulffkit.errors import GenerationError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -115,6 +116,25 @@ class TestDeterminism:
             assert float(row[5]) == rep.bound_or_target
 
 
+class TestGoldenRows:
+    def test_rows_match_stored_run(self):
+        # every suite at trials 3, seed 11 on S^2 against a stored run of
+        # `wulffkit verify` with the ms column dropped: values within 1e-9,
+        # every other column exactly
+        with open(DATA / "verify_dim2_seed11.csv", newline="") as fh:
+            header, *golden = csv.reader(fh)
+        assert tuple(header) == harness.CSV_COLUMNS[:-1]
+        rows = []
+        for name in harness.SUITE_NAMES:
+            reports = run(name, trials=3, seed=11)
+            rows += [list(row[:-1]) for row in harness.report_rows(reports)]
+        assert len(rows) == len(golden) == 41
+        v = harness.CSV_COLUMNS.index("value")
+        for got, want in zip(rows, golden):
+            assert got[:v] + got[v + 1 :] == want[:v] + want[v + 1 :]
+            assert abs(float(got[v]) - float(want[v])) <= 1e-9, (got, want)
+
+
 class TestSummaries:
     def test_summarize_green(self):
         reports = run("antitone", trials=2, seed=12)
@@ -129,7 +149,8 @@ class TestSummaries:
             suite="antitone",
             trial_seed=99,
             ambient_dim=2,
-            measured=(("inclusion_violations", 3.0),),
+            label="inclusion_violations",
+            value=3.0,
             bound_or_target=0.0,
             tolerance=0.0,
             passed=False,
@@ -152,6 +173,33 @@ class TestGenerators:
         assert (b.generator_array @ pole.vec).min() >= math.cos(0.81)
         again = harness.gen_wulff(pole, 7, 0.8, 3)
         assert (again.generator_array == b.generator_array).all()
+
+    @pytest.mark.parametrize("dim", (1, 2, 3))
+    def test_gen_wulff_single_draw_margins(self, dim):
+        # one draw always suffices: every generator keeps g.p >= sin 0.05
+        # (the cap radius stays below pi/2 - 0.05) and the 0.02 simplex keeps
+        # n.p >= 0.02/n on every normal; half of that is asserted
+        pole = harness.pole_axis(dim)
+        rng = np.random.default_rng(100 + dim)
+        for seed in range(50):
+            k = int(rng.integers(dim + 2, dim + 8))
+            rho = rng.uniform(0.05, math.pi / 2.0 - 0.05)
+            b = harness.gen_wulff(pole, k, rho, seed)
+            assert (b.generator_array @ pole.vec).min() >= math.sin(0.05) - 1e-12
+            assert (b.normal_array @ pole.vec).min() >= 0.01 / dim
+
+    def test_gen_wulff_raises_after_one_draw(self, monkeypatch):
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return body.from_generators(points)
+
+        monkeypatch.setattr(harness, "from_generators", counted)
+        monkeypatch.setattr(harness, "is_wulff_relative", lambda b, p: False)
+        with pytest.raises(GenerationError):
+            harness.gen_wulff(harness.pole_axis(2), 6, 0.7, 1)
+        assert len(calls) == 1
 
     def test_gen_wulff_validation(self):
         pole = harness.pole_axis(2)

@@ -44,14 +44,17 @@ def test_no_unused_imports():
 
 
 def _names_read(path):
-    # names a module loads, attributes it reads and its __all__ entries
+    # names a module loads, attributes and keyword arguments it reads and
+    # its __all__ entries
     tree = ast.parse(path.read_text(), filename=str(path))
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            read.add(node.arg)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
@@ -70,11 +73,33 @@ def _module_definitions(path):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield node.lineno, name.id
+        if isinstance(node, ast.ClassDef):
+            yield from _class_members(node)
+
+
+def _class_members(cls):
+    # (line, name) of the methods and properties a class body defines and
+    # of the attributes its methods assign through `self.<name> =`
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.lineno, node.name
+    for node in ast.walk(cls):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                yield node.lineno, target.attr
 
 
 def test_every_package_definition_is_used():
-    # a module-level function, class or constant that neither the package
-    # nor the tests read is dead code; dunder names are read by Python
+    # a module-level function, class or constant, or a class's method,
+    # property or self-assigned attribute, that neither the package nor the
+    # tests read is dead code; dunder names are read by Python
     package = Path(wulffkit.__file__).parent
     modules = sorted(package.glob("*.py"))
     read = set()
