@@ -23,10 +23,17 @@ NOT enough; a regression test pins a pair where the best generator is
 off by more than 2.5e-3.  Outside the certified regime the directed
 distance falls back to dense sampling of the source, within the
 sampling resolution of the true value.  That route needs only the
-largest sampled distance: dist(., b) lies between the distance to b's
-most violated supporting hemisphere and the distance to b's nearest
-generator, two batch-kernel bounds per sample, and the exact routine
-runs only on samples whose upper bound can still reach the maximum.
+largest sampled distance, so it works by branch and bound over small
+cells of the cached sphere grid (`oracles.grid_cells`).  A cell whose
+radius keeps it wholly inside the source is "deep", and a cell that
+keeps it far outside holds no sample; only the cells near the source's
+boundary are sampled row by row.  Those samples get two batch-kernel
+bounds each: dist(., b) lies between the distance to b's most violated
+supporting hemisphere and the distance to b's nearest generator.  A
+deep cell gets the bound dist(center, b) + radius, since dist(., b) is
+1-Lipschitz.  The exact routine runs only on samples and cells whose
+upper bound can still reach the maximum, so the work grows with the
+source's boundary instead of with the grid.
 """
 
 import math
@@ -86,6 +93,14 @@ _BOUND_BLOCK = 1 << 15
 # it evaluates this many samples with the largest upper bounds first,
 # which sets the running maximum that prunes the rest
 _FIRST_PASS = 2048
+
+# deep grid cells are evaluated in batches of about this many rows, in
+# decreasing order of their upper bounds
+_CELL_BATCH = 2048
+
+# a grid cell counts as inside the sampled body when the worst slack of
+# its center exceeds the cell's chord by this much
+_DEEP_SLACK = 1e-12
 
 # a sample is pruned only when its upper bound lies this far below a
 # reached value: it covers the rounding of the arccos upper bound (up to
@@ -289,6 +304,54 @@ def batch_point_body_distance(X, body):
 # ---------------------------------------------------------------------------
 
 
+def _cell_samples(body, resolution):
+    """The body's sample set, split by cells of the sphere grid.
+
+    Returns (explicit, grid, cells, deep).  The deep cells (indices into
+    the grid's `oracles.GridCells`) lie wholly inside the body, so all of
+    their grid rows are samples.  The explicit rows are the rest: the
+    grid rows of the edge cells that lie inside the body, the
+    generators, and the nearest body points of the edge rows in the
+    sampling band.
+
+    With s_u the worst normal slack of a cell's center u and c the chord
+    of its radius, every row x of the cell has n . x >= n . u - c for
+    each unit normal n, and n . x <= s_u + c for the normal attaining
+    s_u.  A cell with s_u - c >= `_DEEP_SLACK` is therefore inside the
+    body, and one with s_u + c < -band_width holds no row of the band
+    or of the body; only the edge cells between get a slack per row.
+    """
+    d = body.generator_array.shape[1]
+    sphere_dim = d - 1
+    r_cov = resolution / 2.05
+    spacing = r_cov / oracles.COVERING_COEFF.get(sphere_dim, math.inf)
+    grid = oracles.sphere_grid(sphere_dim, spacing)
+    cells = oracles.grid_cells(sphere_dim, spacing)
+    N = body.normal_array
+    if N.shape[0] == 0:
+        return np.zeros((0, d)), grid, cells, np.arange(cells.radii.size)
+    # a grid point within r_cov of a body point violates each
+    # constraint by at most the chord length 2 sin(r_cov / 2)
+    band_width = 2.0 * math.sin(r_cov / 2.0) + MEMBERSHIP_TOL
+    center_slack = kernels.min_slack(cells.centers, N)
+    chord = 2.0 * np.sin(cells.radii / 2.0)
+    deep = center_slack - chord >= _DEEP_SLACK
+    edge = ~deep & (center_slack + chord >= -band_width)
+    rows = grid[cells.rows(np.flatnonzero(edge))]
+    slack = kernels.min_slack(rows, N)
+    inside = slack >= -MEMBERSHIP_TOL
+    band = (~inside) & (slack >= -band_width)
+    band_count = int(band.sum())
+    if band_count > _BAND_LIMIT:
+        raise ResolutionError(
+            f"sampling at resolution {resolution} needs {band_count} projections; "
+            "increase the resolution"
+        )
+    _, nearest = _nearest_body_points(rows[band], body)
+    explicit = np.ascontiguousarray(np.vstack([rows[inside], body.generator_array, nearest]))
+    return explicit, grid, cells, np.flatnonzero(deep)
+
+
 def _body_sample_points(body, resolution):
     """Sample the body within geodesic covering radius resolution/2.
 
@@ -296,30 +359,11 @@ def _body_sample_points(body, resolution):
     worst constraint slack puts them within one covering radius of the
     body are replaced by their nearest body points.  Together with the
     generators these samples cover the body: every body point has a
-    sample within 2 * (resolution/2.05) < resolution.
+    sample within 2 * (resolution/2.05) < resolution.  A body with no
+    normals (the full sphere) is sampled by the grid alone.
     """
-    d = body.generator_array.shape[1]
-    sphere_dim = d - 1
-    r_cov = resolution / 2.05
-    spacing = r_cov / oracles.COVERING_COEFF.get(sphere_dim, math.inf)
-    grid = oracles.sphere_grid(sphere_dim, spacing)
-    N = body.normal_array
-    if N.shape[0] == 0:
-        return grid
-    slack = kernels.min_slack(grid, N)
-    inside = slack >= -MEMBERSHIP_TOL
-    # a grid point within r_cov of a body point violates each
-    # constraint by at most the chord length 2 sin(r_cov / 2)
-    band_width = 2.0 * math.sin(r_cov / 2.0) + MEMBERSHIP_TOL
-    band = (~inside) & (slack >= -band_width)
-    band_idx = np.flatnonzero(band)
-    if band_idx.size > _BAND_LIMIT:
-        raise ResolutionError(
-            f"sampling at resolution {resolution} needs {band_idx.size} projections; "
-            "increase the resolution"
-        )
-    _, nearest = _nearest_body_points(grid[band_idx], body)
-    return np.ascontiguousarray(np.vstack([grid[inside], body.generator_array, nearest]))
+    explicit, grid, cells, deep = _cell_samples(body, resolution)
+    return np.ascontiguousarray(np.vstack([explicit, grid[cells.rows(deep)]]))
 
 
 def point_body_distance_sampled(x, body, resolution=None):
@@ -439,35 +483,65 @@ def directed_distance_sampled(a, b, resolution=None):
     path applies; the result is within `resolution` of the true value.
 
     It returns the maximum of the exact distances to b over the sample
-    set, but evaluates only the samples that can still hold it.  Each
-    sample first gets a lower and an upper bound (`_distance_bounds`,
-    in blocks of `_BOUND_BLOCK` rows).  The `_FIRST_PASS` samples with
-    the largest upper bounds are evaluated first.  The others follow
-    block by block, and a sample is evaluated only when its upper bound
-    exceeds the larger of the running maximum and the best lower bound,
-    less `_PRUNE_MARGIN`.
+    set of `_body_sample_points`, but evaluates only the samples that
+    can still hold it.  `_cell_samples` hands the set over in two parts:
+    an explicit list (the rows near a's boundary, its generators and
+    the band projections), and the deep grid cells, whose rows all lie
+    inside a.  All samples are pruned against one running threshold,
+    the larger of the running maximum and the explicit list's best
+    lower bound, less `_PRUNE_MARGIN`.
+
+    Explicit samples first get a lower and an upper bound
+    (`_distance_bounds`, in blocks of `_BOUND_BLOCK` rows).  The
+    `_FIRST_PASS` samples with the largest upper bounds are evaluated
+    first, then the deep cells, then the other explicit samples block
+    by block, each only when its upper bound exceeds the threshold.
+
+    A deep cell with center u and radius r gets the upper bound
+    dist(u, b) + r from one exact evaluation of all the deep centers:
+    dist(., b) is 1-Lipschitz in the geodesic metric, and every row of
+    the cell lies within r of u (r is measured from the rows and padded
+    for rounding).  The cells are visited in decreasing order of that
+    bound, about `_CELL_BATCH` rows at a time, until the next bound is
+    at or below the threshold; every cell after it has a smaller bound.
 
     A skipped sample cannot change the result.  Its exact distance is
     at most its upper bound plus the bound's rounding, which is smaller
     than the margin (the nearest generator is one of the exact
-    routine's candidates), so it lies below the larger of the two
-    values.  The running maximum is reached by an evaluated sample.
-    The best lower bound is at most the exact distance of its own
-    sample, whose upper bound is at least that distance, so that sample
-    is evaluated too.
+    routine's candidates, and the cell bound adds two exact values), so
+    it lies below the threshold.  The running maximum is reached by an
+    evaluated sample.  The best lower bound is at most the exact
+    distance of its own sample, whose upper bound is at least that
+    distance, so that sample is evaluated too.
     """
     resolution = _resolve_resolution(resolution, a)
-    samples = _body_sample_points(a, resolution)
+    samples, grid, cells, deep = _cell_samples(a, resolution)
     n = samples.shape[0]
     upper = np.empty(n)
-    floor = 0.0
+    floor = best = 0.0
     for lo in range(0, n, _BOUND_BLOCK):
         lower, upper[lo:lo + _BOUND_BLOCK] = _distance_bounds(samples[lo:lo + _BOUND_BLOCK], b)
         floor = max(floor, float(lower.max()))
-    k = min(n, _FIRST_PASS)
-    first = np.argpartition(upper, n - k)[n - k:]
-    best = float(batch_point_body_distance(samples[first], b).max())
-    upper[first] = -np.inf  # already evaluated
+    if n:
+        k = min(n, _FIRST_PASS)
+        first = np.argpartition(upper, n - k)[n - k:]
+        best = float(batch_point_body_distance(samples[first], b).max())
+        upper[first] = -np.inf  # already evaluated
+    if deep.size:
+        reach = batch_point_body_distance(cells.centers[deep], b) + cells.radii[deep]
+        order = np.argsort(-reach, kind="stable")
+        deep, reach = deep[order], reach[order]
+        # taken[j]: rows in the first j cells of that order
+        taken = np.concatenate([[0], np.cumsum(cells.starts[deep + 1] - cells.starts[deep])])
+        done = 0
+        while True:
+            live = int(np.searchsorted(-reach, _PRUNE_MARGIN - max(best, floor)))
+            stop = min(live, int(np.searchsorted(taken, taken[done] + _CELL_BATCH)))
+            if stop <= done:
+                break
+            dist = batch_point_body_distance(grid[cells.rows(deep[done:stop])], b)
+            best = max(best, float(dist.max()))
+            done = stop
     for lo in range(0, n, _BOUND_BLOCK):
         live = np.flatnonzero(upper[lo:lo + _BOUND_BLOCK] > max(best, floor) - _PRUNE_MARGIN)
         if live.size:

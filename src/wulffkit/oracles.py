@@ -1,10 +1,10 @@
 """Deterministic sphere sampling used by the sampled-distance routines,
 and the test oracles.
 
-The sampling part (`sphere_grid`, `uniform_sphere_points` and
-`COVERING_COEFF`) is on the production path: the sampled distance
-route and the dilation-identity check of `metric`, and the harness
-suites, call it.
+The sampling part (`sphere_grid`, its cell index `grid_cells`,
+`uniform_sphere_points` and `COVERING_COEFF`) is on the production
+path: the sampled distance route and the dilation-identity check of
+`metric`, and the harness suites, call it.
 
 The oracles are slow routes, independent of the production code, to
 answers it computes another way: subset enumeration for the face spans
@@ -31,8 +31,19 @@ Covering guarantee: every point of the n-sphere lies within
 
 The coefficients are validated empirically in the test-suite by
 probing random points against the grids.
+
+Cell index: `grid_cells` groups the rows of a cached grid into small
+cells of a cube map.  A row's cell is its largest-|coordinate| axis
+and that coordinate's sign, plus its other coordinates divided by the
+leading one and floored in steps of ``_CELL_SPAN`` grid spacings.
+Each cell carries a unit center (its normalized row sum) and a
+geodesic radius measured from its own rows, padded for rounding, so
+every row of a cell lies within the cell's radius of its center
+however the cell is shaped.  The index is built once per grid and kept
+in the grid's cache entry, so the two are evicted together.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -58,6 +69,17 @@ _RING_COLLAPSE = 2.0 * math.pi
 #: spacing/dimension combination that should use a coarser resolution
 GRID_POINT_LIMIT = 30_000_000
 
+# side of a grid cell along each cube-map coordinate, in grid spacings
+_CELL_SPAN = 8
+
+# the cell index is built over this many grid rows at a time
+_INDEX_CHUNK = 1 << 16
+
+# added to every measured cell radius: covers the rounding of the rows,
+# the centers and the chords it is measured from
+_RADIUS_PAD = 1e-12
+
+# (dim, spacing) -> {"grid": rows, "cells": GridCells once built}
 _grid_cache = {}
 
 
@@ -80,6 +102,22 @@ def sphere_grid(dim, spacing):
     Returns an (N, dim+1) array of unit rows.  Results are cached per
     (dim, spacing); callers must not mutate them.
     """
+    return _grid_entry(dim, spacing)["grid"]
+
+
+def grid_cells(dim, spacing):
+    """Cell index of ``sphere_grid(dim, spacing)``, built on first use.
+
+    It is cached with the grid and evicted with it.  Callers must not
+    mutate it.
+    """
+    entry = _grid_entry(dim, spacing)
+    if "cells" not in entry:
+        entry["cells"] = _build_cells(entry["grid"], float(spacing))
+    return entry["cells"]
+
+
+def _grid_entry(dim, spacing):
     if dim not in COVERING_COEFF:
         raise ResolutionError(
             f"sphere grids are available for sphere dimensions 1..{MAX_GRID_DIM}, got {dim}"
@@ -96,11 +134,11 @@ def sphere_grid(dim, spacing):
             f"a spacing-{spacing} grid of the {dim}-sphere needs about "
             f"{approx} points (limit {GRID_POINT_LIMIT}); use a coarser resolution"
         )
-    grid = _build_grid(dim, float(spacing))
+    entry = {"grid": _build_grid(dim, float(spacing))}
     if len(_grid_cache) >= 4:
         _grid_cache.clear()
-    _grid_cache[key] = grid
-    return grid
+    _grid_cache[key] = entry
+    return entry
 
 
 def _build_grid(dim, spacing):
@@ -125,6 +163,80 @@ def _build_grid(dim, spacing):
         ring[:, dim] = c
         blocks.append(ring)
     return np.ascontiguousarray(np.vstack(blocks))
+
+
+@dataclasses.dataclass(frozen=True)
+class GridCells:
+    """Cells of a sphere grid.
+
+    Cell k holds the grid rows ``perm[starts[k]:starts[k + 1]]``, and
+    every one of them lies within geodesic distance ``radii[k]`` of the
+    unit vector ``centers[k]``.
+    """
+
+    perm: np.ndarray
+    starts: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+
+    def rows(self, cells):
+        """Grid row indices of the given cells, cell after cell."""
+        lo = self.starts[cells]
+        size = self.starts[cells + 1] - lo
+        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        return self.perm[np.repeat(lo, size) + offset]
+
+
+def _cell_keys(X, step):
+    """Cube-map cell key of each row: leading axis, its sign, and the
+    other coordinates over the leading one, floored in `step`s."""
+    n, d = X.shape
+    width = math.floor(1.0 / step) + 1  # floor(y / step) + width lies in [0, 2 width)
+    axis = np.abs(X).argmax(axis=1)
+    lead = X[np.arange(n), axis]
+    keys = 2 * axis + (lead < 0)
+    for j in range(1, d):
+        y = X[np.arange(n), (axis + j) % d] / np.abs(lead)
+        keys = keys * (2 * width) + (np.floor(y / step).astype(np.int64) + width)
+    return keys
+
+
+def _build_cells(grid, spacing):
+    """Group the grid's rows into cells and measure each cell's radius.
+
+    Works in chunks of `_INDEX_CHUNK` rows and keeps no reordered copy
+    of the grid: the rows of a chunk of cells are gathered through the
+    permutation.
+    """
+    n = grid.shape[0]
+    step = _CELL_SPAN * spacing
+    keys = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _INDEX_CHUNK):
+        keys[lo:lo + _INDEX_CHUNK] = _cell_keys(grid[lo:lo + _INDEX_CHUNK], step)
+    perm = np.argsort(keys, kind="stable").astype(np.int32)
+    keys.sort()
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1, [n]])
+    del keys
+    m = starts.size - 1
+
+    def chunks():
+        # a chunk of rows in cell order, the cell of each row, and where
+        # each cell's run of rows starts within the chunk
+        for lo in range(0, n, _INDEX_CHUNK):
+            pos = np.arange(lo, min(n, lo + _INDEX_CHUNK))
+            cell = np.searchsorted(starts, pos, side="right") - 1
+            yield grid[perm[pos]], cell, np.flatnonzero(np.diff(cell, prepend=-1))
+
+    sums = np.zeros((m, grid.shape[1]))
+    for rows, cell, run in chunks():
+        sums[cell[run]] += np.add.reduceat(rows, run, axis=0)
+    centers = sums / np.linalg.norm(sums, axis=1)[:, None]
+    chord = np.zeros(m)
+    for rows, cell, run in chunks():
+        far = np.maximum.reduceat(np.linalg.norm(rows - centers[cell], axis=1), run)
+        chord[cell[run]] = np.maximum(chord[cell[run]], far)
+    radii = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0)) + _RADIUS_PAD
+    return GridCells(perm, starts, centers, radii)
 
 
 def uniform_sphere_points(dim, count, seed):

@@ -6,11 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from wulffkit import body, cones, harness, metric, oracles, transforms
+from wulffkit import body, cones, harness, kernels, metric, oracles, transforms
 from wulffkit.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -511,9 +511,18 @@ def _evaluated_rows(monkeypatch, a, b, resolution):
     return float(value), sum(rows)
 
 
+_FULL_SPHERE = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
+_LUNE = body.from_generators([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0], [0, 1.0, 0]])
+
+
 class TestSampledPruning:
     """The sampled route returns the maximum over its whole sample set."""
 
+    # fixed sources whose grid cells lie mostly or wholly inside them: the
+    # full sphere has no normals, so every one of its cells is deep
+    @example((body.hemisphere_body([0.0, 0.0, 1.0]), cap_body(0.5, [0, 120, 240])))
+    @example((_LUNE, cap_body(0.7, [30, 150, 270])))
+    @example((_FULL_SPHERE, cap_body(0.6, [0, 90, 180, 270])))
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(sampled_pairs())
     def test_pruned_maximum_is_the_full_maximum(self, pair):
@@ -527,18 +536,20 @@ class TestSampledPruning:
         assert (exact <= upper + 5e-8).all()
         value, _ = metric.directed_distance_sampled(a, b, r)
         assert abs(float(value) - exact.max()) <= 1e-15
-        # a small first pass and small bound blocks put the pruning pass
-        # to work on every pair, not only on those with many samples
+        # a small first pass, small bound blocks and small cell batches put
+        # the pruning pass and the cell loop to work on every pair, not
+        # only on those with many samples
         with mock.patch.object(metric, "_FIRST_PASS", 8), mock.patch.object(
             metric, "_BOUND_BLOCK", 100
-        ):
+        ), mock.patch.object(metric, "_CELL_BATCH", 5):
             value, _ = metric.directed_distance_sampled(a, b, r)
         assert abs(float(value) - exact.max()) <= 1e-15
 
     def test_full_sphere_target(self):
-        full = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
-        assert full.normal_array.shape[0] == 0
-        value, _ = metric.directed_distance_sampled(cap_body(1.0, [0, 90, 180, 270]), full, 0.02)
+        assert _FULL_SPHERE.normal_array.shape[0] == 0
+        value, _ = metric.directed_distance_sampled(
+            cap_body(1.0, [0, 90, 180, 270]), _FULL_SPHERE, 0.02
+        )
         assert float(value) == 0.0
 
     @pytest.mark.parametrize(
@@ -576,7 +587,7 @@ class TestSampledPruning:
         assert float(value) == exact.max()
         assert abs(float(value) - float(val)) <= 1e-15
 
-    def test_maximizer_far_from_the_target_generators(self):
+    def test_maximizer_far_from_the_target_generators(self, monkeypatch):
         # a small cap just beyond the middle of a long edge: its farthest
         # point is nearest to the edge's interior, about 1 from either end
         target = cap_body(1.0, [0, 120, 240])
@@ -591,10 +602,32 @@ class TestSampledPruning:
         _, upper = metric._distance_bounds(samples, target)
         top = int(exact.argmax())
         assert upper[top] - exact[top] > 0.3
-        # every upper bound is loose, so nothing can be pruned here
+        # every nearest-generator bound is loose, but the grid cells inside
+        # the source are bounded from the exact distance at their centers,
+        # which is tight there: most of the samples are still skipped
         assert samples.shape[0] > metric._FIRST_PASS
-        value, _ = metric.directed_distance_sampled(source, target, r)
-        assert float(value) == exact.max()
+        value, rows = _evaluated_rows(monkeypatch, source, target, r)
+        assert value == exact.max()
+        assert rows < samples.shape[0] // 2
+
+    def test_small_source_scans_no_whole_grid(self, monkeypatch):
+        # only the cell centers (16,224 rows, 3% of the grid) and the rows
+        # of the cells near the source's boundary get a slack, not the
+        # whole grid
+        rows = []
+        slack = kernels.min_slack
+
+        def counted(X, M):
+            rows.append(X.shape[0])
+            return slack(X, M)
+
+        monkeypatch.setattr(kernels, "min_slack", counted)
+        r = 0.01
+        metric.directed_distance_sampled(
+            cap_body(0.3, [0, 72, 144, 216, 288]), cap_body(0.5, [30, 150, 270]), r
+        )
+        spacing = r / 2.05 / oracles.COVERING_COEFF[2]
+        assert sum(rows) < 0.05 * oracles.sphere_grid(2, spacing).shape[0]
 
     def test_source_leaving_the_target_by_rounding_size(self):
         # one vertex of the source lies 5e-9 beyond a vertex of the target,

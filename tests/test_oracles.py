@@ -96,6 +96,69 @@ class TestGridGuards:
         assert a is b
 
 
+# the sampling resolutions of the default table and of the benchmark's
+# and acceptance sweep's sampled pairs, per sphere dimension
+_CELL_RESOLUTIONS = [(1, 0.005), (1, 0.01), (2, 0.005), (2, 0.01), (3, 0.06), (3, 0.099)]
+
+
+def _sampling_spacing(dim, resolution):
+    # the grid spacing the sampled distances use at this resolution
+    return resolution / 2.05 / oracles.COVERING_COEFF[dim]
+
+
+def _check_cells(grid, cells):
+    """Every row in exactly one cell, within the cell's radius of its unit center."""
+    n = grid.shape[0]
+    assert cells.perm.dtype == np.int32
+    assert (np.bincount(cells.perm, minlength=n) == 1).all()
+    assert cells.starts[0] == 0 and cells.starts[-1] == n
+    assert (np.diff(cells.starts) > 0).all()
+    assert np.abs(np.linalg.norm(cells.centers, axis=1) - 1.0).max() <= 1e-12
+    cell = np.repeat(np.arange(cells.radii.size), np.diff(cells.starts))
+    for lo in range(0, n, 1 << 18):
+        rows = grid[cells.perm[lo:lo + (1 << 18)]]
+        u = cells.centers[cell[lo:lo + (1 << 18)]]
+        c = np.einsum("ij,ij->i", rows, u)
+        angle = np.arctan2(np.linalg.norm(rows - c[:, None] * u, axis=1), c)
+        assert (angle <= cells.radii[cell[lo:lo + (1 << 18)]]).all()
+
+
+class TestGridCells:
+    @pytest.mark.parametrize("dim,resolution", _CELL_RESOLUTIONS)
+    def test_cells_cover_the_grid_within_their_radii(self, dim, resolution):
+        spacing = _sampling_spacing(dim, resolution)
+        grid = oracles.sphere_grid(dim, spacing)
+        cells = oracles.grid_cells(dim, spacing)
+        _check_cells(grid, cells)
+        # a cell spans _CELL_SPAN spacings along each of its dim cube-map
+        # coordinates, and the gnomonic map only stretches angles
+        assert cells.radii.max() <= oracles._CELL_SPAN * spacing * math.sqrt(dim)
+        assert oracles.grid_cells(dim, spacing) is cells
+
+    def test_rows_of_cells(self):
+        cells = oracles.grid_cells(2, 0.05)
+        picked = np.array([3, 0, 7])
+        expected = np.concatenate(
+            [cells.perm[cells.starts[k]:cells.starts[k + 1]] for k in picked]
+        )
+        assert np.array_equal(cells.rows(picked), expected)
+        assert cells.rows(np.array([], dtype=int)).size == 0
+
+    def test_index_is_evicted_and_rebuilt_with_its_grid(self):
+        spacing = _sampling_spacing(2, 0.01)
+        grid = oracles.sphere_grid(2, spacing)
+        cells = oracles.grid_cells(2, spacing)
+        for other in (0.21, 0.22, 0.23, 0.24, 0.25):
+            oracles.grid_cells(2, other)
+        rebuilt = oracles.sphere_grid(2, spacing)
+        again = oracles.grid_cells(2, spacing)
+        assert rebuilt is not grid and again is not cells
+        assert np.array_equal(rebuilt, grid)
+        _check_cells(rebuilt, again)
+        assert np.array_equal(again.perm, cells.perm)
+        assert np.array_equal(again.radii, cells.radii)
+
+
 class TestUniformSamples:
     def test_deterministic(self):
         a = oracles.uniform_sphere_points(2, 100, seed=9)
