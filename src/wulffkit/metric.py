@@ -29,11 +29,15 @@ radius keeps it wholly inside the source is "deep", and a cell that
 keeps it far outside holds no sample; only the cells near the source's
 boundary are sampled row by row.  Those samples get two batch-kernel
 bounds each: dist(., b) lies between the distance to b's most violated
-supporting hemisphere and the distance to b's nearest generator.  A
-deep cell gets the bound dist(center, b) + radius, since dist(., b) is
-1-Lipschitz.  The exact routine runs only on samples and cells whose
-upper bound can still reach the maximum, so the work grows with the
-source's boundary instead of with the grid.
+supporting hemisphere and the distance to b's nearest generator.  Since
+dist(., b) is 1-Lipschitz, a deep cell is bounded by the distance from
+its center to b's nearest generator plus its radius; deep cells inside
+b, and those whose bound falls short of the running maximum, are
+dropped before any exact evaluation, and only the rest get the tighter
+bound dist(center, b) + radius from the exact routine.  The exact
+routine runs only on samples and cells whose upper bound can still
+reach the maximum, so the work grows with the source's boundary
+instead of with the grid.
 """
 
 import math
@@ -98,14 +102,15 @@ _FIRST_PASS = 2048
 # decreasing order of their upper bounds
 _CELL_BATCH = 2048
 
-# a grid cell counts as inside the sampled body when the worst slack of
-# its center exceeds the cell's chord by this much
+# a grid cell counts as inside a body when the worst slack of its center
+# against the body's normals exceeds the cell's chord by this much
 _DEEP_SLACK = 1e-12
 
-# a sample is pruned only when its upper bound lies this far below a
-# reached value: it covers the rounding of the arccos upper bound (up to
-# sqrt(2 * 4 ulp), about 3e-8, near zero distance) and the 1e-10
-# membership tolerance behind the lower bound
+# a sample, a grid cell or an eigenvector candidate is pruned only when
+# its upper bound lies this far below a reached value or a lower bound:
+# it covers the rounding of an arccos (up to sqrt(2 * 4 ulp), about
+# 3e-8, near zero distance) and the 1e-10 membership tolerance behind
+# the lower bound
 _PRUNE_MARGIN = 1e-7
 
 
@@ -414,49 +419,46 @@ def _exact_directed(a, b):
     where the squared spherical support x -> |proj_cone(x)|^2 is
     continuously differentiable).  Any interior maximizer on a face
     with span F, whose nearest point has active span E, is then an
-    eigenvector of P_F P_E P_F; vertices cover the rest.  Candidates
-    are screened by their branch value before the exact evaluation.
+    eigenvector of P_F P_E P_F; vertices cover the rest.
+
+    The generators and the surviving candidates are scored in one exact
+    batch.  A candidate survives when its own stationary branch value,
+    arccos(sigma), exceeds the generators' largest lower bound (the
+    distance to b's most violated supporting hemisphere,
+    `_distance_bounds`) less `_PRUNE_MARGIN`.  That screen cannot drop
+    the maximizer x*: when it lies inside a face it appears among the
+    candidates with its exact branch value sigma = cos(dist(x*, b)), and
+    dist(x*, b) is at least every generator's distance, hence at least
+    each generator's lower bound.  The margin covers the rounding on
+    both sides: arccos of a rounded sigma near 1 is off by up to about
+    sqrt(2 * 4 ulp), 3e-8, and the lower bound by at most the 1e-10
+    membership tolerance and the rounding of arcsin.
     """
     if _deep_witness(a, b) is None:
         return None
     Ga = a.generator_array
     Na = a.normal_array
     d = Ga.shape[1]
-    best = float(batch_point_body_distance(Ga, b).max())
-    parts = []
-    sigs = []
+    screen = float(_distance_bounds(Ga, b)[0].max()) - _PRUNE_MARGIN
+    parts = [np.zeros((0, d))]
     for TF in _face_spans(a):
-        f = TF.shape[1]
+        sa, f = TF.shape[:2]
         for TE in _face_spans(b):
-            T = np.einsum("afd,bed->abfe", TF, TE, optimize=True)
-            M = (T @ np.swapaxes(T, 2, 3)).reshape(-1, f, f)
-            vals, vecs = np.linalg.eigh(M)
-            BF = np.broadcast_to(
-                TF[:, None, :, :], (TF.shape[0], TE.shape[0], f, d)
-            ).reshape(-1, f, d)
-            X = np.einsum("pjk,pjd->pkd", vecs, BF).reshape(-1, d)
+            sb, e = TE.shape[:2]
+            # T[i, j]: the f x e inner products of face span i of a with
+            # face span j of b, so T T^T is P_F P_E P_F in F's basis
+            T = (TF.reshape(-1, d) @ TE.reshape(-1, d).T).reshape(sa, f, sb, e).swapaxes(1, 2)
+            vals, vecs = np.linalg.eigh(T @ T.swapaxes(2, 3))
+            X = (vecs.swapaxes(2, 3) @ TF[:, None, :, :]).reshape(-1, d)
             sig = np.sqrt(np.clip(vals.reshape(-1), 0.0, 1.0))
             nrm = np.linalg.norm(X, axis=1)
-            ok = nrm > 1e-9
-            X = X[ok] / nrm[ok, None]
-            parts.append(X)
-            sigs.append(sig[ok])
-    if parts:
-        X = np.vstack(parts)
-        sig = np.concatenate(sigs)
-        # a candidate whose own stationary branch value cannot beat the
-        # running maximum cannot be the true maximizer either: the true
-        # maximizer appears with its exact branch value sigma = cos(dist)
-        keep = np.arccos(np.clip(sig, -1.0, 1.0)) > best + 1e-15
-        X = X[keep]
-        if X.shape[0]:
-            X = np.vstack([X, -X])
-            if Na.shape[0]:
-                X = X[kernels.min_slack(np.ascontiguousarray(X), Na) >= -1e-9]
-        if X.shape[0]:
-            _, idx = np.unique(np.round(X, 12), axis=0, return_index=True)
-            dist = batch_point_body_distance(np.ascontiguousarray(X[idx]), b)
-            best = max(best, float(dist.max()))
+            ok = (nrm > 1e-9) & (np.arccos(sig) > screen)
+            parts.append(X[ok] / nrm[ok, None])
+    X = np.vstack(parts)
+    X = np.vstack([X, -X])
+    if Na.shape[0]:
+        X = X[kernels.min_slack(X, Na) >= -1e-9]
+    best = float(batch_point_body_distance(np.vstack([Ga, X]), b).max())
     if best >= math.pi / 2.0 - 1e-9:
         return None
     return best
@@ -497,22 +499,39 @@ def directed_distance_sampled(a, b, resolution=None):
     first, then the deep cells, then the other explicit samples block
     by block, each only when its upper bound exceeds the threshold.
 
-    A deep cell with center u and radius r gets the upper bound
-    dist(u, b) + r from one exact evaluation of all the deep centers:
-    dist(., b) is 1-Lipschitz in the geodesic metric, and every row of
-    the cell lies within r of u (r is measured from the rows and padded
-    for rounding).  The cells are visited in decreasing order of that
-    bound, about `_CELL_BATCH` rows at a time, until the next bound is
-    at or below the threshold; every cell after it has a smaller bound.
+    Every row x of a deep cell with center u and radius r lies within r
+    of u (r is measured from the rows and padded for rounding), and
+    dist(., b) is 1-Lipschitz in the geodesic metric, so dist(x, b) is
+    at most dist(u, b) + r, and at most arccos(g . u) + r for the
+    generator g of b nearest to u, since g is a point of b.  Two kinds
+    of deep cell are dropped before any exact evaluation:
+
+    - a cell whose cheap bound arccos(g . u) + r is at or below the
+      threshold after the first pass;
+    - a cell inside b: with c the chord of r, n . x >= n . u - c for
+      every unit normal n of b, so a cell whose center slack against
+      b's normals, less c, is at least `_DEEP_SLACK` has every row
+      strictly inside b, at exact distance 0, which is at most the
+      running maximum.
+
+    The remaining cells get the tighter bound dist(u, b) + r from one
+    exact evaluation of their centers, and are visited in decreasing
+    order of it, about `_CELL_BATCH` rows at a time, until the next
+    bound is at or below the threshold; every cell after it has a
+    smaller bound.  The threshold only grows, so, up to the rounding of
+    its arccos, a cell dropped by its cheap bound would not have been
+    visited either: the visits are those of scoring every deep center.
 
     A skipped sample cannot change the result.  Its exact distance is
     at most its upper bound plus the bound's rounding, which is smaller
-    than the margin (the nearest generator is one of the exact
-    routine's candidates, and the cell bound adds two exact values), so
-    it lies below the threshold.  The running maximum is reached by an
-    evaluated sample.  The best lower bound is at most the exact
-    distance of its own sample, whose upper bound is at least that
-    distance, so that sample is evaluated too.
+    than the margin, so it lies below the threshold.  The nearest
+    generator is one of the exact routine's candidates and the Lipschitz
+    bound adds two exact values; only the arccos bounds round, by up to
+    sqrt(2 * 4 ulp), about 3e-8, near zero distance, where the cosine
+    rounds to 1.  The running maximum is reached by an evaluated
+    sample.  The best lower bound is at most the exact distance of its
+    own sample, whose upper bound is at least that distance, so that
+    sample is evaluated too.
     """
     resolution = _resolve_resolution(resolution, a)
     samples, grid, cells, deep = _cell_samples(a, resolution)
@@ -527,6 +546,11 @@ def directed_distance_sampled(a, b, resolution=None):
         first = np.argpartition(upper, n - k)[n - k:]
         best = float(batch_point_body_distance(samples[first], b).max())
         upper[first] = -np.inf  # already evaluated
+    if deep.size:
+        u, r = cells.centers[deep], cells.radii[deep]
+        inside = kernels.min_slack(u, b.normal_array) - 2.0 * np.sin(r / 2.0) >= _DEEP_SLACK
+        cheap = np.arccos(np.clip(kernels.max_dot(u, b.generator_array), -1.0, 1.0)) + r
+        deep = deep[~inside & (cheap > max(best, floor) - _PRUNE_MARGIN)]
     if deep.size:
         reach = batch_point_body_distance(cells.centers[deep], b) + cells.radii[deep]
         order = np.argsort(-reach, kind="stable")

@@ -480,6 +480,98 @@ class TestDirectedDistance:
             metric.directed_distance_with_bound(a, c)
 
 
+def _record_batches(monkeypatch):
+    """Record every block passed to the exact batch routine from now on."""
+    blocks = []
+    evaluate = metric.batch_point_body_distance
+
+    def recorded(X, target):
+        blocks.append(X)
+        return evaluate(X, target)
+
+    monkeypatch.setattr(metric, "batch_point_body_distance", recorded)
+    return blocks
+
+
+def _unscreened_exact(a, b):
+    """Exact directed distance from every generator of a and every
+    eigenvector candidate inside a, with no screen: for each pair of face
+    spans F of a and E of b, the eigenvectors of P_F P_E P_F in F and
+    their antipodes."""
+    Ga, Na = a.generator_array, a.normal_array
+    cands = [Ga]
+    for TF in metric._face_spans(a):
+        for TE in metric._face_spans(b):
+            for F, E in itertools.product(TF, TE):
+                _, V = np.linalg.eigh(F @ E.T @ E @ F.T)
+                X = V.T @ F
+                nrm = np.linalg.norm(X, axis=1)
+                X = X[nrm > 1e-9] / nrm[nrm > 1e-9, None]
+                X = np.vstack([X, -X])
+                if Na.shape[0]:
+                    X = X[(X @ Na.T).min(axis=1) >= -1e-9]
+                cands.append(X)
+    return float(metric.batch_point_body_distance(np.vstack(cands), b).max())
+
+
+def _lune(dim):
+    """{x_0 >= 0, x_1 >= 0} on S^2, and that lune on a great S^2 of S^3."""
+    e = np.eye(dim + 1)
+    return body.from_generators([e[dim], -e[dim], e[0], e[1]])
+
+
+def _exact_route_pairs():
+    """Certified pairs on S^1 to S^3: seeded Wulff bodies, their polars,
+    and hemisphere and lune targets; then the pinned pair whose maximum
+    lies inside a face."""
+    for dim in (1, 2, 3):
+        pole = harness.pole_axis(dim)
+        targets = [body.hemisphere_body(pole.vec)] + ([_lune(dim)] if dim > 1 else [])
+        for t in range(6):
+            rng = np.random.default_rng([dim, t, 11])
+            w1, w2 = (
+                harness.gen_wulff(
+                    pole, int(rng.integers(dim + 2, dim + 7)), rng.uniform(0.1, 1.2),
+                    int(rng.integers(2**31)),
+                )
+                for _ in range(2)
+            )
+            p1, p2 = transforms.polar(w1), transforms.polar(w2)
+            yield from ((w1, w2), (w2, w1), (p1, p2), (p2, p1), (w1, p2), (p1, w2))
+            for target in targets:
+                yield from ((w1, target), (p1, target))
+    pole = harness.pole_axis(2)
+    yield harness.gen_wulff(pole, 8, 0.9, 9), harness.gen_wulff(pole, 8, 0.9, 10009)
+
+
+class TestExactRoute:
+    """The screened single batch of `_exact_directed` against no screen."""
+
+    def test_matches_the_unscreened_candidates(self):
+        checked = inside_a_face = 0
+        for a, b in _exact_route_pairs():
+            value = metric._exact_directed(a, b)
+            if value is None:
+                continue
+            assert abs(value - _unscreened_exact(a, b)) <= 1e-15
+            checked += 1
+            vertices = metric.batch_point_body_distance(a.generator_array, b).max()
+            inside_a_face += value > vertices + 1e-12
+        # the pinned pair needs a face-interior candidate to reach 0.4057
+        assert abs(value - 0.40571753876675193) <= 1e-12
+        assert checked >= 100 and inside_a_face >= 10
+
+    def test_one_exact_batch(self, monkeypatch):
+        blocks = _record_batches(monkeypatch)
+        certified = 0
+        for a, b in _exact_route_pairs():
+            blocks.clear()
+            if metric._exact_directed(a, b) is not None:
+                assert len(blocks) == 1
+                certified += 1
+        assert certified >= 100
+
+
 # resolutions of the pruning properties: coarse enough for 30 drawn
 # pairs, fine enough for wide bodies to get thousands of samples
 _PRUNE_RESOLUTION = {1: 0.01, 2: 0.04, 3: 0.099}
@@ -499,16 +591,9 @@ def _all_sample_distances(a, b, resolution):
 
 def _evaluated_rows(monkeypatch, a, b, resolution):
     """The sampled value and the number of samples it evaluated exactly."""
-    rows = []
-    evaluate = metric.batch_point_body_distance
-
-    def counted(X, target):
-        rows.append(X.shape[0])
-        return evaluate(X, target)
-
-    monkeypatch.setattr(metric, "batch_point_body_distance", counted)
+    blocks = _record_batches(monkeypatch)
     value, _ = metric.directed_distance_sampled(a, b, resolution)
-    return float(value), sum(rows)
+    return float(value), sum(X.shape[0] for X in blocks)
 
 
 _FULL_SPHERE = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
@@ -519,8 +604,11 @@ class TestSampledPruning:
     """The sampled route returns the maximum over its whole sample set."""
 
     # fixed sources whose grid cells lie mostly or wholly inside them: the
-    # full sphere has no normals, so every one of its cells is deep
+    # full sphere has no normals, so every one of its cells is deep; from
+    # the hemisphere to the small cap far below it, the first pass's
+    # running maximum drops most deep cells before their centers are scored
     @example((body.hemisphere_body([0.0, 0.0, 1.0]), cap_body(0.5, [0, 120, 240])))
+    @example((body.hemisphere_body(POLE), harness.cap_polytope([0.2, 0.1, -1.0], 0.3, 5)))
     @example((_LUNE, cap_body(0.7, [30, 150, 270])))
     @example((_FULL_SPHERE, cap_body(0.6, [0, 90, 180, 270])))
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -628,6 +716,38 @@ class TestSampledPruning:
         )
         spacing = r / 2.05 / oracles.COVERING_COEFF[2]
         assert sum(rows) < 0.05 * oracles.sphere_grid(2, spacing).shape[0]
+
+    @pytest.mark.parametrize("center", [(1.0, 0.0, 0.3), (0.2, 0.1, -1.0)])
+    def test_deep_cells_are_bounded_before_their_centers_are_scored(self, monkeypatch, center):
+        # the hemisphere's 7,928 deep cells lie mostly far below the first
+        # pass's running maximum on their nearest-generator bound; scoring
+        # every deep center exactly is what the bound saves
+        source = body.hemisphere_body(POLE)
+        target = harness.cap_polytope(center, 0.3, 5)
+        r = 0.01
+        _, _, cells, deep = metric._cell_samples(source, r)
+        centers = {row.tobytes() for row in cells.centers[deep]}
+        _, exact = _all_sample_distances(source, target, r)
+        blocks = _record_batches(monkeypatch)
+        value, _ = metric.directed_distance_sampled(source, target, r)
+        assert float(value) == exact.max()
+        assert deep.size == 7928
+        scored = sum(row.tobytes() in centers for X in blocks for row in X)
+        assert scored < 0.05 * deep.size
+
+    def test_source_inside_its_target_evaluates_few_samples(self, monkeypatch):
+        # no point of the hemisphere is strictly within a quarter turn of all
+        # of it, so it takes the sampled route; the deep cells inside the
+        # target are dropped, and only the samples near the boundary circle
+        # are evaluated
+        hemisphere = body.hemisphere_body(POLE)
+        r = 0.01
+        samples = metric._body_sample_points(hemisphere, r).shape[0]
+        assert samples == 271048
+        blocks = _record_batches(monkeypatch)
+        value, err, path = metric.directed_distance_with_bound(hemisphere, hemisphere, r)
+        assert (float(value), err, path) == (0.0, r, "sampled")
+        assert sum(X.shape[0] for X in blocks) < 0.05 * samples
 
     def test_source_leaving_the_target_by_rounding_size(self):
         # one vertex of the source lies 5e-9 beyond a vertex of the target,
