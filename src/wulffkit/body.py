@@ -140,8 +140,12 @@ def hemisphere_body(center):
 def contains(body, q, tol=MEMBERSHIP_TOL):
     """Closed membership test: all normal slacks >= -tol and q within
     tol of the cone's linear span (the span condition matters for
-    lower-dimensional bodies)."""
-    v = as_vector(q)
+    lower-dimensional bodies).
+
+    q is normalized first, so any positive multiple of it gets the same
+    answer and the zero vector raises `NormalizationError`.
+    """
+    v = as_unit_point(q).vec
     if v.size != body.ambient_dim + 1:
         raise DimensionMismatchError(
             f"point in R^{v.size}, body in R^{body.ambient_dim + 1}"
@@ -249,6 +253,15 @@ def bodies_equal(a, b, tol):
 # -- serialization -----------------------------------------------------
 
 
+class _FieldError(ValueError):
+    """A `ShapeSpec` value failed validation; `field` names it the way a
+    shape file does ("dim" or "generators[i]")."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclasses.dataclass
 class ShapeSpec:
     """Serializable description of a body: sphere dimension, generator
@@ -261,19 +274,24 @@ class ShapeSpec:
     def __post_init__(self):
         self.ambient_dim = int(self.ambient_dim)
         if self.ambient_dim < 1:
-            raise ValueError("ambient_dim must be >= 1")
+            raise _FieldError("dim", "ambient_dim must be >= 1")
         rows = []
         for i, row in enumerate(self.generator_rows):
-            arr = [float(x) for x in row]
+            field = f"generators[{i}]"
+            try:
+                arr = [float(x) for x in row]
+            except OverflowError as e:
+                raise _FieldError(field, f"generator {i} has an entry beyond float range") from e
             if len(arr) != self.ambient_dim + 1:
-                raise ValueError(
+                raise _FieldError(
+                    field,
                     f"generator {i} has {len(arr)} coordinates, "
-                    f"expected {self.ambient_dim + 1}"
+                    f"expected {self.ambient_dim + 1}",
                 )
             if not np.isfinite(arr).all():
-                raise ValueError(f"generator {i} has non-finite entries")
+                raise _FieldError(field, f"generator {i} has non-finite entries")
             if np.linalg.norm(arr) < 1e-9:
-                raise ValueError(f"generator {i} is (numerically) zero")
+                raise _FieldError(field, f"generator {i} is (numerically) zero")
             rows.append(tuple(arr))
         self.generator_rows = rows
 
@@ -301,6 +319,15 @@ class ShapeSpec:
 
     @staticmethod
     def from_json(text, path=None):
+        """Parse a shape file: an object with integer field "dim" (the
+        sphere dimension n, at least 1), field "generators" (a nonempty
+        array of arrays of n+1 finite reals, none of them zero) and an
+        optional string "label".
+
+        Raises `ShapeFileError` naming what is wrong: the line of a JSON
+        syntax error, or the field, "dim", "generators", "generators[i]"
+        for row i, or "label".
+        """
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
@@ -339,8 +366,8 @@ class ShapeSpec:
             raise ShapeFileError("must be a string", path=path, field="label")
         try:
             return ShapeSpec(doc["dim"], gens, label)
-        except ValueError as e:
-            raise ShapeFileError(str(e), path=path, field="generators") from e
+        except _FieldError as e:
+            raise ShapeFileError(str(e), path=path, field=e.field) from e
 
 
 def save_shape(body_or_spec, path, label=None):

@@ -9,10 +9,10 @@ separate   separating hemisphere witness for two disjoint shapes
 verify     run property suites, write a CSV report and a summary
 gen        generate a random shape file
 
-Shape files use the JSON grammar documented in the README: an object
-with integer field "dim" (the sphere dimension n), field "generators"
-(a nonempty array of arrays of n+1 reals), and an optional string
-"label".
+Shape files use the JSON grammar that `body.ShapeSpec.from_json`
+reads: an object with integer field "dim" (the sphere dimension n,
+at least 1), field "generators" (a nonempty array of arrays of n+1
+finite reals, none of them zero), and an optional string "label".
 """
 
 import argparse

@@ -24,20 +24,20 @@ off by more than 2.5e-3.  Outside the certified regime the directed
 distance falls back to dense sampling of the source, within the
 sampling resolution of the true value.  That route needs only the
 largest sampled distance, so it works by branch and bound over small
-cells of the cached sphere grid (`oracles.grid_cells`).  A cell whose
-radius keeps it wholly inside the source is "deep", and a cell that
-keeps it far outside holds no sample; only the cells near the source's
-boundary are sampled row by row.  Those samples get two batch-kernel
-bounds each: dist(., b) lies between the distance to b's most violated
-supporting hemisphere and the distance to b's nearest generator.  Since
-dist(., b) is 1-Lipschitz, a deep cell is bounded by the distance from
-its center to b's nearest generator plus its radius; deep cells inside
-b, and those whose bound falls short of the running maximum, are
-dropped before any exact evaluation, and only the rest get the tighter
-bound dist(center, b) + radius from the exact routine.  The exact
-routine runs only on samples and cells whose upper bound can still
-reach the maximum, so the work grows with the source's boundary
-instead of with the grid.
+cells of the cached sphere grid (`oracles.grid_cells`), and every
+sample lies in a cell.  A cell whose radius keeps it wholly inside the
+source is "deep" and gives its grid rows as samples; a cell that keeps
+it far outside holds none; the rows of the cells near the source's
+boundary are sampled one by one and grouped by their cell, with band
+rows moved onto the source.  Since dist(., b) is 1-Lipschitz, every
+cell is bounded by the distance from its center to b plus its radius.
+After the source's generators set a first maximum, cells inside b and
+cells whose cheaper bound (through b's nearest generator) falls short
+of it are dropped, the rest get the exact bound from one batch of
+their centers, and they are visited in decreasing bound until the
+bound falls to the running maximum.  So the exact routine runs only on
+cells that can still reach the maximum, and the work grows with the
+source's boundary instead of with the grid.
 """
 
 import math
@@ -90,23 +90,15 @@ _BLOCK_PAIRS = 1 << 16
 # rows of a nearest-point query block may be off unit length by this much
 _UNIT_TOL = 1e-9
 
-# the sampled directed distance bounds its samples in blocks of this many
-# rows, so the kernels' temporaries stay small next to the sample set
-_BOUND_BLOCK = 1 << 15
-
-# it evaluates this many samples with the largest upper bounds first,
-# which sets the running maximum that prunes the rest
-_FIRST_PASS = 2048
-
-# deep grid cells are evaluated in batches of about this many rows, in
-# decreasing order of their upper bounds
+# the sampled directed distance evaluates its cells in batches of about
+# this many rows, in decreasing order of their upper bounds
 _CELL_BATCH = 2048
 
 # a grid cell counts as inside a body when the worst slack of its center
 # against the body's normals exceeds the cell's chord by this much
 _DEEP_SLACK = 1e-12
 
-# a sample, a grid cell or an eigenvector candidate is pruned only when
+# a cell of samples or an eigenvector candidate is pruned only when
 # its upper bound lies this far below a reached value or a lower bound:
 # it covers the rounding of an arccos (up to sqrt(2 * 4 ulp), about
 # 3e-8, near zero distance) and the 1e-10 membership tolerance behind
@@ -312,12 +304,19 @@ def batch_point_body_distance(X, body):
 def _cell_samples(body, resolution):
     """The body's sample set, split by cells of the sphere grid.
 
-    Returns (explicit, grid, cells, deep).  The deep cells (indices into
-    the grid's `oracles.GridCells`) lie wholly inside the body, so all of
-    their grid rows are samples.  The explicit rows are the rest: the
-    grid rows of the edge cells that lie inside the body, the
-    generators, and the nearest body points of the edge rows in the
-    sampling band.
+    Returns (explicit, groups, grid, cells, deep).  The deep cells
+    (indices into the grid's `oracles.GridCells`) lie wholly inside the
+    body, so all of their grid rows are samples.  The explicit samples
+    come from the other cells near the body, the edge cells, in grid
+    order: an edge row inside the body is kept, and an edge row in the
+    sampling band is replaced by its nearest body point.  `groups` is a
+    `GridCells` over the explicit rows (identity permutation) with one
+    group per edge cell that keeps a row.  A group's center is its
+    cell's center, and its radius is the cell's radius plus the largest
+    band displacement in it: a replaced row is within its displacement
+    of a row of the cell, so every explicit row lies within its group's
+    radius of the group's center.  The body's generators are samples
+    too, in neither part.
 
     With s_u the worst normal slack of a cell's center u and c the chord
     of its radius, every row x of the cell has n . x >= n . u - c for
@@ -326,23 +325,20 @@ def _cell_samples(body, resolution):
     body, and one with s_u + c < -band_width holds no row of the band
     or of the body; only the edge cells between get a slack per row.
     """
-    d = body.generator_array.shape[1]
-    sphere_dim = d - 1
+    sphere_dim = body.generator_array.shape[1] - 1
     r_cov = resolution / 2.05
     spacing = r_cov / oracles.COVERING_COEFF.get(sphere_dim, math.inf)
     grid = oracles.sphere_grid(sphere_dim, spacing)
     cells = oracles.grid_cells(sphere_dim, spacing)
     N = body.normal_array
-    if N.shape[0] == 0:
-        return np.zeros((0, d)), grid, cells, np.arange(cells.radii.size)
     # a grid point within r_cov of a body point violates each
     # constraint by at most the chord length 2 sin(r_cov / 2)
     band_width = 2.0 * math.sin(r_cov / 2.0) + MEMBERSHIP_TOL
     center_slack = kernels.min_slack(cells.centers, N)
     chord = 2.0 * np.sin(cells.radii / 2.0)
     deep = center_slack - chord >= _DEEP_SLACK
-    edge = ~deep & (center_slack + chord >= -band_width)
-    rows = grid[cells.rows(np.flatnonzero(edge))]
+    edge = np.flatnonzero(~deep & (center_slack + chord >= -band_width))
+    rows = grid[cells.rows(edge)]
     slack = kernels.min_slack(rows, N)
     inside = slack >= -MEMBERSHIP_TOL
     band = (~inside) & (slack >= -band_width)
@@ -352,9 +348,20 @@ def _cell_samples(body, resolution):
             f"sampling at resolution {resolution} needs {band_count} projections; "
             "increase the resolution"
         )
-    _, nearest = _nearest_body_points(rows[band], body)
-    explicit = np.ascontiguousarray(np.vstack([rows[inside], body.generator_array, nearest]))
-    return explicit, grid, cells, np.flatnonzero(deep)
+    shift = np.zeros(rows.shape[0])
+    shift[band], rows[band] = _nearest_body_points(rows[band], body)
+    keep = inside | band
+    # cell[i]: the position in `edge` of the cell holding row i
+    cell = np.repeat(np.arange(edge.size), cells.starts[edge + 1] - cells.starts[edge])
+    widen = np.zeros(edge.size)
+    np.maximum.at(widen, cell, shift)
+    kept = np.bincount(cell[keep], minlength=edge.size)
+    edge, widen = edge[kept > 0], widen[kept > 0]
+    starts = np.concatenate([[0], np.cumsum(kept[kept > 0])])
+    groups = oracles.GridCells(
+        np.arange(starts[-1]), starts, cells.centers[edge], cells.radii[edge] + widen
+    )
+    return np.ascontiguousarray(rows[keep]), groups, grid, cells, np.flatnonzero(deep)
 
 
 def _body_sample_points(body, resolution):
@@ -365,10 +372,12 @@ def _body_sample_points(body, resolution):
     body are replaced by their nearest body points.  Together with the
     generators these samples cover the body: every body point has a
     sample within 2 * (resolution/2.05) < resolution.  A body with no
-    normals (the full sphere) is sampled by the grid alone.
+    normals (the full sphere) has every grid cell deep, so its samples
+    are the whole grid and its generators.
     """
-    explicit, grid, cells, deep = _cell_samples(body, resolution)
-    return np.ascontiguousarray(np.vstack([explicit, grid[cells.rows(deep)]]))
+    explicit, _, grid, cells, deep = _cell_samples(body, resolution)
+    deep_rows = grid[cells.rows(deep)]
+    return np.ascontiguousarray(np.vstack([explicit, body.generator_array, deep_rows]))
 
 
 def point_body_distance_sampled(x, body, resolution=None):
@@ -486,91 +495,66 @@ def directed_distance_sampled(a, b, resolution=None):
 
     It returns the maximum of the exact distances to b over the sample
     set of `_body_sample_points`, but evaluates only the samples that
-    can still hold it.  `_cell_samples` hands the set over in two parts:
-    an explicit list (the rows near a's boundary, its generators and
-    the band projections), and the deep grid cells, whose rows all lie
-    inside a.  All samples are pruned against one running threshold,
-    the larger of the running maximum and the explicit list's best
-    lower bound, less `_PRUNE_MARGIN`.
+    can still hold it.  The generators of a are evaluated first and
+    seed the running maximum.  Every other sample lies in one cell
+    (`_cell_samples`): an edge group of the explicit samples or a deep
+    grid cell, each with a center u and a radius r that every one of
+    its samples lies within (r is padded for rounding).
 
-    Explicit samples first get a lower and an upper bound
-    (`_distance_bounds`, in blocks of `_BOUND_BLOCK` rows).  The
-    `_FIRST_PASS` samples with the largest upper bounds are evaluated
-    first, then the deep cells, then the other explicit samples block
-    by block, each only when its upper bound exceeds the threshold.
+    dist(., b) is 1-Lipschitz in the geodesic metric, so every sample x
+    of a cell has dist(x, b) <= dist(u, b) + r <= arccos(g . u) + r,
+    where g is the generator of b nearest to u, a point of b.  A cell is
+    dropped before any exact evaluation when its cheap bound
+    arccos(g . u) + r is at or below the running maximum less
+    `_PRUNE_MARGIN`, or when it lies inside b: with c the chord of r,
+    n . x >= n . u - c for every unit normal n of b, so a cell whose
+    center slack against b's normals, less c, is at least `_DEEP_SLACK`
+    has every sample strictly inside b, at distance 0.  The other cells
+    get the bound reach = dist(u, b) + r from one exact batch of their
+    centers, and are visited in decreasing reach, about `_CELL_BATCH`
+    rows at a time, until the next reach is at or below the running
+    maximum less the margin; the maximum only grows, and every later
+    cell has a smaller reach.
 
-    Every row x of a deep cell with center u and radius r lies within r
-    of u (r is measured from the rows and padded for rounding), and
-    dist(., b) is 1-Lipschitz in the geodesic metric, so dist(x, b) is
-    at most dist(u, b) + r, and at most arccos(g . u) + r for the
-    generator g of b nearest to u, since g is a point of b.  Two kinds
-    of deep cell are dropped before any exact evaluation:
-
-    - a cell whose cheap bound arccos(g . u) + r is at or below the
-      threshold after the first pass;
-    - a cell inside b: with c the chord of r, n . x >= n . u - c for
-      every unit normal n of b, so a cell whose center slack against
-      b's normals, less c, is at least `_DEEP_SLACK` has every row
-      strictly inside b, at exact distance 0, which is at most the
-      running maximum.
-
-    The remaining cells get the tighter bound dist(u, b) + r from one
-    exact evaluation of their centers, and are visited in decreasing
-    order of it, about `_CELL_BATCH` rows at a time, until the next
-    bound is at or below the threshold; every cell after it has a
-    smaller bound.  The threshold only grows, so, up to the rounding of
-    its arccos, a cell dropped by its cheap bound would not have been
-    visited either: the visits are those of scoring every deep center.
-
-    A skipped sample cannot change the result.  Its exact distance is
-    at most its upper bound plus the bound's rounding, which is smaller
-    than the margin, so it lies below the threshold.  The nearest
-    generator is one of the exact routine's candidates and the Lipschitz
-    bound adds two exact values; only the arccos bounds round, by up to
-    sqrt(2 * 4 ulp), about 3e-8, near zero distance, where the cosine
-    rounds to 1.  The running maximum is reached by an evaluated
-    sample.  The best lower bound is at most the exact distance of its
-    own sample, whose upper bound is at least that distance, so that
-    sample is evaluated too.
+    So every skipped sample lies within its cell's bound, and that bound
+    is at most the running maximum less the margin.  The exact routine
+    returns the angle to a body point in the stable atan2 form, so the
+    Lipschitz bound adds values exact to a few ulp; only the arccos of
+    the cheap bound rounds by more, up to sqrt(2 * 4 ulp), about 3e-8,
+    near zero distance, where the cosine rounds to 1.  The margin
+    exceeds both, so a skipped sample is below the running maximum,
+    which an evaluated sample reaches.
     """
     resolution = _resolve_resolution(resolution, a)
-    samples, grid, cells, deep = _cell_samples(a, resolution)
-    n = samples.shape[0]
-    upper = np.empty(n)
-    floor = best = 0.0
-    for lo in range(0, n, _BOUND_BLOCK):
-        lower, upper[lo:lo + _BOUND_BLOCK] = _distance_bounds(samples[lo:lo + _BOUND_BLOCK], b)
-        floor = max(floor, float(lower.max()))
-    if n:
-        k = min(n, _FIRST_PASS)
-        first = np.argpartition(upper, n - k)[n - k:]
-        best = float(batch_point_body_distance(samples[first], b).max())
-        upper[first] = -np.inf  # already evaluated
-    if deep.size:
-        u, r = cells.centers[deep], cells.radii[deep]
-        inside = kernels.min_slack(u, b.normal_array) - 2.0 * np.sin(r / 2.0) >= _DEEP_SLACK
-        cheap = np.arccos(np.clip(kernels.max_dot(u, b.generator_array), -1.0, 1.0)) + r
-        deep = deep[~inside & (cheap > max(best, floor) - _PRUNE_MARGIN)]
-    if deep.size:
-        reach = batch_point_body_distance(cells.centers[deep], b) + cells.radii[deep]
-        order = np.argsort(-reach, kind="stable")
-        deep, reach = deep[order], reach[order]
-        # taken[j]: rows in the first j cells of that order
-        taken = np.concatenate([[0], np.cumsum(cells.starts[deep + 1] - cells.starts[deep])])
-        done = 0
-        while True:
-            live = int(np.searchsorted(-reach, _PRUNE_MARGIN - max(best, floor)))
-            stop = min(live, int(np.searchsorted(taken, taken[done] + _CELL_BATCH)))
-            if stop <= done:
-                break
-            dist = batch_point_body_distance(grid[cells.rows(deep[done:stop])], b)
-            best = max(best, float(dist.max()))
-            done = stop
-    for lo in range(0, n, _BOUND_BLOCK):
-        live = np.flatnonzero(upper[lo:lo + _BOUND_BLOCK] > max(best, floor) - _PRUNE_MARGIN)
-        if live.size:
-            dist = batch_point_body_distance(samples[lo + live], b)
-            best = max(best, float(dist.max()))
+    samples, groups, grid, cells, deep = _cell_samples(a, resolution)
+    best = float(batch_point_body_distance(a.generator_array, b).max())
+    # cell j is edge group j for j < k, else deep cell deep[j - k]
+    k = groups.radii.size
+    u = np.vstack([groups.centers, cells.centers[deep]])
+    r = np.concatenate([groups.radii, cells.radii[deep]])
+    inside = kernels.min_slack(u, b.normal_array) - 2.0 * np.sin(r / 2.0) >= _DEEP_SLACK
+    cheap = np.arccos(np.clip(kernels.max_dot(u, b.generator_array), -1.0, 1.0)) + r
+    live = np.flatnonzero(~inside & (cheap > best - _PRUNE_MARGIN))
+    reach = batch_point_body_distance(u[live], b) + r[live]
+    order = np.argsort(-reach, kind="stable")
+    live, reach = live[order], reach[order]
+    size = np.concatenate([np.diff(groups.starts), cells.starts[deep + 1] - cells.starts[deep]])
+    # taken[j]: rows in the first j cells of that order
+    taken = np.concatenate([[0], np.cumsum(size[live])])
+    done = 0
+    while True:
+        stop = min(
+            int(np.searchsorted(-reach, _PRUNE_MARGIN - best)),
+            int(np.searchsorted(taken, taken[done] + _CELL_BATCH)),
+        )
+        if stop <= done:
+            break
+        pick = live[done:stop]
+        X = np.vstack(
+            [samples[groups.rows(pick[pick < k])], grid[cells.rows(deep[pick[pick >= k] - k])]]
+        )
+        best = max(best, float(batch_point_body_distance(X, b).max()))
+        done = stop
     return Angle(best), resolution
 
 

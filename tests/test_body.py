@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from wulffkit import body, cones, harness
-from wulffkit.errors import DimensionMismatchError, NonFiniteError, ShapeFileError
+from wulffkit.errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NormalizationError,
+    ShapeFileError,
+)
 
 
 def cap_points(colat, azimuths_deg):
@@ -146,6 +151,22 @@ class TestContains:
     def test_non_finite_point_rejected(self):
         with pytest.raises(NonFiniteError):
             body.contains(body.hemisphere_body([0.0, 0.0, 1.0]), [math.nan, 0.0, 1.0])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e300])
+    def test_scale_of_the_point_does_not_matter(self, scale):
+        # 1e-11 below the boundary circle: inside within the tolerance at
+        # unit length, and at every scale, since the point is normalized
+        h = body.hemisphere_body([0.0, 0.0, 1.0])
+        x = np.array([1.0, 0.0, -1e-11])
+        assert body.contains(h, x)
+        assert body.contains(h, scale * x) == body.contains(h, x)
+        far = np.array([1.0, 0.0, -1e-3])
+        assert not body.contains(h, far)
+        assert body.contains(h, scale * far) == body.contains(h, far)
+
+    def test_zero_point_rejected(self):
+        with pytest.raises(NormalizationError):
+            body.contains(body.hemisphere_body([0.0, 0.0, 1.0]), [0.0, 0.0, 0.0])
 
     def test_tolerance_knob(self):
         b = body.from_generators(cap_points(0.6, [0, 90, 180, 270]))
@@ -323,8 +344,27 @@ class TestShapeSpec:
     def test_row_length_mismatch(self):
         with pytest.raises(ShapeFileError) as ei:
             body.ShapeSpec.from_json('{"dim": 2, "generators": [[1, 0]]}')
-        assert ei.value.field == "generators"
+        assert ei.value.field == "generators[0]"
         assert "expected 3" in str(ei.value)
+
+    def test_dim_must_be_positive(self):
+        for bad in ("0", "-1"):
+            with pytest.raises(ShapeFileError) as ei:
+                body.ShapeSpec.from_json('{"dim": %s, "generators": [[1.0]]}' % bad)
+            assert ei.value.field == "dim"
+            assert "field dim:" in str(ei.value)
+
+    def test_bad_row_is_named_by_its_index(self):
+        for rows, i in (
+            ("[[1, 0, 0], [1, 0]]", 1),
+            ("[[1, 0, 0], [0, 1, 0], [0, 0, 0]]", 2),
+            ("[[1, 0, 1e999]]", 0),
+            ("[[1, 0, 0], [1, 0, 1%s]]" % ("0" * 400), 1),
+        ):
+            with pytest.raises(ShapeFileError) as ei:
+                body.ShapeSpec.from_json('{"dim": 2, "generators": %s}' % rows)
+            assert ei.value.field == f"generators[{i}]"
+            assert f"generator {i} " in str(ei.value)
 
     def test_zero_row_rejected(self):
         with pytest.raises(ShapeFileError) as ei:

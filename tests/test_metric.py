@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -584,6 +584,12 @@ def sampled_pairs(draw):
     return _draw_body(draw, dim, _KINDS)[0], _draw_body(draw, dim, _KINDS)[0]
 
 
+@st.composite
+def sampled_bodies(draw):
+    """One seeded body of any drawn kind, S^1 to S^3."""
+    return _draw_body(draw, draw(st.sampled_from([1, 2, 3])), _KINDS)[0]
+
+
 def _all_sample_distances(a, b, resolution):
     samples = metric._body_sample_points(a, resolution)
     return samples, metric.batch_point_body_distance(samples, b)
@@ -605,8 +611,8 @@ class TestSampledPruning:
 
     # fixed sources whose grid cells lie mostly or wholly inside them: the
     # full sphere has no normals, so every one of its cells is deep; from
-    # the hemisphere to the small cap far below it, the first pass's
-    # running maximum drops most deep cells before their centers are scored
+    # the hemisphere to the small cap far below it, the generators' running
+    # maximum drops most deep cells before their centers are scored
     @example((body.hemisphere_body([0.0, 0.0, 1.0]), cap_body(0.5, [0, 120, 240])))
     @example((body.hemisphere_body(POLE), harness.cap_polytope([0.2, 0.1, -1.0], 0.3, 5)))
     @example((_LUNE, cap_body(0.7, [30, 150, 270])))
@@ -624,14 +630,46 @@ class TestSampledPruning:
         assert (exact <= upper + 5e-8).all()
         value, _ = metric.directed_distance_sampled(a, b, r)
         assert abs(float(value) - exact.max()) <= 1e-15
-        # a small first pass, small bound blocks and small cell batches put
-        # the pruning pass and the cell loop to work on every pair, not
+        # small cell batches put the cell loop to work on every pair, not
         # only on those with many samples
-        with mock.patch.object(metric, "_FIRST_PASS", 8), mock.patch.object(
-            metric, "_BOUND_BLOCK", 100
-        ), mock.patch.object(metric, "_CELL_BATCH", 5):
+        with mock.patch.object(metric, "_CELL_BATCH", 5):
             value, _ = metric.directed_distance_sampled(a, b, r)
         assert abs(float(value) - exact.max()) <= 1e-15
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(sampled_bodies())
+    def test_every_explicit_sample_lies_in_one_edge_group(self, a):
+        r = _PRUNE_RESOLUTION[a.ambient_dim]
+        explicit, groups, grid, cells, deep = metric._cell_samples(a, r)
+        # the groups cut the explicit rows into consecutive nonempty runs
+        assert np.array_equal(groups.perm, np.arange(explicit.shape[0]))
+        assert groups.starts[0] == 0 and groups.starts[-1] == explicit.shape[0]
+        assert (np.diff(groups.starts) > 0).all()
+        owner = np.repeat(np.arange(groups.radii.size), np.diff(groups.starts))
+        assert (metric._angles(groups.centers[owner], explicit) <= groups.radii[owner]).all()
+        # with the deep rows they hold each grid row inside a or in its band
+        # once, a band row moved onto a
+        slack = kernels.min_slack(grid, a.normal_array)
+        band_width = 2.0 * math.sin(r / 2.05 / 2.0) + 1e-10
+        assert explicit.shape[0] + cells.rows(deep).size == int((slack >= -band_width).sum())
+        assert all(body.contains(a, x) for x in explicit[:: max(1, explicit.shape[0] // 200)])
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            (cap_body(1.2, [0, 90, 180, 270]), body.hemisphere_body([1.0, 0.0, 0.0])),
+            (_LUNE, cap_body(0.7, [30, 150, 270])),
+        ],
+        ids=["square-hemisphere", "lune-triangle"],
+    )
+    def test_few_rows_when_a_generator_holds_the_maximum(self, monkeypatch, source, target):
+        # the source's generators set the running maximum before any cell
+        # is scored, and the cells' bounds then stop at a few hundred rows
+        samples, exact = _all_sample_distances(source, target, 0.01)
+        assert samples.shape[0] > 2048
+        value, rows = _evaluated_rows(monkeypatch, source, target, 0.01)
+        assert value == exact.max()
+        assert rows < 1024
 
     def test_full_sphere_target(self):
         assert _FULL_SPHERE.normal_array.shape[0] == 0
@@ -693,7 +731,7 @@ class TestSampledPruning:
         # every nearest-generator bound is loose, but the grid cells inside
         # the source are bounded from the exact distance at their centers,
         # which is tight there: most of the samples are still skipped
-        assert samples.shape[0] > metric._FIRST_PASS
+        assert samples.shape[0] > 2048
         value, rows = _evaluated_rows(monkeypatch, source, target, r)
         assert value == exact.max()
         assert rows < samples.shape[0] // 2
@@ -719,13 +757,13 @@ class TestSampledPruning:
 
     @pytest.mark.parametrize("center", [(1.0, 0.0, 0.3), (0.2, 0.1, -1.0)])
     def test_deep_cells_are_bounded_before_their_centers_are_scored(self, monkeypatch, center):
-        # the hemisphere's 7,928 deep cells lie mostly far below the first
-        # pass's running maximum on their nearest-generator bound; scoring
-        # every deep center exactly is what the bound saves
+        # the hemisphere's 7,928 deep cells lie mostly far below the
+        # generators' running maximum on their nearest-generator bound;
+        # scoring every deep center exactly is what the bound saves
         source = body.hemisphere_body(POLE)
         target = harness.cap_polytope(center, 0.3, 5)
         r = 0.01
-        _, _, cells, deep = metric._cell_samples(source, r)
+        _, _, _, cells, deep = metric._cell_samples(source, r)
         centers = {row.tobytes() for row in cells.centers[deep]}
         _, exact = _all_sample_distances(source, target, r)
         blocks = _record_batches(monkeypatch)
@@ -761,7 +799,7 @@ class TestSampledPruning:
         source = body.from_generators(np.vstack([source.generator_array, pushed]))
         r = 0.01
         samples, exact = _all_sample_distances(source, target, r)
-        assert samples.shape[0] > metric._FIRST_PASS
+        assert samples.shape[0] > 2048
         assert abs(exact.max() - 5e-9) <= 1e-15
         value, _ = metric.directed_distance_sampled(source, target, r)
         assert float(value) == exact.max()
@@ -917,6 +955,31 @@ class TestHausdorffProperties:
         h_bc, e_bc, _ = metric.hausdorff_with_bound(b2, c, 0.02)
         h_ac, e_ac, _ = metric.hausdorff_with_bound(a, c, 0.02)
         assert float(h_ac) <= float(h_ab) + float(h_bc) + e_ab + e_bc + e_ac + 1e-12
+
+
+@st.composite
+def directed_pairs(draw):
+    """Two seeded `gen_convex_body` bodies on one drawn sphere, S^1 to S^3."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    return _draw_body(draw, dim, _CONVEX_KINDS)[0], _draw_body(draw, dim, _CONVEX_KINDS)[0]
+
+
+class TestDirectedIsometry:
+    """Polarity swaps directed distances below a quarter turn:
+    d(a, b) = d(b*, a*) whenever d(a, b) < pi/2."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(directed_pairs())
+    def test_exact_directed_distance_survives_the_swap(self, pair):
+        a, b2 = pair
+        # only exact values are compared, so the sampled route is not run
+        with mock.patch.object(metric, "directed_distance_sampled", lambda *_: (None, None)):
+            d_ab, _, path_ab = metric.directed_distance_with_bound(a, b2)
+            d_ba, _, path_ba = metric.directed_distance_with_bound(
+                transforms.polar(b2), transforms.polar(a)
+            )
+        assume(path_ab == path_ba == "exact" and float(d_ab) < math.pi / 2.0 - 1e-6)
+        assert abs(float(d_ab) - float(d_ba)) <= 1e-12
 
 
 class TestHemisphereHausdorff:
