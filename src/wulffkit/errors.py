@@ -36,7 +36,8 @@ class NonHemisphericalError(WulffkitError):
 
 
 class SeparationError(WulffkitError):
-    """No separating hemisphere exists (bodies touch or overlap)."""
+    """No q puts the first body in {q . x > 0} and the second in {q . x < 0}
+    (the bodies touch or overlap, or one is a hemisphere or a lune)."""
 
     def __init__(self, message="no-separator"):
         super().__init__(message)

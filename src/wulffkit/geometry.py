@@ -205,12 +205,11 @@ def subspace_canonical_basis(projector, expected_dim=None):
 
 
 def complement_basis(p):
-    """Canonical orthonormal basis (rows) of the complement of span(p)."""
-    v = as_vector(p)
-    n = float(np.linalg.norm(v))
-    if n < NEAR_ZERO:
-        raise NormalizationError("cannot complement a zero vector")
-    v = v / n
+    """Canonical orthonormal basis (rows) of the complement of span(p).
+
+    p, a UnitPoint too, is normalized afresh through `as_unit_point`,
+    which scales before it normalizes, so any scale works."""
+    v = as_unit_point(as_vector(p)).vec
     proj = np.eye(v.size) - np.outer(v, v)
     return subspace_canonical_basis(proj, expected_dim=v.size - 1)
 

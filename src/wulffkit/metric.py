@@ -8,8 +8,6 @@ itself when it is inside, the nearest generator, and the normalized
 projections onto the spans of the body's faces, found at once for the
 whole block.  The closest candidate is exact.
 The faces are read off the generator-normal incidence (`_face_spans`).
-The sampling band and the alternating projections of `min_body_gap`
-use the same routine.
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
@@ -69,9 +67,6 @@ from .transforms import polar, polar_admissible
 #: points at 0.06; 0.005 would need 6.2e9, over `oracles.GRID_POINT_LIMIT`)
 DEFAULT_RESOLUTION = {1: 0.005, 2: 0.005, 3: 0.06}
 
-#: bodies with a smaller minimum gap than this are treated as touching
-DISJOINTNESS_GAP = 1e-7
-
 #: boundary band excluded by the dilation-intersection identity check
 IDENTITY_BAND = 1e-6
 
@@ -79,9 +74,6 @@ IDENTITY_BAND = 1e-6
 _BAND_LIMIT = 2_000_000
 
 _SAFE_ASSIGN = 1e-12
-
-# alternating projections of `min_body_gap` stop after this many rounds
-_GAP_ITERATIONS = 120
 
 # nearest-point blocks hold about this many (row, generator or face
 # span) pairs, which bounds the temporaries of a large query block
@@ -434,7 +426,7 @@ def _exact_directed(a, b):
     batch.  A candidate survives when its own stationary branch value,
     arccos(sigma), exceeds the generators' largest lower bound (the
     distance to b's most violated supporting hemisphere,
-    `_distance_bounds`) less `_PRUNE_MARGIN`.  That screen cannot drop
+    `_hemisphere_lower_bound`) less `_PRUNE_MARGIN`.  That screen cannot drop
     the maximizer x*: when it lies inside a face it appears among the
     candidates with its exact branch value sigma = cos(dist(x*, b)), and
     dist(x*, b) is at least every generator's distance, hence at least
@@ -448,7 +440,7 @@ def _exact_directed(a, b):
     Ga = a.generator_array
     Na = a.normal_array
     d = Ga.shape[1]
-    screen = float(_distance_bounds(Ga, b)[0].max()) - _PRUNE_MARGIN
+    screen = float(_hemisphere_lower_bound(Ga, b).max()) - _PRUNE_MARGIN
     parts = [np.zeros((0, d))]
     for TF in _face_spans(a):
         sa, f = TF.shape[:2]
@@ -473,18 +465,18 @@ def _exact_directed(a, b):
     return best
 
 
-def _distance_bounds(X, body):
-    """Lower and upper bounds on the distance from each unit row to the body.
+def _hemisphere_lower_bound(X, body):
+    """Lower bound on each unit row's distance to the body: asin(-n . x),
+    its distance to the most violated supporting hemisphere {n . y >= 0}
+    (0 if none).  The normals carry the +/- lineality rows, so the body
+    lies in every one."""
+    return np.arcsin(np.clip(-kernels.min_slack(X, body.normal_array), 0.0, 1.0))
 
-    Lower: asin(-n . x), the distance to the body's most violated
-    supporting hemisphere {n . y >= 0}, or 0 when none is violated.  The
-    normal list carries the +/- lineality rows, so the body lies inside
-    every one of these hemispheres.  Upper: arccos(g . x), the angle to
-    the nearest generator, which is a body point.
-    """
-    slack = kernels.min_slack(X, body.normal_array)
-    align = kernels.max_dot(X, body.generator_array)
-    return np.arcsin(np.clip(-slack, 0.0, 1.0)), np.arccos(np.clip(align, -1.0, 1.0))
+
+def _generator_upper_bound(X, body):
+    """Upper bound on each unit row's distance to the body: its angle to
+    the nearest generator, arccos(g . x)."""
+    return np.arccos(np.clip(kernels.max_dot(X, body.generator_array), -1.0, 1.0))
 
 
 def directed_distance_sampled(a, b, resolution=None):
@@ -533,7 +525,7 @@ def directed_distance_sampled(a, b, resolution=None):
     u = np.vstack([groups.centers, cells.centers[deep]])
     r = np.concatenate([groups.radii, cells.radii[deep]])
     inside = kernels.min_slack(u, b.normal_array) - 2.0 * np.sin(r / 2.0) >= _DEEP_SLACK
-    cheap = np.arccos(np.clip(kernels.max_dot(u, b.generator_array), -1.0, 1.0)) + r
+    cheap = _generator_upper_bound(u, b) + r
     live = np.flatnonzero(~inside & (cheap > best - _PRUNE_MARGIN))
     reach = batch_point_body_distance(u[live], b) + r[live]
     order = np.argsort(-reach, kind="stable")
@@ -674,51 +666,22 @@ def dilation_intersection_check(w, r, samples, seed):
 # ---------------------------------------------------------------------------
 
 
-def min_body_gap(a, b):
-    """Smallest geodesic distance between points of two bodies.
-
-    Alternating nearest-point iteration on the two bodies, started from
-    the closest generator pair.  For bodies in a common open hemisphere
-    this converges to the minimizing pair; it is used as a disjointness
-    gate, with the separation solve providing the final certificate.
-    """
-    Ga = a.generator_array
-    Gb = b.generator_array
-    if Ga.shape[1] != Gb.shape[1]:
-        raise DimensionMismatchError("bodies live in different ambient spaces")
-    dots = Ga @ Gb.T
-    i, j = np.unravel_index(int(np.argmax(dots)), dots.shape)
-    y = Gb[j][None, :]
-    best = float(_angles(Ga[i][None, :], y)[0])
-    for _ in range(_GAP_ITERATIONS):
-        _, x = _nearest_body_points(y, a)
-        gap, y = _nearest_body_points(x, b)
-        current = float(gap[0])
-        if best - current < 1e-14:
-            best = min(best, current)
-            break
-        best = current
-    return Angle(best)
-
-
 def separate(a, b):
-    """Unit normal of a great sphere with a inside and b strictly outside.
+    """Unit normal q of a great sphere with a inside and b strictly outside.
 
-    Solves a small linear program maximizing the two-sided margin over
-    the generator sets, then re-verifies both clauses before returning.
-    Margin positivity at the generators transfers to the whole bodies:
-    every body member is a convex-cone combination y = sum(lam_i g_i)
-    with sum(lam_i) >= |y| = 1, so q . y <= -eps carries over.
+    A linear program maximizes t subject to G_a q >= t, G_b q <= -t and
+    |q_i| <= 1.  Only t > `_SAFE_ASSIGN` counts, so a hemisphere or a
+    lune as either argument always raises.  q / |q| is re-verified on
+    the raw generators (G_a q >= -MEMBERSHIP_TOL, G_b q <= -FEAS_EPS),
+    which carries over to the bodies: a member is y = sum(lam_i g_i)
+    with sum(lam_i) >= |y| = 1.  No gap test is needed: a common point
+    y = sum(lam_i g_a,i) = sum(mu_j g_b,j), lam, mu >= 0 not all zero,
+    has t sum(lam) <= q . y <= -t sum(mu), so t <= 0.
     """
     Ga = a.generator_array
     Gb = b.generator_array
     if Ga.shape[1] != Gb.shape[1]:
         raise DimensionMismatchError("bodies live in different ambient spaces")
-    gap = min_body_gap(a, b)
-    if float(gap) <= DISJOINTNESS_GAP:
-        raise SeparationError(
-            f"no-separator: bodies are closer than the disjointness gap ({float(gap):.3e})"
-        )
     d = Ga.shape[1]
     # variables (q, t): maximize t subject to  Ga q >= t,  Gb q <= -t
     c = np.zeros(d + 1)

@@ -9,9 +9,10 @@ path: the sampled distance route and the dilation-identity check of
 The oracles are slow routes, independent of the production code, to
 answers it computes another way: subset enumeration for the face spans
 of `metric` and for the extreme rays of a dual cone, per-ray membership
-fits for extreme rays, and a linear-program sweep for a nontrivial dual
-cone.  The tests cross-validate against them; no production path calls
-the oracles.
+fits for extreme rays, a linear-program sweep for a nontrivial dual
+cone, and alternating projections for the gap between two bodies.  The
+tests cross-validate against them; no production path calls the
+oracles.
 
 The grid construction is recursive: a circle is sampled at equal
 angles, and the n-sphere is built as colatitude rings, each ring
@@ -51,8 +52,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import cones
-from .errors import NormalizationError, ResolutionError
-from .geometry import subspace_canonical_basis
+from .errors import DimensionMismatchError, NormalizationError, ResolutionError
+from .geometry import Angle, subspace_canonical_basis
 
 #: geodesic covering radius of ``sphere_grid(dim, s)`` is at most
 #: ``COVERING_COEFF[dim] * s`` (dim = dimension of the sphere itself)
@@ -78,6 +79,9 @@ _INDEX_CHUNK = 1 << 16
 # added to every measured cell radius: covers the rounding of the rows,
 # the centers and the chords it is measured from
 _RADIUS_PAD = 1e-12
+
+# alternating projections of `min_body_gap` stop after this many rounds
+_GAP_ITERATIONS = 120
 
 # (dim, spacing) -> {"grid": rows, "cells": GridCells once built}
 _grid_cache = {}
@@ -352,3 +356,34 @@ def nontrivial_dual_witness(G):
                 if float((G @ q).min()) >= -cones.FEAS_EPS:
                     return q
     return None
+
+
+def min_body_gap(a, b):
+    """Smallest geodesic distance between points of two bodies, from above.
+
+    Alternating nearest-point iteration from the closest generator pair.
+    It holds distances between points of a and b, so it never falls
+    below the gap, but it can stop above it: against the exact gap
+    pi/2 - d(-a, b*) of 300 seeded S^2 and S^3 pairs each (gaps below
+    pi/2), it was at most 1.4e-15 below, and above by more than 1e-9 on
+    3 and 5 pairs, by up to 0.039 and 0.048 rad.
+    """
+    from . import metric  # not at load time: `metric` imports this module
+
+    Ga = a.generator_array
+    Gb = b.generator_array
+    if Ga.shape[1] != Gb.shape[1]:
+        raise DimensionMismatchError("bodies live in different ambient spaces")
+    dots = Ga @ Gb.T
+    i, j = np.unravel_index(int(np.argmax(dots)), dots.shape)
+    y = Gb[j][None, :]
+    best = float(metric._angles(Ga[i][None, :], y)[0])
+    for _ in range(_GAP_ITERATIONS):
+        _, x = metric._nearest_body_points(y, a)
+        gap, y = metric._nearest_body_points(x, b)
+        current = float(gap[0])
+        if best - current < 1e-14:
+            best = min(best, current)
+            break
+        best = current
+    return Angle(best)

@@ -218,7 +218,7 @@ def test_separation_witness_100_disjoint_pairs():
         axis /= np.linalg.norm(axis)
         a = body.from_generators(axis + 0.35 * rng.normal(size=(4, 3)))
         b2 = body.from_generators(-axis + 0.35 * rng.normal(size=(4, 3)))
-        if float(metric.min_body_gap(a, b2)) <= 1e-3:
+        if float(oracles.min_body_gap(a, b2)) <= 1e-3:
             continue
         q = metric.separate(a, b2)
         assert float((a.generator_array @ q.vec).min()) >= 0.0

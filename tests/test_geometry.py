@@ -225,6 +225,20 @@ class TestSubspaceBasis:
         assert np.allclose(B @ p.vec, 0.0, atol=1e-12)
         assert np.allclose(B @ B.T, np.eye(2), atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_complement_basis_at_any_scale(self, scale):
+        # normalized through `as_unit_point`, which scales first, so a
+        # huge multiple gives the same basis instead of overflowing
+        B = complement_basis(scale * np.array([3.0, 4.0, 0.0]))
+        assert np.allclose(B, complement_basis([0.6, 0.8, 0.0]), rtol=0.0, atol=1e-15)
+        assert np.allclose(B @ [0.6, 0.8, 0.0], 0.0, atol=1e-15)
+
+    def test_complement_basis_refuses_a_tiny_multiple(self):
+        # at 1e-300 the vector is shorter than NEAR_ZERO, so it gives no
+        # direction, as in `as_unit_point`
+        with pytest.raises(NormalizationError, match="cannot define a direction"):
+            complement_basis([3e-300, 4e-300, 0.0])
+
 
 class TestSampleCap:
     def test_samples_stay_in_cap(self):

@@ -623,7 +623,8 @@ class TestSampledPruning:
         a, b = pair
         r = _PRUNE_RESOLUTION[a.ambient_dim]
         samples, exact = _all_sample_distances(a, b, r)
-        lower, upper = metric._distance_bounds(samples, b)
+        lower = metric._hemisphere_lower_bound(samples, b)
+        upper = metric._generator_upper_bound(samples, b)
         # the bounds bracket every exact distance; the upper bound's
         # arccos is off by up to sqrt(2 * 4 ulp) near zero
         assert (lower <= exact + 1e-9).all()
@@ -725,7 +726,7 @@ class TestSampledPruning:
         source = body.from_generators(center + spread)
         r = 0.004
         samples, exact = _all_sample_distances(source, target, r)
-        _, upper = metric._distance_bounds(samples, target)
+        upper = metric._generator_upper_bound(samples, target)
         top = int(exact.argmax())
         assert upper[top] - exact[top] > 0.3
         # every nearest-generator bound is loose, but the grid cells inside
@@ -794,7 +795,8 @@ class TestSampledPruning:
         target = cap_body(0.8, [0, 90, 180, 270])
         source = cap_body(0.8, [90, 180, 270])
         pushed = np.array([math.sin(0.8 + 5e-9), 0.0, math.cos(0.8 + 5e-9)])
-        lower, upper = metric._distance_bounds(pushed[None, :], target)
+        lower = metric._hemisphere_lower_bound(pushed[None, :], target)
+        upper = metric._generator_upper_bound(pushed[None, :], target)
         assert upper[0] == 0.0 < lower[0]
         source = body.from_generators(np.vstack([source.generator_array, pushed]))
         r = 0.01
@@ -871,7 +873,7 @@ class TestDimensionMismatchErrors:
             lambda a, c: metric.point_body_distance([1.0, 0.0], a),
             lambda a, c: metric.batch_point_body_distance(np.eye(2), a),
             lambda a, c: metric.directed_distance_with_bound(a, c),
-            lambda a, c: metric.min_body_gap(a, c),
+            lambda a, c: oracles.min_body_gap(a, c),
             lambda a, c: metric.separate(a, c),
         ],
         ids=[
@@ -1111,12 +1113,12 @@ class TestSeparation:
         a = body.from_generators([POLE])
         q = np.array([math.sin(0.9), 0.0, math.cos(0.9)])
         b2 = body.from_generators([q])
-        assert float(metric.min_body_gap(a, b2)) == pytest.approx(0.9, abs=1e-12)
+        assert float(oracles.min_body_gap(a, b2)) == pytest.approx(0.9, abs=1e-12)
 
     def test_min_gap_point_to_cap(self):
         cap = cap_body(0.6, [0, 90, 180, 270])
         pt = body.from_generators([[1.0, 0.0, 0.0]])
-        assert float(metric.min_body_gap(pt, cap)) == pytest.approx(
+        assert float(oracles.min_body_gap(pt, cap)) == pytest.approx(
             math.pi / 2 - 0.6, abs=1e-12
         )
 
@@ -1126,8 +1128,30 @@ class TestSeparation:
         # 2 * colatitude for the square)
         north = cap_body(0.5, [0, 90, 180, 270])
         south = body.from_generators(-north.generator_array)
-        gap = float(metric.min_body_gap(north, south))
+        gap = float(oracles.min_body_gap(north, south))
         assert gap == pytest.approx(math.pi - 2 * 0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("dim,pairs,seed", [(2, 100, 13), (3, 60, 17)])
+    def test_min_gap_never_below_the_exact_gap(self, dim, pairs, seed):
+        # below a quarter turn the gap is exactly pi/2 - d(-a, b*), since
+        # dist(-x, b*) = pi/2 - dist(x, b) for every x of a; the oracle
+        # returns a distance between body points, so it is never below
+        rng = np.random.default_rng(seed)
+        d = dim + 1
+        used = 0
+        while used < pairs:
+            centers = rng.normal(size=(2, d))
+            centers /= np.linalg.norm(centers, axis=1)[:, None]
+            a = body.from_generators(centers[0] + 0.3 * rng.normal(size=(d + 1, d)))
+            b2 = body.from_generators(centers[1] + 0.3 * rng.normal(size=(d + 1, d)))
+            if not transforms.polar_admissible(b2):
+                continue
+            minus_a = body.from_generators(-a.generator_array)
+            value = metric._exact_directed(minus_a, transforms.polar(b2))
+            if value is None or value <= 1e-6:
+                continue
+            assert float(oracles.min_body_gap(a, b2)) >= math.pi / 2 - value - 1e-12
+            used += 1
 
     def test_separate_and_reverify(self):
         cap = cap_body(0.4, [0, 120, 240])
@@ -1146,7 +1170,7 @@ class TestSeparation:
             pts_b = -axis + 0.3 * rng.normal(size=(4, 3))
             a = body.from_generators(pts_a)
             b2 = body.from_generators(pts_b)
-            if float(metric.min_body_gap(a, b2)) <= 1e-3:
+            if float(oracles.min_body_gap(a, b2)) <= 1e-3:
                 continue
             q = metric.separate(a, b2)
             assert float((a.generator_array @ q.vec).min()) >= -1e-9
@@ -1166,11 +1190,28 @@ class TestSeparation:
         with pytest.raises(SeparationError):
             metric.separate(a, b2)
 
+    def test_near_touching_point_gets_a_separator(self):
+        # the separation program decides alone, with no gap test in front:
+        # a point a few 1e-8 beyond a vertex of the cap is separated, and
+        # the vertex itself is not
+        cap = cap_body(0.8, [0, 90, 180, 270])
+
+        def beyond_vertex(gap):
+            return body.from_generators([[math.sin(0.8 + gap), 0.0, math.cos(0.8 + gap)]])
+
+        for gap in (3e-8, 1e-7):
+            pt = beyond_vertex(gap)
+            q = metric.separate(cap, pt).vec
+            assert float((cap.generator_array @ q).min()) >= -metric.MEMBERSHIP_TOL
+            assert float((pt.generator_array @ q).max()) <= -cones.FEAS_EPS
+        with pytest.raises(SeparationError):
+            metric.separate(cap, beyond_vertex(0.0))
+
     def test_dimension_mismatch(self):
         a = cap_body(0.5, [0, 120, 240])
         c = body.from_generators([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            metric.min_body_gap(a, c)
+            oracles.min_body_gap(a, c)
         with pytest.raises(ValueError):
             metric.separate(a, c)
 

@@ -20,6 +20,33 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+# the names of `oracles` the package may read: its sphere sampling, which
+# the sampled route, the dilation-identity check and the suites use
+_SAMPLING = {"sphere_grid", "grid_cells", "GridCells", "uniform_sphere_points", "COVERING_COEFF"}
+
+
+def test_oracles_stay_off_the_production_path():
+    # no package module but `oracles.py` itself reads a test oracle, as
+    # `oracles.<name>` or through `from .oracles import <name>`
+    found = []
+    for path in sorted(Path(wulffkit.__file__).parent.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "oracles"
+            ):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oracles"):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n not in _SAMPLING]
+    assert found == []
+
+
 def _unused_imports(path):
     # names an import binds that the module never reads
     tree = ast.parse(path.read_text(), filename=str(path))
