@@ -8,8 +8,8 @@ lists are canonical — lexicographically sorted and irredundant — so
 equal bodies have identical representations up to tolerance.
 
 Non-pointed cones (hemispheres, lunes, subspheres) carry their
-lineality as explicit +/- basis-vector generator pairs; the span
-condition in `contains` is then automatic.
+lineality as explicit +/- basis-vector generator pairs; normals carry
+the complement of a lower-dimensional cone's span the same way.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import json
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import cones
+from . import cones, kernels
 from .errors import DimensionMismatchError, NonFiniteError, ShapeFileError
 from .geometry import (
     MEMBERSHIP_TOL,
@@ -30,8 +30,15 @@ from .geometry import (
 class SphericalBody:
     """Canonical polyhedral-cone cap on S^n.
 
-    Build through `from_generators` / `hemisphere_body`; the raw
-    constructor trusts its inputs and is internal.
+    Build through `from_generators`, `hemisphere_body` or
+    `transforms.polar`; the raw constructor trusts its inputs.
+
+    Invariant: every unit c orthogonal to span(G) has n . c < 0 for some
+    normal n, so the slack test min(N q) >= -tol alone decides membership.
+    Proof: the constructors store N as the dual cone's rays plus +/- an
+    orthonormal basis of its lineality, the complement of span(G) (`polar`
+    reuses the input's generators, which carry their lineality that way);
+    c . e != 0 for some basis vector e, and one of +/- e has negative slack.
     """
 
     def __init__(self, gens, normals, _trusted=False):
@@ -138,27 +145,21 @@ def hemisphere_body(center):
 
 
 def contains(body, q, tol=MEMBERSHIP_TOL):
-    """Closed membership test: all normal slacks >= -tol and q within
-    tol of the cone's linear span (the span condition matters for
-    lower-dimensional bodies).
+    """Closed membership test: every normal slack is >= -tol.
 
-    q is normalized first, so any positive multiple of it gets the same
-    answer and the zero vector raises `NormalizationError`.
+    `metric`'s nearest-point routine reads the same test, so q is
+    contained exactly when `point_body_distance` is 0; the span of a
+    lower-dimensional body needs no test of its own (see `SphericalBody`).
+    q is normalized first, so any large multiple gets the same answer,
+    but NEAR_ZERO = 1e-9 is an absolute floor (only the overflow side is
+    scale-free): a shorter vector raises `NormalizationError`.
     """
     v = as_unit_point(q).vec
     if v.size != body.ambient_dim + 1:
         raise DimensionMismatchError(
             f"point in R^{v.size}, body in R^{body.ambient_dim + 1}"
         )
-    N = body.normal_array
-    if N.shape[0] and float((N @ v).min()) < -tol:
-        return False
-    B, rank = body.span()
-    if rank < v.size:
-        resid = v - (v @ B.T) @ B
-        if float(np.linalg.norm(resid)) > tol:
-            return False
-    return True
+    return bool(kernels.min_slack(v[None, :], body.normal_array)[0] >= -tol)
 
 
 def is_hemispherical(body):
@@ -182,18 +183,12 @@ def hemispherical_witness(body):
 
 
 def has_interior(body):
-    """Whether the body has nonempty interior in S^n: the cone must be
-    full-dimensional and admit a ray strictly inside every supporting
-    half-space."""
-    if "interior" not in body._cache:
-        _, rank = body.span()
-        if rank < body.ambient_dim + 1:
-            body._cache["interior"] = False
-        else:
-            # no normals: the cone is the whole space (the full sphere)
-            N = body.normal_array
-            body._cache["interior"] = N.shape[0] == 0 or cones.pointed_witness(N) is not None
-    return body._cache["interior"]
+    """Whether the body has nonempty interior in S^n: its cone spans R^d.
+
+    A cone spanning R^d holds d independent rays, whose positive
+    combinations form an open set; a cone in a proper subspace has none.
+    """
+    return body.span()[1] == body.ambient_dim + 1
 
 
 def is_wulff_relative(body, p):
@@ -201,7 +196,11 @@ def is_wulff_relative(body, p):
     H(p) (the body misses H(-p)), (b) p is an interior point, (c) the
     body is a spherical convex body (full rank with interior).
 
-    Clause (a)'s witness makes the hemisphericity part of (c) automatic.
+    Clause (b), n . p >= FEAS_EPS for every normal n, decides (c) too: a
+    rank-deficient body has a +/- pair of normals (see `SphericalBody`),
+    and the full sphere, with no normals, has +/- pairs of generators and
+    fails (a).  Clause (a)'s witness makes the hemisphericity part of (c)
+    automatic.
     p is normalized first, so its scale does not matter.
     """
     v = as_unit_point(p).vec
@@ -210,13 +209,7 @@ def is_wulff_relative(body, p):
     G = body.generator_array
     if float((G @ v).min()) < cones.FEAS_EPS:
         return False
-    _, rank = body.span()
-    if rank < body.ambient_dim + 1:
-        return False
-    N = body.normal_array
-    if N.shape[0] == 0:
-        return False
-    return float((N @ v).min()) >= cones.FEAS_EPS
+    return float((body.normal_array @ v).min()) >= cones.FEAS_EPS
 
 
 def canonicalize(body):

@@ -59,8 +59,8 @@ def _cmd_hausdorff(args):
 
 
 def _cmd_hull(args):
-    body, spec = _body_from_file(args.points_file)
-    hull = transforms.spherical_hull(body.generator_array)
+    spec = load_shape(args.points_file)
+    hull = transforms.spherical_hull(spec.generator_rows)
     label = None if spec.label is None else f"{spec.label}_hull"
     _emit_shape(ShapeSpec.from_body(hull, label=label), None)
     return 0

@@ -37,7 +37,8 @@ def unitize(M):
     A row whose largest |entry| exceeds 1 is first scaled by a power of
     two to below 1, so its norm cannot overflow.  The scaling is exact,
     so every row rounds as it would without it, and rows at unit scale
-    or below pass through it unchanged.
+    or below pass through it unchanged.  Only this overflow side is
+    scale-free: NEAR_ZERO = 1e-9 is an absolute floor on the row norm.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:

@@ -46,7 +46,12 @@ class Angle(float):
 
 
 class UnitPoint:
-    """A point of S^n stored as a read-only unit vector in (n+1)-space."""
+    """A point of S^n stored as a read-only unit vector in (n+1)-space.
+
+    Only the overflow side is scale-free: entries beyond 1 are scaled down
+    before the norm is taken, but NEAR_ZERO = 1e-9 is an absolute floor,
+    so (1e-12, 0) raises `NormalizationError` although it has a direction.
+    """
 
     __slots__ = ("_vec",)
 
@@ -96,7 +101,8 @@ class UnitPoint:
 
 
 def as_unit_point(value):
-    """Coerce a UnitPoint or coordinate sequence to a UnitPoint."""
+    """Coerce a UnitPoint or coordinate sequence to a UnitPoint (whose
+    NEAR_ZERO floor is absolute; only the overflow side is scale-free)."""
     if isinstance(value, UnitPoint):
         return value
     return UnitPoint(value)

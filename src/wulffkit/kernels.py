@@ -4,8 +4,9 @@
 - ``max_dot(X, M)``: per-row max of ``X @ M.T``
 - ``angles_to_point(X, p)``: stable geodesic angle from each row to p
 
-``metric`` calls ``min_slack`` for membership and ``max_dot`` for the
-nearest-generator upper bound of the sampled directed distance.
+``min_slack`` against a body's normals is the one membership test, read
+by ``body``, ``transforms`` and ``metric``; ``metric`` calls ``max_dot``
+for the nearest-generator upper bound of the sampled directed distance.
 
 Inputs are validated once at entry.  Large blocks run in chunks of
 ``_CHUNK`` rows to bound the temporaries.  The reductions run across

@@ -272,8 +272,10 @@ def _nearest_block(X, body, spans):
 def point_body_distance(x, body):
     """Exact geodesic distance from a point to a body (an Angle).
 
-    The point is normalized first, so any positive multiple of it gives
-    the same distance.
+    The point is normalized first, so any large multiple of it gives the
+    same distance, but NEAR_ZERO = 1e-9 is an absolute floor (only the
+    overflow side is scale-free).  It is 0 exactly when `body.contains`
+    accepts the point, since both read the same slack test.
     """
     return Angle(_nearest_body_points(as_unit_point(x).vec[None, :], body)[0][0])
 

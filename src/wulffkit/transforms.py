@@ -7,17 +7,15 @@ cone's extreme rays become the polar body's generators, and the
 original generators become its support normals.
 """
 
-import numpy as np
-
 from . import body as body_mod
-from . import cones
-from .body import SphericalBody, contains, from_generators, is_wulff_relative
+from . import cones, kernels
+from .body import SphericalBody, from_generators, is_hemispherical, is_wulff_relative
 from .errors import (
     NonHemisphericalError,
     NotAWulffShapeError,
     PolarEmptyError,
 )
-from .geometry import as_vector
+from .geometry import MEMBERSHIP_TOL
 
 
 def polar_admissible(body):
@@ -76,19 +74,16 @@ def dual_wulff(body, p):
 def spherical_hull(points):
     """Spherical convex hull of a hemispherical point set.
 
-    Hemisphericity (a common open half-space for the raw cone) is a
-    precondition of the hull construction and is checked first.  The
-    result is verified to be a fixed point of the double polar.
+    The hull is built first and refused with `NonHemisphericalError`
+    unless it is hemispherical (its cone is pointed exactly when the
+    points' cone is).  The result is verified to be a fixed point of the
+    double polar.
     """
-    pts = list(points)
-    if not pts:
-        raise ValueError("need at least one point")
-    G = np.array([as_vector(p) for p in pts], dtype=float)
-    if cones.pointed_witness(cones.unitize(G)) is None:
+    hull = from_generators(points)
+    if not is_hemispherical(hull):
         raise NonHemisphericalError(
             "points are not contained in any open hemisphere"
         )
-    hull = from_generators(G)
     roundtrip = double_polar(hull)
     gap = body_mod.body_match_angle(hull, roundtrip)
     if not gap <= 1e-10:
@@ -99,14 +94,14 @@ def spherical_hull(points):
 def polar_antitone_check(a, b):
     """For a subset pair a ⊆ b, report whether polar(b) ⊆ polar(a).
 
-    The inclusion precondition is verified generator-by-generator and
-    violations are errors, not False returns.
+    Both inclusions are decided by `contains`'s slack test, batched over
+    all generators of the inner body.  A failed precondition a ⊆ b is
+    an error, not a False return.
     """
-    for g in a.generator_array:
-        if not contains(b, g):
-            raise ValueError("precondition failed: a is not a subset of b")
+    if kernels.min_slack(a.generator_array, b.normal_array).min() < -MEMBERSHIP_TOL:
+        raise ValueError("precondition failed: a is not a subset of b")
     if not (polar_admissible(a) and polar_admissible(b)):
         raise PolarEmptyError()
     pb = polar(b)
     pa = polar(a)
-    return all(contains(pa, g) for g in pb.generator_array)
+    return bool(kernels.min_slack(pb.generator_array, pa.normal_array).min() >= -MEMBERSHIP_TOL)

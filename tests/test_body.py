@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from wulffkit import body, cones, harness
+from wulffkit import body, cones, harness, transforms
 from wulffkit.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -231,6 +232,40 @@ class TestPredicates:
         cap = body.from_generators(cap_points(0.5, [0, 120, 240]))
         with pytest.raises(DimensionMismatchError):
             body.is_wulff_relative(cap, [1.0, 0.0])
+
+
+def _seeded_bodies():
+    # bodies from all three constructors on S^1-S^3: `gen_convex_body`
+    # draws of every kind (`from_generators`), hemispheres about random
+    # centers, and the polars of both (a hemisphere's is a point)
+    for dim in (1, 2, 3):
+        for kind in ("hull", "arc", "point", "wide_cap"):
+            for seed in range(15):
+                rng = np.random.default_rng(seed)
+                drawn = harness.gen_convex_body(harness.pole_axis(dim), kind, rng)
+                for b in (drawn, body.hemisphere_body(rng.normal(size=dim + 1))):
+                    yield b
+                    if transforms.polar_admissible(b):
+                        yield transforms.polar(b)
+
+
+class TestLinealityNormals:
+    def test_complement_of_the_span_violates_a_normal(self):
+        # the invariant that lets `contains` skip a span test
+        rng = np.random.default_rng(5)
+        for b in _seeded_bodies():
+            C = scipy.linalg.null_space(b.generator_array)
+            if C.shape[1]:
+                c = C @ rng.normal(size=C.shape[1])
+                c /= np.linalg.norm(c)
+                assert (b.normal_array @ c).min() < 0.0
+
+    def test_has_interior_matches_the_linear_program_rule(self):
+        for b in _seeded_bodies():
+            N = b.normal_array
+            # the linear-program rule, kept here as the reference
+            rule = b.span()[1] == b.ambient_dim + 1 and (N.shape[0] == 0 or cones.pointed_witness(N) is not None)
+            assert body.has_interior(b) == rule
 
 
 class TestEquality:

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -326,6 +327,26 @@ class TestCliShapes:
         assert hull_spec.label == "cloud_hull"
         # the interior point was dropped
         assert len(hull_spec.generator_rows) == 3
+
+    def test_hull_command_builds_one_body(self, tmp_path, monkeypatch, capsys):
+        # the points file is read as rows and handed to spherical_hull,
+        # which builds the only body; every module's binding is counted
+        p = tmp_path / "pts.shape"
+        rows = [[0.3, 0.0, 0.95], [0.0, 0.3, 0.95], [-0.3, 0.0, 0.95], [0.1, 0.1, 0.99]]
+        body.save_shape(body.ShapeSpec(ambient_dim=2, generator_rows=rows), p)
+        original = body.from_generators
+        calls = []
+
+        def counting(points):
+            calls.append(1)
+            return original(points)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("wulffkit") and getattr(module, "from_generators", None) is original:
+                monkeypatch.setattr(module, "from_generators", counting)
+        assert main(["hull", str(p)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_hull_non_hemispherical_errors(self, tmp_path, capsys):
         p = tmp_path / "pts.shape"

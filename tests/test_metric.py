@@ -17,7 +17,7 @@ from wulffkit.errors import (
     ResolutionError,
     SeparationError,
 )
-from wulffkit.geometry import geodesic_distance
+from wulffkit.geometry import geodesic_distance, subspace_canonical_basis
 
 POLE = np.array([0.0, 0.0, 1.0])
 
@@ -238,17 +238,26 @@ def _cone_projection_distance(x, b):
 _MANY = {1: 52, 2: 34, 3: 22}
 
 
-def _draw_body(draw, dim, kinds):
-    kind = draw(st.sampled_from(kinds))
-    seed = draw(st.integers(0, 2**32 - 1))
+def _seeded_body(kind, dim, seed):
     rng = np.random.default_rng(seed)
     pole = harness.pole_axis(dim)
     if kind == "wulff":
         b = harness.gen_wulff(pole, dim + 2 + int(rng.integers(0, 5)), rng.uniform(0.1, 1.3), seed)
     elif kind == "many":
         b = harness.cap_polytope(pole, rng.uniform(0.2, 1.3), _MANY[dim])
+    elif kind == "hemisphere":
+        b = body.hemisphere_body(rng.normal(size=dim + 1))
+    elif kind == "lune":
+        b = _lune(dim)
     else:
         b = harness.gen_convex_body(pole, kind, rng)
+    return b, rng
+
+
+def _draw_body(draw, dim, kinds):
+    kind = draw(st.sampled_from(kinds))
+    seed = draw(st.integers(0, 2**32 - 1))
+    b, rng = _seeded_body(kind, dim, seed)
     return b, rng, seed
 
 
@@ -339,6 +348,34 @@ class TestNearestBodyPointsProperties:
         assert (new_directed is None) == (old_directed is None)
         if new_directed is not None:
             assert abs(new_directed - old_directed) <= 1e-12
+
+
+class TestOneMembershipTest:
+    """`body.contains` and the nearest-point routine give one answer."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from(_KINDS + ["hemisphere", "lune"]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    # a point on S^2 moved 0.8e-10 along both axes of its complement is
+    # 1.1e-10 off its span but within 1e-10 of every normal slack
+    @example(2, "point", 0, False)
+    def test_contains_iff_distance_zero(self, dim, kind, seed, use_polar):
+        b, rng = _seeded_body(kind, dim, seed)
+        if use_polar and transforms.polar_admissible(b):
+            b = transforms.polar(b)
+        G = b.generator_array
+        # every generator nudged by 0.3e-10 to 3e-10 in a random direction,
+        # and moved 0.8e-10 along each axis of the complement of the span
+        nudge = rng.normal(size=G.shape)
+        nudge *= rng.uniform(0.3e-10, 3e-10, (G.shape[0], 1)) / np.linalg.norm(nudge, axis=1, keepdims=True)
+        B, _ = b.span()
+        axes = subspace_canonical_basis(np.eye(G.shape[1]) - B.T @ B)
+        for x in np.vstack([G + nudge, G + 0.8e-10 * axes.sum(axis=0)]):
+            assert body.contains(b, x) == (metric.point_body_distance(x, b) == 0.0)
 
 
 def _span_projector(T):

@@ -47,6 +47,32 @@ def test_oracles_stay_off_the_production_path():
     assert found == []
 
 
+def _callers(name):
+    # "module.function" of every top-level package function (or class)
+    # whose body calls `name`, plainly or as an attribute
+    found = set()
+    for path in sorted(Path(wulffkit.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_certificate_call_sites():
+    # the solver-backed certificates are called from these places only,
+    # so swapping the primitive touches no other code
+    assert _callers("pointed_witness") <= {"cones._pointed_extreme", "body.is_hemispherical"}
+    assert _callers("linprog") <= {
+        "cones.pointed_witness",
+        "metric.separate",
+        "oracles.nontrivial_dual_witness",
+    }
+
+
 def _unused_imports(path):
     # names an import binds that the module never reads
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -220,6 +220,26 @@ class TestAntitone:
             assert transforms.polar_antitone_check(sub, big)
 
 
+    def test_batched_slack_tests_match_the_contains_loop(self):
+        # the per-generator `contains` loops, kept as the reference: the
+        # precondition and the answer agree with them on nested pairs and
+        # on pairs where a's extra generator may leave b
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            pts = rng.normal(size=(8, 3))
+            pts[:, 2] = np.abs(pts[:, 2]) + 0.4
+            big = body.from_generators(pts)
+            extra = pts[:1] + rng.normal(scale=0.3, size=(1, 3))
+            sub = body.from_generators(np.vstack([pts[rng.permutation(8)[:3]], extra]))
+            if all(body.contains(big, g) for g in sub.generator_array):
+                pa, pb = transforms.polar(sub), transforms.polar(big)
+                want = all(body.contains(pa, g) for g in pb.generator_array)
+                assert transforms.polar_antitone_check(sub, big) == want
+            else:
+                with pytest.raises(ValueError, match="subset"):
+                    transforms.polar_antitone_check(sub, big)
+
+
 def _isometry_wulff(seed):
     # the shape draw of the isometry suite on S^2
     rng = np.random.default_rng(seed)
