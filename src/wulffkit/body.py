@@ -22,6 +22,7 @@ from . import cones, kernels
 from .errors import DimensionMismatchError, NonFiniteError, ShapeFileError
 from .geometry import (
     MEMBERSHIP_TOL,
+    NEAR_ZERO,
     as_unit_point,
     as_vector,
     complement_basis,
@@ -39,6 +40,10 @@ class SphericalBody:
     orthonormal basis of its lineality, the complement of span(G) (`polar`
     reuses the input's generators, which carry their lineality that way);
     c . e != 0 for some basis vector e, and one of +/- e has negative slack.
+
+    The predicates below read only G and N.  `_cache` holds what is
+    derived from them at a cost: "span" (`span`) and "face_spans"
+    (`metric`'s nearest-point routine).
     """
 
     def __init__(self, gens, normals, _trusted=False):
@@ -83,12 +88,6 @@ class SphericalBody:
         )
 
 
-def _build_canonical(points):
-    """Canonical generator matrix from raw candidate rays."""
-    rays, lin = cones.extreme_rays(points)
-    return cones.rays_with_lineality(rays, lin)
-
-
 def from_generators(points):
     """Spherical convex hull (cone-cap) of the given points.
 
@@ -101,15 +100,12 @@ def from_generators(points):
     if isinstance(points, np.ndarray):
         raw = points.astype(float)
     else:
-        pts = list(points)
-        if len(pts) == 0:
-            raise ValueError("need at least one generator")
-        raw = np.array([as_vector(p) for p in pts], dtype=float)
+        raw = np.array([as_vector(p) for p in points], dtype=float)
     if raw.ndim != 2 or raw.shape[0] == 0:
         raise ValueError("need at least one generator")
     if not np.isfinite(raw).all():
         raise NonFiniteError("generator coordinates must be finite")
-    gens = _build_canonical(raw)
+    gens = cones.rays_with_lineality(*cones.extreme_rays(raw))
     if gens.shape[0] == 0:
         raise ValueError("generators span no direction")
     d_rays, d_lin = cones.dual_cone_rays(gens)
@@ -144,42 +140,56 @@ def hemisphere_body(center):
     return SphericalBody(gens, normals, _trusted=True)
 
 
-def contains(body, q, tol=MEMBERSHIP_TOL):
-    """Closed membership test: every normal slack is >= -tol.
+def contains(body, q):
+    """Closed membership test: every normal slack is >= -MEMBERSHIP_TOL.
 
-    `metric`'s nearest-point routine reads the same test, so q is
-    contained exactly when `point_body_distance` is 0; the span of a
-    lower-dimensional body needs no test of its own (see `SphericalBody`).
-    q is normalized first, so any large multiple gets the same answer,
-    but NEAR_ZERO = 1e-9 is an absolute floor (only the overflow side is
-    scale-free): a shorter vector raises `NormalizationError`.
+    `metric`'s nearest-point routine reads the same test with the same
+    tolerance, so q is contained exactly when `point_body_distance` is 0;
+    the span of a lower-dimensional body needs no test of its own (see
+    `SphericalBody`).  q is normalized first, so any large multiple gets
+    the same answer, but NEAR_ZERO = 1e-9 is an absolute floor (only the
+    overflow side is scale-free): a shorter vector raises
+    `NormalizationError`.
     """
     v = as_unit_point(q).vec
     if v.size != body.ambient_dim + 1:
         raise DimensionMismatchError(
             f"point in R^{v.size}, body in R^{body.ambient_dim + 1}"
         )
-    return bool(kernels.min_slack(v[None, :], body.normal_array)[0] >= -tol)
-
-
-def is_hemispherical(body):
-    """Whether the body avoids some closed hemisphere.
-
-    Equivalent to pointedness of its cone; decided by a strictly
-    positive functional on the generators (witness re-verified, not
-    trusted from the LP).
-    """
-    if "hemispherical" not in body._cache:
-        w = cones.pointed_witness(body.generator_array)
-        body._cache["hemispherical"] = (w is not None)
-        body._cache["hemispherical_witness"] = w
-    return body._cache["hemispherical"]
+    return bool(kernels.min_slack(v[None, :], body.normal_array)[0] >= -MEMBERSHIP_TOL)
 
 
 def hemispherical_witness(body):
-    """The verified witness direction, or None."""
-    is_hemispherical(body)
-    return body._cache["hemispherical_witness"]
+    """Unit w with g . w >= FEAS_EPS for every generator g, or None.
+
+    w is the normalized sum of the stored normals, re-verified on the
+    generators; None when the sum vanishes or fails that check.  It
+    exists exactly when the cone K = cone(G) is pointed, up to the
+    margin FEAS_EPS:
+    - K is pointed exactly when its dual K* has interior in R^d.
+    - The normals generate K*, with its lineality as +/- basis rows
+      (see `SphericalBody`); those rows cancel in the sum, which is thus
+      a positive combination of the dual rays.
+    - If K* has interior, its rays span R^d modulo that lineality, and a
+      strictly positive combination of a spanning generator set lies in
+      the interior of the cone they generate.  An interior point of K*
+      is strictly positive on every nonzero point of K.
+    - If K holds a line +/- x, no w is positive on both x and -x, so
+      the check refuses every candidate.
+    """
+    s = body.normal_array.sum(axis=0)
+    norm = float(np.linalg.norm(s))
+    if norm < NEAR_ZERO:
+        return None
+    w = s / norm
+    return w if float((body.generator_array @ w).min()) >= cones.FEAS_EPS else None
+
+
+def is_hemispherical(body):
+    """Whether the body lies in some open hemisphere: its cone is
+    pointed, decided by `hemispherical_witness` from the stored normals
+    (no solver, nothing cached)."""
+    return hemispherical_witness(body) is not None
 
 
 def has_interior(body):

@@ -68,11 +68,15 @@ def dedupe_rays(M):
 
 
 def lex_sorted_rows(M):
-    """Rows sorted lexicographically (first coordinate is primary)."""
+    """Rows sorted lexicographically (first coordinate is primary).
+
+    The keys are the entries rounded to 12 decimals, so two computations
+    of a body that differ in the last bits store its rows in the same
+    order (a -0.0 key ties with 0.0, as every float comparison has it).
+    """
     if M.shape[0] <= 1:
         return M
-    order = np.lexsort(M[:, ::-1].T)
-    return M[order]
+    return M[np.lexsort(np.round(M, 12)[:, ::-1].T)]
 
 
 def span_basis(M):
@@ -199,7 +203,10 @@ def pointed_witness(G):
     Existence of such a q says cone(G) is pointed (equivalently: the
     rows sit in a common open half-space).  The LP maximizes the worst
     slack inside the unit box; the witness is re-verified after
-    normalization rather than trusted from the solver.
+    normalization rather than trusted from the solver.  Its one package
+    caller is `_pointed_extreme`, on raw rays that have no normals yet;
+    a built body reads its witness off its normals
+    (`body.hemispherical_witness`).
     """
     G = np.asarray(G, dtype=float)
     m, d = G.shape

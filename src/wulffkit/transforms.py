@@ -76,8 +76,9 @@ def spherical_hull(points):
 
     The hull is built first and refused with `NonHemisphericalError`
     unless it is hemispherical (its cone is pointed exactly when the
-    points' cone is).  The result is verified to be a fixed point of the
-    double polar.
+    points' cone is), which `is_hemispherical` reads off the hull's
+    stored normals without a solver.  The result is verified to be a
+    fixed point of the double polar.
     """
     hull = from_generators(points)
     if not is_hemispherical(hull):

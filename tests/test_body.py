@@ -1,5 +1,6 @@
 """Canonical body construction, membership, predicates, serialization."""
 
+import itertools
 import json
 import math
 
@@ -169,7 +170,7 @@ class TestContains:
         with pytest.raises(NormalizationError):
             body.contains(body.hemisphere_body([0.0, 0.0, 1.0]), [0.0, 0.0, 0.0])
 
-    def test_tolerance_knob(self):
+    def test_point_just_outside_a_face_rejected(self):
         b = body.from_generators(cap_points(0.6, [0, 90, 180, 270]))
         # an edge midpoint sits on exactly one face; push it just outside
         v = cap_points(0.6, [0, 90])
@@ -179,8 +180,8 @@ class TestContains:
         assert abs(face @ mid) < 1e-12
         q = mid - 2e-7 * face
         q /= np.linalg.norm(q)
-        assert not body.contains(b, q, tol=1e-9)
-        assert body.contains(b, q, tol=1e-5)
+        assert body.contains(b, mid)
+        assert not body.contains(b, q)
 
 
 class TestPredicates:
@@ -260,12 +261,63 @@ class TestLinealityNormals:
                 c /= np.linalg.norm(c)
                 assert (b.normal_array @ c).min() < 0.0
 
+    def test_is_hemispherical_matches_the_linear_program(self):
+        # caps 10^-k short of a hemisphere; from k = 9 on their construction
+        # is itself wrong (their dual rays fall within RAY_TOL of one another
+        # and are merged), so no predicate can be checked on them
+        caps = [
+            harness.cap_polytope(harness.pole_axis(n), math.pi / 2 - 10.0**-k, 8)
+            for n in (2, 3)
+            for k in range(1, 9)
+        ]
+        for b in itertools.chain(_seeded_bodies(), caps):
+            # the linear program, kept here as the reference
+            assert body.is_hemispherical(b) == (cones.pointed_witness(b.generator_array) is not None)
+            w = body.hemispherical_witness(b)
+            if w is not None:
+                assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+                assert (b.generator_array @ w).min() >= cones.FEAS_EPS
+
     def test_has_interior_matches_the_linear_program_rule(self):
         for b in _seeded_bodies():
             N = b.normal_array
             # the linear-program rule, kept here as the reference
             rule = b.span()[1] == b.ambient_dim + 1 and (N.shape[0] == 0 or cones.pointed_witness(N) is not None)
             assert body.has_interior(b) == rule
+
+
+def _ulp_nudged(X, seed):
+    # every entry moved one ulp up or down at random
+    rng = np.random.default_rng(seed)
+    return np.nextafter(X, np.where(rng.random(X.shape) < 0.5, -np.inf, np.inf))
+
+
+class TestCanonicalOrder:
+    def test_stored_order_survives_last_bit_changes(self):
+        # symmetric caps tie in their leading coordinates up to rounding;
+        # the stored rows of a body and of its polar keep their order when
+        # the input moves by an ulp
+        inputs = []
+        for n in (2, 3):
+            pole = harness.pole_axis(n)
+            inputs += [harness.cap_polytope(pole, 1.0, k).generator_array for k in (5, 8, 12, 60)]
+            rng = np.random.default_rng(n)
+            for _ in range(40):
+                k = int(rng.integers(n + 2, n + 7))
+                w = harness.gen_wulff(pole, k, rng.uniform(0.2, 1.3), int(rng.integers(2**31)))
+                inputs.append(w.generator_array)
+
+        def stored(X):
+            b = body.from_generators(X)
+            p = transforms.polar(b)
+            return [b.generator_array, b.normal_array, p.generator_array, p.normal_array]
+
+        for X in inputs:
+            ref = stored(X)
+            for seed in range(3):
+                for A, B in zip(stored(_ulp_nudged(X, seed)), ref):
+                    assert A.shape == B.shape
+                    assert np.abs(A - B).max() <= 1e-9
 
 
 class TestEquality:

@@ -73,6 +73,12 @@ class TestSuitesSmoke:
         assert all(r.passed for r in rows)
         assert all(r.ambient_dim == 3 for r in rows)
 
+    def test_approximation_s3(self):
+        # the only tier-1 run of the sphere-grid ring directions
+        rows = run("approximation", dim=3, trials=3, seed=5)
+        assert len(rows) == 3 * ROWS_PER_TRIAL["approximation"]
+        assert all(r.passed for r in rows)
+
     def test_trial_seeds_are_offsets(self):
         rows = run("isometry", trials=3, seed=40)
         assert [r.trial_seed for r in rows] == [40, 41, 42]

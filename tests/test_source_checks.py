@@ -65,12 +65,25 @@ def _callers(name):
 def test_certificate_call_sites():
     # the solver-backed certificates are called from these places only,
     # so swapping the primitive touches no other code
-    assert _callers("pointed_witness") <= {"cones._pointed_extreme", "body.is_hemispherical"}
+    assert _callers("pointed_witness") == {"cones._pointed_extreme"}
     assert _callers("linprog") <= {
         "cones.pointed_witness",
         "metric.separate",
         "oracles.nontrivial_dual_witness",
     }
+
+
+def test_body_predicates_call_no_solver():
+    # bodies and transforms read the stored generators and normals; the
+    # solvers stay in the cone layer, the metric and the oracles
+    solvers = ("linprog", "least_distance", "pointed_witness", "nonneg_lstsq", "cone_member")
+    found = {
+        caller
+        for name in solvers
+        for caller in _callers(name)
+        if caller.split(".")[0] in ("body", "transforms")
+    }
+    assert found == set()
 
 
 def _unused_imports(path):
