@@ -11,10 +11,12 @@ Conventions
 * Non-pointed cones are reported as (pointed rays, lineality basis);
   callers that need a plain generator list append +/- each lineality
   basis vector.
-* Tolerance hierarchy: ray identity RAY_TOL = 1e-9 is coarser than
-  sign classification CLASS_TOL = 1e-10, which is coarser than the
-  construction accuracy (~1e-12), so canonicalization decisions stay
-  stable under downstream arithmetic.
+* Tolerance hierarchy: sign classification CLASS_TOL = 1e-10 is
+  coarser than the construction accuracy (~1e-12), so the zero sets
+  the double description reads stay stable under downstream
+  arithmetic.  The coarser RAY_TOL = 1e-9 decides only which input
+  rows are one ray (`dedupe_rays`) and the residual of `cone_member`;
+  computed rays are never merged by distance.
 """
 
 import numpy as np
@@ -237,54 +239,52 @@ def _dd_in_span(C):
     the simplicial cone of s independent rows, picked by QR with column
     pivoting (largest residual first): its extreme rays are the columns
     of inv(C[first]), column j being tight on every picked row but j.
-    The remaining rows are added one at a time in their given order;
-    rays are split by sign and adjacent positive/negative pairs are
-    combined (adjacency decided by the combinatorial zero-set
-    containment test against the rows processed so far).
+    The remaining rows are added one at a time in their given order, each
+    in one array step: the rays negative on the row go, and each
+    adjacent positive/negative pair adds the ray where the edge between
+    them crosses the row's hyperplane.
+
+    Rays are identified by their zero sets Z(r), the processed rows
+    they are tight on (Fukuda and Prodon, "Double description method
+    revisited", 1996).  A pair (p, n) is adjacent iff no third ray's
+    zero set contains Z(p) & Z(n); a common zero set of fewer than
+    s - 2 rows cannot span an edge, so those pairs are dropped first.
+    Each new ray is the positive combination of exactly one adjacent
+    pair, positive on every processed row that p or n is positive on,
+    so its zero set is exactly Z(p) & Z(n) plus the new row.  Distinct
+    adjacent pairs have distinct common zero sets, so no two new rays
+    coincide; and a kept ray tight on the new row cannot equal a new
+    one, since its zero set would then contain the pair's common zero
+    set and deny the pair's adjacency.  No metric merge is needed.
 
     Returns the extreme rays (k, s) as unit rows.
     """
-    s = C.shape[1]
+    m, s = C.shape
     first = qr(C.T, mode="r", pivoting=True)[1][:s]
     C = np.vstack([C[first], np.delete(C, first, axis=0)])
     R = unitize(np.linalg.inv(C[:s]).T)
-    for k in range(s, C.shape[0]):
-        g = C[k]
-        sv = R @ g
-        pos = sv > CLASS_TOL
+    Z = np.zeros((s, m), dtype=bool)  # Z[r, j]: ray r is tight on row j
+    Z[:, :s] = ~np.eye(s, dtype=bool)
+    for k in range(s, m):
+        sv = R @ C[k]
         neg = sv < -CLASS_TOL
-        zer = ~pos & ~neg
+        Z[:, k] = ~neg & (sv <= CLASS_TOL)
         if not neg.any():
             continue
-        if not pos.any():
-            R = R[zer]
-            continue
-        # rows processed so far: C[:k]
-        Zb = np.abs(R @ C[:k].T) <= CLASS_TOL
-        not_Zb = (~Zb).astype(float)
-        pi = np.where(pos)[0]
-        ni = np.where(neg)[0]
-        new_rays = []
-        for p in pi:
-            common = Zb[p] & Zb[ni]  # (n_neg, n_processed)
-            # viol[j, r] counts active constraints of the pair (p, ni[j])
-            # that ray r misses; zero means Z(r) contains the pair's
-            # common zero set, which kills adjacency
-            viol = common.astype(float) @ not_Zb.T
-            viol[:, p] = 1.0
-            viol[np.arange(len(ni)), ni] = 1.0
-            adjacent = (viol > 0.5).all(axis=1)
-            for jj in np.where(adjacent)[0]:
-                mneg = ni[jj]
-                comb = sv[p] * R[mneg] - sv[mneg] * R[p]
-                nc = float(np.linalg.norm(comb))
-                if nc > NEAR_ZERO:
-                    new_rays.append(comb / nc)
-        kept = R[pos | zer]
-        if new_rays:
-            R = dedupe_rays(np.vstack([kept, np.array(new_rays)]))
-        else:
-            R = kept
+        Zf = Z.astype(float)
+        P, N = np.flatnonzero(sv > CLASS_TOL), np.flatnonzero(neg)
+        i, j = np.nonzero(Zf[P] @ Zf[N].T >= s - 2)
+        p, n = P[i], N[j]
+        # rays whose zero set contains the pair's common one: p and n
+        # always do, so the pair is adjacent iff no other ray does
+        covers = (Zf[p] * Zf[n]) @ (1.0 - Zf).T == 0.0
+        adjacent = covers.sum(axis=1) == 2
+        p, n = p[adjacent], n[adjacent]
+        comb = sv[p, None] * R[n] - sv[n, None] * R[p]
+        R = np.vstack([R[~neg], comb / np.linalg.norm(comb, axis=1, keepdims=True)])
+        Znew = Z[p] & Z[n]
+        Znew[:, k] = True
+        Z = np.vstack([Z[~neg], Znew])
     return R
 
 

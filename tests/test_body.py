@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wulffkit import body, cones, harness, transforms
+from wulffkit import body, cones, harness, metric, transforms
 from wulffkit.errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -90,6 +90,25 @@ class TestConstruction:
             b = body.from_generators(pts)
             slack = b.generator_array @ b.normal_array.T
             assert float(slack.min()) >= -1e-9
+
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_caps_just_short_of_a_hemisphere(self, k):
+        # the dual rays of these caps lie about 10^-k from the pole, so a
+        # merge of rays closer than 1e-9 drops most normals at k = 9
+        radius = math.pi / 2 - 10.0**-k
+        for n, normals in ((2, 8), (3, 10)):
+            b = harness.cap_polytope(harness.pole_axis(n), radius, 8)
+            assert b.normal_array.shape[0] == normals
+        # the equator point between the S^2 cap's first two vertices lies
+        # outside the edge joining them, by arcsin(x . nu) for the edge's
+        # unit normal nu: about 1.08 * 10^-k
+        b = harness.cap_polytope(harness.pole_axis(2), radius, 8)
+        g0, g1 = cap_points(radius, [0, 45])
+        nu = np.cross(g0, g1) / np.linalg.norm(np.cross(g0, g1))
+        x = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8), 0.0])
+        d = metric.point_body_distance(x, b)
+        assert d <= 2.0 * 10.0**-k
+        assert d == pytest.approx(math.asin(abs(x @ nu)), rel=1e-6)
 
     def test_singleton_body(self):
         b = body.from_generators([[0.0, 0.0, 1.0]])
@@ -262,13 +281,17 @@ class TestLinealityNormals:
                 assert (b.normal_array @ c).min() < 0.0
 
     def test_is_hemispherical_matches_the_linear_program(self):
-        # caps 10^-k short of a hemisphere; from k = 9 on their construction
-        # is itself wrong (their dual rays fall within RAY_TOL of one another
-        # and are merged), so no predicate can be checked on them
+        # caps 10^-k short of a hemisphere; from k = 10 on their construction
+        # is itself wrong (`extreme_rays`' two-sided test finds lineality in
+        # their generators), so no predicate can be checked on them.  The
+        # S^3 cap stops at k = 8 because the reference fails at k = 9: the
+        # linear program's box-optimal witness has a free component off the
+        # cap's 3-dimensional span and, normalized, misses FEAS_EPS,
+        # although the pole clears it by 1.4e-16
         caps = [
             harness.cap_polytope(harness.pole_axis(n), math.pi / 2 - 10.0**-k, 8)
-            for n in (2, 3)
-            for k in range(1, 9)
+            for n, top in ((2, 9), (3, 8))
+            for k in range(1, top + 1)
         ]
         for b in itertools.chain(_seeded_bodies(), caps):
             # the linear program, kept here as the reference

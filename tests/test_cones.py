@@ -189,6 +189,33 @@ class TestDualConversion:
         assert dd.shape[0] == 0
         assert bf.shape[0] == 0
 
+    def test_dual_of_a_256_gon_cap(self):
+        # each dual ray of a k-gon cone is the normal of one edge: tight on
+        # that edge's two cyclically consecutive vertices and on no other
+        k = 256
+        ang = 2.0 * math.pi * np.arange(k) / k
+        G = np.column_stack(
+            [math.sin(1.0) * np.cos(ang), math.sin(1.0) * np.sin(ang), np.full(k, math.cos(1.0))]
+        )
+        rays, lin = cones.dual_cone_rays(G)
+        assert rays.shape == (k, 3)
+        assert lin.shape[0] == 0
+        tight = np.abs(rays @ G.T) <= 1e-9
+        edges = {frozenset((i, (i + 1) % k)) for i in range(k)}
+        assert {frozenset(np.flatnonzero(row)) for row in tight} == edges
+
+    def test_shared_zero_rows_do_not_decide_adjacency(self):
+        # cones over lattice points of R^5 whose double description meets
+        # positive/negative pairs that share s - 2 zero rows without being
+        # adjacent; only the zero-set containment test rejects those pairs
+        for seed in (29, 69, 115, 258, 259):
+            rng = np.random.default_rng(seed)
+            G = rng.integers(-2, 3, size=(int(rng.integers(9, 14)), 5)).astype(float)
+            G[:, -1] = np.abs(G[:, -1]) + 1.0
+            dd, bf = dual_pair(G)
+            assert dd.shape[0] == bf.shape[0], seed
+            assert ray_set_match_angle(dd, bf) <= 1e-9, seed
+
     def test_every_dual_ray_satisfies_all_constraints(self):
         rng = np.random.default_rng(41)
         for trial in range(40):
