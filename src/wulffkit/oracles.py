@@ -7,12 +7,53 @@ path: the sampled distance route and the dilation-identity check of
 `metric`, and the harness suites, call it.
 
 The oracles are slow routes, independent of the production code, to
-answers it computes another way: subset enumeration for the face spans
-of `metric` and for the extreme rays of a dual cone, per-ray membership
-fits for extreme rays, a linear-program sweep for a nontrivial dual
-cone, and alternating projections for the gap between two bodies.  The
-tests cross-validate against them; no production path calls the
-oracles.
+answers it computes another way.  The tests cross-validate against
+them; no production path calls them.
+
+- `face_spans_bruteforce`: subset enumeration for the face spans of
+  `metric`.
+- `dual_cone_rays_exact`: the exact reference for
+  `cones.dual_cone_rays`.
+- `extreme_rays_exact`: the exact reference for `cones.extreme_rays`.
+- `min_body_gap`: alternating projections for the gap between two
+  bodies.
+
+Exact contract.  The two exact references take the rows through the
+conversion's own input contract (`cones.unitize`, then
+`cones.dedupe_rays`), so they see the same float rows, and convert
+each float exactly with `fractions.Fraction`.  Each row is then scaled
+by the common denominator of its entries, a power of two, which makes
+it a row of integers on the same ray.  From there every decision is
+made in exact rational arithmetic on those integers (rows are reduced
+by cross-multiplication, never divided): no tolerance is taken or
+defined, and a row is tight on a ray only when their product is 0.
+The answers come back as float rows in the conversion's layout: unit
+rays in `cones.lex_sorted_rows` order and the canonical orthonormal
+basis of the lineality.  So a disagreement on any input is the float
+code's, up to the final rounding of the answer, with one exception by
+design: rows dependent only up to rounding are independent in exact
+arithmetic, and their dual is ill-posed (its rays are set by the
+rounding), while `cones` decides their rank at `cones.SPAN_TOL`.  The
+references judge inputs whose dependencies are exact in floats.  The
+enumeration costs C(m, s - 1) exact eliminations for m rows of rank s;
+it is meant for the tests' sizes, about 12 rows in R^4.
+
+Enumeration argument.  Let C be the rows, of rank s in R^d, and L the
+kernel of C, computed exactly.  The dual {q : C q >= 0} is L plus its
+part in span(C) = L's complement, and that part is pointed, since a
+line in it would be orthogonal to every row.  A pointed polyhedral cone
+of dimension s is generated by its extreme rays, and a ray q of it is
+extreme iff the rows tight at q have rank s - 1 (Fukuda and Prodon,
+"Double description method revisited", 1996).  So each extreme ray is
+the kernel of some s - 1 independent rows together with a basis of L,
+that kernel being one-dimensional, with the sign that makes it
+nonnegative on every row; the enumeration tries every (s - 1)-subset
+and keeps those lines as primitive integer vectors (entries with gcd
+1), so that one ray found from several subsets is kept once.
+`extreme_rays_exact` runs the same enumeration on the exact rays and
++/- the lineality basis of the dual: the dual of the dual is cone(C)
+itself, its lineality the kernel of those rows and its rays the
+extreme rays of cone(C).
 
 The grid construction is recursive: a circle is sampled at equal
 angles, and the n-sphere is built as colatitude rings, each ring
@@ -47,12 +88,12 @@ in the grid's cache entry, so the two are evicted together.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import cones
-from .errors import DimensionMismatchError, NormalizationError, ResolutionError
+from .errors import DimensionMismatchError, ResolutionError
 from .geometry import Angle, subspace_canonical_basis
 
 #: geodesic covering radius of ``sphere_grid(dim, s)`` is at most
@@ -285,77 +326,82 @@ def face_spans_bruteforce(body):
     return [np.stack(bases) for bases in by_dim.values()]
 
 
-def dual_cone_rays_bruteforce(G):
-    """Subset-enumeration oracle for `cones.dual_cone_rays`.
+def _primitive(v):
+    """Integer vector v divided by the gcd of its entries (a positive
+    scaling, so the same ray)."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
-    Every extreme ray of the (pointed, in span coordinates) dual cone
-    has at least s-1 linearly independent active constraints, so the
-    nullspace directions of all (s-1)-subsets of the generators, kept
-    when feasible, enumerate all extreme rays.  Slow and independent of
-    the double-description code; used for cross-validation.
-    """
+
+def _kernel(rows, d):
+    """Basis of {x : r . x = 0 for every integer row r}, as primitive
+    integer vectors, one per free column of the reduced row echelon
+    form.  Rows are reduced by cross-multiplication, never divided, so
+    every entry stays an integer and every test is exact."""
+    rows, pivots = list(rows), []
+    for c in range(d):
+        p = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        top = rows.pop(p)
+        rows = [_primitive([a * top[c] - r[c] * b for a, b in zip(r, top)]) if r[c] else r for r in rows]
+        rows.insert(len(pivots), top)
+        pivots.append(c)
+    scale = math.prod(r[c] for r, c in zip(rows, pivots))
+    basis = []
+    for f in (c for c in range(d) if c not in pivots):
+        x = [scale * (c == f) for c in range(d)]
+        for r, c in zip(rows, pivots):
+            x[c] = -r[f] * scale // r[c]
+        basis.append(_primitive(x))
+    return basis
+
+
+def _exact_dual(rows, d):
+    """(extreme rays, lineality basis) of {q : r . q >= 0 for every
+    integer row r}, as primitive integer vectors."""
+    lin = _kernel(rows, d)
+    rays = {}
+    for subset in itertools.combinations(rows, max(d - len(lin) - 1, 0)):
+        edge = _kernel(list(subset) + lin, d)
+        if len(edge) != 1:
+            continue
+        for q in (edge[0], [-x for x in edge[0]]):
+            if all(sum(a * b for a, b in zip(r, q)) >= 0 for r in rows):
+                rays[tuple(q)] = None
+    return list(rays), lin
+
+
+def _exact_input(G):
+    """The rows `cones.dual_cone_rays` works on, exactly: each row's
+    Fractions times their largest denominator (a power of two, so a
+    common one) are integers."""
     G = cones.dedupe_rays(cones.unitize(np.asarray(G, dtype=float)))
-    d = G.shape[1]
-    B, s = cones.span_basis(G)
-    if s == 0:
-        raise NormalizationError("cone has no span")
-    Gs = cones.unitize(G @ B.T)
-    m = Gs.shape[0]
-    cands = []
-    for subset in itertools.combinations(range(m), s - 1):
-        if subset:
-            A = Gs[list(subset)]
-            _, sv, Vt = np.linalg.svd(A)
-            rank = int((sv > 1e-8).sum())
-            if rank < s - 1:
-                continue
-            q = Vt[-1]
-        else:
-            q = np.ones(1)
-        for cand in (q, -q):
-            if float((Gs @ cand).min()) >= -cones.RAY_TOL:
-                cands.append(cand / np.linalg.norm(cand))
-    rays_s = cones.dedupe_rays(np.array(cands)) if cands else np.zeros((0, s))
-    rays = rays_s @ B if rays_s.shape[0] else np.zeros((0, d))
-    lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
-    rays = cones.lex_sorted_rows(rays) if rays.shape[0] else rays
-    return rays, lin
+    rows = [[Fraction(x) for x in g] for g in G.tolist()]
+    return [[int(x * max(y.denominator for y in r)) for x in r] for r in rows], G.shape[1]
 
 
-def extreme_rays_nnls(G):
-    """Per-ray membership-fit oracle for the pointed part of
-    `cones.extreme_rays`, rows lex-sorted."""
-    G = cones.dedupe_rays(cones.unitize(np.asarray(G, dtype=float)))
-    return cones.lex_sorted_rows(cones._nnls_reduce(G))
+def _as_floats(rays, lin, d):
+    """Exact (rays, lineality) in `cones.dual_cone_rays`' float layout."""
+    rays, lin = ([[x / max(map(abs, v)) for x in v] for v in M] for M in (rays, lin))
+    rays = cones.unitize(np.array(rays, dtype=float).reshape(-1, d))
+    Q = np.linalg.qr(np.array(lin, dtype=float).reshape(-1, d).T)[0]
+    return cones.lex_sorted_rows(rays), subspace_canonical_basis(Q @ Q.T, len(lin))
 
 
-def nontrivial_dual_witness(G):
-    """A nonzero q with q . g >= 0 for all rows, or None if the dual
-    cone is the origin alone.
+def dual_cone_rays_exact(G):
+    """Exact reference for `cones.dual_cone_rays`: same input contract,
+    same output layout."""
+    rows, d = _exact_input(G)
+    return _as_floats(*_exact_dual(rows, d), d)
 
-    Sweeps the +/- coordinate objectives over the feasible box; the
-    dual cone is nontrivial iff one sweep finds a point with positive
-    norm (any unit dual vector has box-norm >= 1/sqrt(d), far above the
-    decision threshold).
-    """
-    G = np.asarray(G, dtype=float)
-    m, d = G.shape
-    for j in range(d):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(d)
-            c[j] = -sgn
-            res = linprog(
-                c,
-                A_ub=-G,
-                b_ub=np.zeros(m),
-                bounds=[(-1.0, 1.0)] * d,
-                method="highs",
-            )
-            if res.success and sgn * res.x[j] > 1e-7:
-                q = res.x / np.linalg.norm(res.x)
-                if float((G @ q).min()) >= -cones.FEAS_EPS:
-                    return q
-    return None
+
+def extreme_rays_exact(G):
+    """Exact reference for `cones.extreme_rays`: the dual of the exact
+    dual, enumerated on its rays and +/- its lineality basis."""
+    rows, d = _exact_input(G)
+    rays, lin = _exact_dual(rows, d)
+    return _as_floats(*_exact_dual(rays + lin + [[-x for x in v] for v in lin], d), d)
 
 
 def min_body_gap(a, b):

@@ -22,10 +22,10 @@ def polar_admissible(body):
     """Whether the polar set is nonempty.
 
     The support normals are the dual cone's generators, computed at
-    construction, so admissibility is their nonemptiness.  (The
-    feasibility-solve formulation — some nonzero q with q . g >= 0 for
-    all generators — is available as oracles.nontrivial_dual_witness and
-    is exercised against this in the tests.)
+    construction, so admissibility is their nonemptiness.  (The tests
+    check it against `oracles.dual_cone_rays_exact`: the dual has a
+    nonzero q with q . g >= 0 for all generators iff its exact
+    enumeration finds a ray or a lineality vector.)
     """
     return body.normal_array.shape[0] > 0
 

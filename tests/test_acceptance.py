@@ -119,10 +119,12 @@ def test_double_dual_recovers_200_bodies():
 
 
 def test_dual_conversion_matches_bruteforce_200_sets():
-    # double description vs subset-enumeration brute force on 200 random
+    # double description vs the exact rational enumeration on 200 random
     # generator sets (ambient dims 2-4, at most 12 generators), mixing
-    # dispersed and cap-concentrated draws: extreme-ray sets equal
-    # within 1e-9.
+    # dispersed and cap-concentrated draws: extreme-ray sets, lineality
+    # included, equal within 1e-9.  The reference decides every sign and
+    # rank exactly on the float rows, so a mismatch is the double
+    # description's.
     rng = np.random.default_rng(12345)
     for t in range(200):
         d = 2 + t % 3
@@ -132,7 +134,7 @@ def test_dual_conversion_matches_bruteforce_200_sets():
             G[:, -1] = np.abs(G[:, -1]) + 0.3
         G = cones.unitize(G)
         fast = cones.rays_with_lineality(*cones.dual_cone_rays(G))
-        slow = cones.rays_with_lineality(*oracles.dual_cone_rays_bruteforce(G))
+        slow = cones.rays_with_lineality(*oracles.dual_cone_rays_exact(G))
         gap = ray_set_match_angle(fast, slow)
         assert gap <= 1e-9, f"set {t} (dim {d}, m {m}): ray mismatch {gap}"
 

@@ -281,17 +281,17 @@ class TestLinealityNormals:
                 assert (b.normal_array @ c).min() < 0.0
 
     def test_is_hemispherical_matches_the_linear_program(self):
-        # caps 10^-k short of a hemisphere; from k = 10 on their construction
-        # is itself wrong (`extreme_rays`' two-sided test finds lineality in
-        # their generators), so no predicate can be checked on them.  The
-        # S^3 cap stops at k = 8 because the reference fails at k = 9: the
-        # linear program's box-optimal witness has a free component off the
-        # cap's 3-dimensional span and, normalized, misses FEAS_EPS,
-        # although the pole clears it by 1.4e-16
+        # caps 10^-k short of a hemisphere, k = 1..9; from k = 10 on their
+        # construction is itself wrong (`extreme_rays`' two-sided test finds
+        # lineality in their generators), so no predicate can be checked on
+        # them.  The S^3 cap's generators span only 3 dimensions of R^4, so
+        # the reference projects its linear program's witness onto their
+        # span; at k = 9 the pole clears FEAS_EPS by 1.4e-16, and the witness
+        # does too only after that projection
         caps = [
             harness.cap_polytope(harness.pole_axis(n), math.pi / 2 - 10.0**-k, 8)
-            for n, top in ((2, 9), (3, 8))
-            for k in range(1, top + 1)
+            for n in (2, 3)
+            for k in range(1, 10)
         ]
         for b in itertools.chain(_seeded_bodies(), caps):
             # the linear program, kept here as the reference

@@ -66,11 +66,24 @@ def test_certificate_call_sites():
     # the solver-backed certificates are called from these places only,
     # so swapping the primitive touches no other code
     assert _callers("pointed_witness") == {"cones._pointed_extreme"}
-    assert _callers("linprog") <= {
-        "cones.pointed_witness",
-        "metric.separate",
-        "oracles.nontrivial_dual_witness",
-    }
+    assert _callers("linprog") <= {"cones.pointed_witness", "metric.separate"}
+
+
+def test_oracles_read_no_private_cone_name():
+    # the oracles judge the cone layer, so they may not lean on its
+    # internals: `oracles.py` reads only public `cones` names, as
+    # `cones.<name>` or through `from .cones import <name>`
+    path = Path(wulffkit.__file__).parent / "oracles.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cones":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("cones"):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith("_")]
+    assert found == []
 
 
 def test_body_predicates_call_no_solver():

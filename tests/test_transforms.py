@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wulffkit import body, harness, metric, oracles, transforms
+from wulffkit import body, cones, harness, metric, oracles, transforms
 from wulffkit.errors import (
     NonHemisphericalError,
     NormalizationError,
@@ -122,10 +122,11 @@ class TestPolarBasics:
                 b = body.from_generators(pts)
             except ValueError:
                 continue
-            w = oracles.nontrivial_dual_witness(b.generator_array)
-            assert transforms.polar_admissible(b) == (w is not None)
-            if w is not None:
-                assert (b.generator_array @ w).min() >= -1e-12
+            # any exact dual ray or lineality vector is a witness
+            witnesses = cones.rays_with_lineality(*oracles.dual_cone_rays_exact(b.generator_array))
+            assert transforms.polar_admissible(b) == (witnesses.shape[0] > 0)
+            if witnesses.shape[0]:
+                assert (b.generator_array @ witnesses[0]).min() >= -1e-12
 
     def test_double_polar_random_bodies(self):
         rng = np.random.default_rng(41)
