@@ -205,13 +205,13 @@ def pointed_witness(G):
     Existence of such a q says cone(G) is pointed (equivalently: the
     rows sit in a common open half-space).  The LP maximizes the worst
     slack inside the unit box; the witness is re-verified after
-    normalization rather than trusted from the solver.  When the rows
-    do not span R^d, the box leaves the part of q off their span free,
-    and it can come back at the box's edge and shrink the normalized
-    margin by up to sqrt(d); so q is first projected onto the span,
-    which keeps every slack q . g and shortens q.  Its one package
-    caller is `_pointed_extreme`, on raw rays that have no normals yet;
-    a built body reads its witness off its normals
+    normalization rather than trusted from the solver.  The LP leaves
+    the part of q off the rows' span free, and when the rows do not
+    span R^d it can come back at the box's edge and shrink the
+    normalized margin by up to sqrt(d); so q is first projected onto
+    the span, which keeps every slack q . g and shortens q.  Its one
+    package caller is `_pointed_extreme`, on raw rays that have no
+    normals yet; a built body reads its witness off its normals
     (`body.hemispherical_witness`).
     """
     G = np.asarray(G, dtype=float)
@@ -226,9 +226,8 @@ def pointed_witness(G):
     if not res.success:
         return None
     q = res.x[:d]
-    B, s = span_basis(G)
-    if s < d:
-        q = B.T @ (B @ q)
+    B, _ = span_basis(G)
+    q = B.T @ (B @ q)
     nq = float(np.linalg.norm(q))
     if nq < NEAR_ZERO:
         return None

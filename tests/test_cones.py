@@ -7,7 +7,10 @@ which enumerate the same cones in rational arithmetic over the exact
 values of the same float rows.  The references decide every sign and
 every rank exactly, so a disagreement is the float code's; the float
 results are held to 1e-9, and the thin inputs of `TestDegenerateStarts`
-to a bound argued from their conditioning.
+to a bound argued from their conditioning.  Rows dependent only up to
+rounding are independent in exact arithmetic, so `TestDegenerateStarts`
+judges its coplanar rows against the exact dual of a twin that is
+coplanar exactly in floats.
 """
 
 import math
@@ -20,6 +23,7 @@ from scipy.optimize import linear_sum_assignment
 
 from wulffkit import cones, oracles
 from wulffkit.errors import NormalizationError
+from wulffkit.geometry import subspace_canonical_basis
 
 
 def matched_gaps(A, B):
@@ -288,7 +292,9 @@ class TestDualConversion:
 @st.composite
 def degenerate_generators(draw):
     """A generator set on S^1-S^3 that stresses the start of the double
-    description (kind, rows).
+    description, as (kind, cases).  Each case is (G, T, H): rows G for
+    the double description, and rows T whose exact dual, carried by the
+    orthogonal map H, is the reference; G is T H^T up to rounding.
 
     * "pairs": +/- pairs of the axes 1..k with zero first coordinate
       and a few rows of positive first coordinate (half-spaces, lunes,
@@ -296,19 +302,26 @@ def degenerate_generators(draw):
       lex-sorted rows contain a +/- pair;
     * "coplanar" (S^2, S^3): three rows in one plane through e_0 with
       first coordinate below -0.87, lex-sorted ahead of rows with a
-      positive one.  The plane's other direction is a sign vector over
-      sqrt(d - 1), so the entries of a row off e_0 all round alike and
-      the rows are coplanar exactly in floats, before and after
-      `unitize`; rows coplanar only to rounding span one dimension more
-      in exact arithmetic, and the dual of such rows is ill-posed;
+      positive one.  The plane's other direction v is a random unit
+      vector, so the rows are coplanar only up to rounding: in exact
+      arithmetic they span one dimension more, and the exact dual of
+      these float rows is ill-posed (the rounding sets its rays).  So
+      the reference is the exact dual of their twin T = G H, H the
+      reflection that fixes e_0 and swaps v with a sign vector over
+      sqrt(d - 1).  T's plane rows are built on that sign vector, so
+      the entries of a row off e_0 all round alike and the rows are
+      coplanar exactly in floats, before and after `unitize`; the twin
+      is also a case of its own, judged against its own exact dual;
     * "repeated": a random set whose lex-first row is repeated within
       RAY_TOL;
-    * "thin" (S^2, S^3): points within 1e-6 or 1e-7 of an arc of a great
-      circle plus the arc midpoint lifted 1e-3 off the circle's plane.
+    * "thin" (S^2, S^3): points within 1e-6 of an arc of a great circle
+      plus the arc midpoint lifted 1e-3 off the circle's plane, and the
+      same arc with the points' offsets scaled to within 1e-7.
     """
     kind = draw(st.sampled_from(["thin", "coplanar", "repeated", "pairs"]))
     d = draw(st.integers(3 if kind in ("thin", "coplanar") else 2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eye = np.eye(d)
 
     def forward(count):
         rows = rng.normal(size=(count, d))
@@ -319,10 +332,17 @@ def degenerate_generators(draw):
         axes = np.eye(d)[1 : draw(st.integers(1, d - 1)) + 1]
         G = np.vstack([axes, -axes, forward(draw(st.integers(0, 3)))])
     elif kind == "coplanar":
-        v = rng.choice([-1.0, 1.0], size=d - 1) / math.sqrt(d - 1)
+        v = cones.unitize(rng.normal(size=(1, d - 1)))[0]
         t = rng.uniform(0.0, 0.5, size=3)
-        plane = np.column_stack([-np.cos(t), np.sin(t)[:, None] * v])
-        G = np.vstack([plane, forward(draw(st.integers(0, 4)))])
+        fwd = forward(draw(st.integers(0, 4)))
+        sign = np.where(v >= 0.0, 1.0, -1.0) / math.sqrt(d - 1)
+        u = np.concatenate([[0.0], v - sign])
+        H = eye - 2.0 * np.outer(u, u) / (u @ u)
+        G, T = (
+            np.vstack([np.column_stack([-np.cos(t), np.sin(t)[:, None] * w]), rows])
+            for w, rows in ((v, fwd), (sign, fwd @ H))
+        )
+        return kind, [(T, T, eye), (G, T, H)]
     elif kind == "repeated":
         G = cones.lex_sorted_rows(cones.unitize(rng.normal(size=(d + 2, d))))
         nudge = cones.unitize(rng.normal(size=(1, d)))[0]
@@ -332,11 +352,19 @@ def degenerate_generators(draw):
         ang = rng.uniform(0.0, 2.0, size=draw(st.integers(3, 8)))
         arc = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * w
         noise = cones.unitize(rng.normal(size=arc.shape))
-        thick = draw(st.sampled_from([1e-6, 1e-7]))
-        arc = arc + rng.uniform(-thick, thick, size=(len(ang), 1)) * noise
-        mid = np.cos(1.0) * u + np.sin(1.0) * w
-        G = np.vstack([arc, mid + 1e-3 * n])
-    return kind, G
+        jitter = rng.uniform(-1e-6, 1e-6, size=(len(ang), 1)) * noise
+        mid = np.cos(1.0) * u + np.sin(1.0) * w + 1e-3 * n
+        thin = (np.vstack([arc + offset, mid]) for offset in (jitter, jitter / 10))
+        return kind, [(G, G, eye) for G in thin]
+    return kind, [(G, G, eye)]
+
+
+def carried_dual(T, H):
+    """The exact dual of the rows T carried by the orthogonal map H,
+    in the layout of `cones.dual_cone_rays`."""
+    rays, lin = oracles.dual_cone_rays_exact(T)
+    lin = lin @ H.T
+    return cones.lex_sorted_rows(rays @ H.T), subspace_canonical_basis(lin.T @ lin, lin.shape[0])
 
 
 def rounding_bounds(G, rays):
@@ -377,20 +405,23 @@ class TestDegenerateStarts:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(degenerate_generators())
     def test_matches_bruteforce(self, case):
-        kind, G = case
-        dd, ref = dual_pair(G)
-        assert dd.shape == ref.shape, kind
-        # thin rows span the space, so their dual has rays only
-        bound = rounding_bounds(G, ref) if kind == "thin" else 1e-9
-        assert (matched_gaps(dd, ref) <= bound).all(), kind
-        # where the rows span the space the engine sees them in input
-        # coordinates, leading dependent rows included; the dual then has
-        # no lineality, and `ref` holds its rays
-        C = cones.lex_sorted_rows(cones.dedupe_rays(cones.unitize(G)))
-        if cones.span_basis(C)[1] == C.shape[1]:
-            rays = cones.lex_sorted_rows(cones._dd_in_span(C))
-            assert rays.shape == ref.shape, kind
-            assert (matched_gaps(rays, ref) <= bound).all(), kind
+        kind, cases = case
+        for G, T, H in cases:
+            dd = cones.rays_with_lineality(*cones.dual_cone_rays(G))
+            rays, lin = carried_dual(T, H)
+            ref = cones.rays_with_lineality(rays, lin)
+            assert dd.shape == ref.shape, kind
+            # thin rows span the space, so their dual has rays only
+            bound = rounding_bounds(T, rays) if kind == "thin" else 1e-9
+            assert (matched_gaps(dd, ref) <= bound).all(), kind
+            # where the rows span the space the engine sees them in input
+            # coordinates, leading dependent rows included; the dual then
+            # has no lineality, and `ref` holds its rays
+            C = cones.lex_sorted_rows(cones.dedupe_rays(cones.unitize(G)))
+            if cones.span_basis(C)[1] == C.shape[1]:
+                in_span = cones.lex_sorted_rows(cones._dd_in_span(C))
+                assert in_span.shape == ref.shape, kind
+                assert (matched_gaps(in_span, ref) <= bound).all(), kind
 
 
 class TestExtremeRays:
