@@ -32,14 +32,17 @@ class SphericalBody:
     """Canonical polyhedral-cone cap on S^n.
 
     Build through `from_generators`, `hemisphere_body` or
-    `transforms.polar`; the raw constructor trusts its inputs.
+    `transforms.polar`; the raw constructor trusts its inputs.  A polar
+    swaps its input's two arrays and shares them (they are read-only);
+    only the cache is its own.
 
     Invariant: every unit c orthogonal to span(G) has n . c < 0 for some
     normal n, so the slack test min(N q) >= -tol alone decides membership.
     Proof: the constructors store N as the dual cone's rays plus +/- an
-    orthonormal basis of its lineality, the complement of span(G) (`polar`
-    reuses the input's generators, which carry their lineality that way);
-    c . e != 0 for some basis vector e, and one of +/- e has negative slack.
+    orthonormal basis of its lineality, the complement of span(G) (a
+    polar's normals are its input's generators, which carry their
+    lineality that way); c . e != 0 for some basis vector e, and one of
+    +/- e has negative slack.
 
     The predicates below read only G and N.  `_cache` holds what is
     derived from them at a cost: "span" (`span`) and "face_spans"

@@ -7,7 +7,8 @@ is a batch of one).  Its candidates are genuine body members: the row
 itself when it is inside, the nearest generator, and the normalized
 projections onto the spans of the body's faces, found at once for the
 whole block.  The closest candidate is exact.
-The faces are read off the generator-normal incidence (`_face_spans`).
+The facet spans are read off the normals, and the lower faces off the
+generator-normal incidence (`_face_spans`).
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
@@ -136,44 +137,68 @@ def _angles(X, Y):
 def _face_spans(body):
     """Orthonormal bases of the spans of the body's faces, stacked by dimension.
 
-    Reads the faces off the generator-normal incidence: the generators
-    tight on one support normal form a facet, a rank-deficient body is
-    a face of itself, and every other face is an intersection of
-    facets.  The closure therefore intersects only the sets found in
-    the previous round with the facets, until a round finds nothing
-    new; sets of fewer than two generators are dropped.  Sets are
-    deduplicated as rows packed big-endian by `np.packbits`, which sort
-    the way the boolean rows do.  One basis is kept per distinct span
-    of rank 2 up to d - 1 (single generators are covered by the
-    nearest-generator candidate, and the whole space by the membership
-    test).  Returns a list of (s, f, d) arrays, one per span dimension f.
+    One basis is kept per distinct span of rank 2 up to d - 1 (single
+    generators are covered by the nearest-generator candidate, and the
+    whole space by the membership test).  With B the basis of span(G),
+    of rank s, the faces come in three groups:
+
+    - facets: each pointed normal n lies in span(G) (see
+      `SphericalBody`), and its facet spans n's orthogonal complement
+      inside span(G), of rank s - 1.  The rows of B with their
+      component along n removed span it, so the first s - 1 right
+      singular vectors of those rows are its basis; one batched SVD
+      covers all facets.  The lineality normals are orthogonal to
+      span(G), so |B n| is 1 on a pointed normal and 0 on a lineality
+      one, and |B n|^2 > 1/4 tells the two exact cases apart, not a
+      tuned cutoff;
+    - the body itself, when it is rank-deficient (2 <= s < d);
+    - lower faces, of rank 2 to s - 2, which exist only when s >= 4
+      (never on S^2): each is an intersection of facets, read off the
+      generator-normal incidence.  The closure intersects only the sets
+      found in the previous round with the facets, until a round finds
+      nothing new; sets of fewer than two generators are dropped.  Sets
+      are deduplicated as rows packed big-endian by `np.packbits`, which
+      sort the way the boolean rows do, and their spans by `span_key`.
+
+    Returns a list of (s, f, d) arrays, one per span dimension f.
     """
     cached = body._cache.get("face_spans")
     if cached is not None:
         return cached
     G = body.generator_array
-    N = body.normal_array
     m, d = G.shape
-    tight = (np.abs(G @ N.T) <= 1e-9).T
-    if body.span()[1] < d:
-        tight = np.vstack([tight, np.ones((1, m), dtype=bool)])
-    known = np.unique(np.packbits(tight[tight.sum(axis=1) >= 2], axis=1), axis=0)
-    facets = fresh = np.unpackbits(known, axis=1, count=m).astype(bool)
-    while fresh.shape[0]:
-        meets = (fresh[:, None, :] & facets[None, :, :]).reshape(-1, m)
-        meets = np.packbits(meets[meets.sum(axis=1) >= 2], axis=1)
-        grown, first = np.unique(np.vstack([known, meets]), axis=0, return_index=True)
-        fresh = np.unpackbits(grown[first >= known.shape[0]], axis=1, count=m).astype(bool)
-        known = grown
-    seen = {}
-    for face in np.unpackbits(known, axis=1, count=m).astype(bool):
-        B, r = span_basis(G[face])
-        if 2 <= r < d:
-            seen.setdefault(span_key(B), B)
-    by_dim = {}
-    for B in seen.values():
-        by_dim.setdefault(B.shape[0], []).append(B)
-    spans = [np.stack(bases) for bases in by_dim.values()]
+    B, s = body.span()
+    C = body.normal_array @ B.T
+    pointed = np.einsum("ij,ij->i", C, C) > 0.25
+    N = body.normal_array[pointed]
+    spans = []
+    if s >= 3 and N.shape[0]:
+        rows = B - C[pointed][:, :, None] * N[:, None, :]
+        spans.append(np.linalg.svd(rows, full_matrices=False)[2][:, : s - 1])
+    if 2 <= s < d:
+        spans.append(B[None])
+    if s >= 4:
+        facets = np.abs(G @ N.T).T <= 1e-9
+        known = np.unique(np.packbits(facets, axis=1), axis=0)
+        fresh = np.unpackbits(known, axis=1, count=m).astype(bool)
+        lower = np.zeros((0, (m + 7) // 8), dtype=np.uint8)
+        while fresh.shape[0]:
+            meets = (fresh[:, None, :] & facets[None, :, :]).reshape(-1, m)
+            meets = np.packbits(meets[meets.sum(axis=1) >= 2], axis=1)
+            grown, first = np.unique(np.vstack([known, meets]), axis=0, return_index=True)
+            fresh = grown[first >= known.shape[0]]
+            lower = np.vstack([lower, fresh])
+            fresh = np.unpackbits(fresh, axis=1, count=m).astype(bool)
+            known = grown
+        seen = {}
+        for face in np.unpackbits(lower, axis=1, count=m).astype(bool):
+            Bf, r = span_basis(G[face])
+            if 2 <= r <= s - 2:
+                seen.setdefault(span_key(Bf), Bf)
+        by_dim = {}
+        for Bf in seen.values():
+            by_dim.setdefault(Bf.shape[0], []).append(Bf)
+        spans += [np.stack(bases) for bases in by_dim.values()]
     body._cache["face_spans"] = spans
     return spans
 
@@ -436,6 +461,14 @@ def _exact_directed(a, b):
     both sides: arccos of a rounded sigma near 1 is off by up to about
     sqrt(2 * 4 ulp), 3e-8, and the lower bound by at most the 1e-10
     membership tolerance and the rounding of arcsin.
+
+    The candidates within slack 1e-9 of a are then replaced by their
+    nearest points of a, so every scored point is a genuine point of a
+    and the maximum never exceeds the true one.  (A slack bound is no
+    angle bound: against two nearly opposite normals of a thin body, a
+    candidate of slack -1e-9 can lie 1e-3 rad outside it.)  A candidate
+    already in a comes back unchanged, so the maximizer, which lies in
+    a, is still scored as it is.
     """
     if _deep_witness(a, b) is None:
         return None
@@ -460,7 +493,7 @@ def _exact_directed(a, b):
     X = np.vstack(parts)
     X = np.vstack([X, -X])
     if Na.shape[0]:
-        X = X[kernels.min_slack(X, Na) >= -1e-9]
+        X = _nearest_body_points(X[kernels.min_slack(X, Na) >= -1e-9], a)[1]
     best = float(batch_point_body_distance(np.vstack([Ga, X]), b).max())
     if best >= math.pi / 2.0 - 1e-9:
         return None

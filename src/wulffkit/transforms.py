@@ -8,8 +8,14 @@ original generators become its support normals.
 """
 
 from . import body as body_mod
-from . import cones, kernels
-from .body import SphericalBody, from_generators, is_hemispherical, is_wulff_relative
+from . import kernels
+from .body import (
+    SphericalBody,
+    canonicalize,
+    from_generators,
+    is_hemispherical,
+    is_wulff_relative,
+)
 from .errors import (
     NonHemisphericalError,
     NotAWulffShapeError,
@@ -33,28 +39,35 @@ def polar_admissible(body):
 def polar(body):
     """The polar body: support normals become generators and vice versa.
 
-    The dual cone's extreme rays are recomputed here by double
-    description rather than copied from the stored normals, so a
-    double-polar round trip exercises the conversion twice.
+    A body's two arrays describe each other symmetrically:
+    - the normals are the canonical generators of the dual cone of
+      cone(G): `from_generators` stores them as
+      `rays_with_lineality(*dual_cone_rays(G))` of the stored G, and
+      `hemisphere_body` stores the center, the dual's one ray, which
+      that conversion reproduces to rounding;
+    - the generators are the dual cone's irredundant constraints (a
+      generator implied by the others would not have been extreme), so
+      they are the canonical generators of the dual of cone(N).
+    Swapping the arrays therefore gives the polar with both descriptions
+    canonical, and no conversion runs: the polar shares its input's
+    arrays, and its slack matrix is the transpose of the input's, which
+    the input's constructor already checked.
     """
     if not polar_admissible(body):
         raise PolarEmptyError()
-    rays, lin = cones.dual_cone_rays(body.generator_array)
-    gens_out = cones.rays_with_lineality(rays, lin)
-    if gens_out.shape[0] == 0:
-        raise PolarEmptyError()
-    # the original generators are exactly the irredundant constraints of
-    # the dual cone (a generator implied by the others would not have
-    # been extreme), so they are the polar's canonical support normals
-    result = SphericalBody(gens_out, body.generator_array, _trusted=True)
-    body_mod._check_cross_consistency(result)
-    return result
+    return SphericalBody(body.normal_array, body.generator_array, _trusted=True)
 
 
 def double_polar(body):
-    """polar(polar(body)); on representable bodies this recovers the
-    input (checked by the harness, not assumed here)."""
-    return polar(polar(body))
+    """The polar of the re-canonicalized polar; on representable bodies
+    this recovers the input (checked by the harness, not assumed here).
+
+    `polar` swaps the stored arrays, so polar(polar(body)) would be
+    the input itself; `canonicalize` in between runs the dual-cone
+    conversion on the polar's generators, the input's normals, so the
+    round trip converts once in each direction.
+    """
+    return polar(canonicalize(polar(body)))
 
 
 def dual_wulff(body, p):

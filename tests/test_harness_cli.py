@@ -336,15 +336,18 @@ class TestCliShapes:
 
     def test_hull_command_builds_one_body(self, tmp_path, monkeypatch, capsys):
         # the points file is read as rows and handed to spherical_hull,
-        # which builds the only body; every module's binding is counted
+        # which builds the only body from them; its double-polar check
+        # builds one more, from the hull's normals; every module's
+        # binding is counted
         p = tmp_path / "pts.shape"
         rows = [[0.3, 0.0, 0.95], [0.0, 0.3, 0.95], [-0.3, 0.0, 0.95], [0.1, 0.1, 0.99]]
         body.save_shape(body.ShapeSpec(ambient_dim=2, generator_rows=rows), p)
+        hull = body.from_generators(np.array(rows))
         original = body.from_generators
         calls = []
 
         def counting(points):
-            calls.append(1)
+            calls.append(np.array(points))
             return original(points)
 
         for module in list(sys.modules.values()):
@@ -352,7 +355,9 @@ class TestCliShapes:
                 monkeypatch.setattr(module, "from_generators", counting)
         assert main(["hull", str(p)]) == 0
         capsys.readouterr()
-        assert len(calls) == 1
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], rows)
+        assert np.array_equal(calls[1], hull.normal_array)
 
     def test_hull_non_hemispherical_errors(self, tmp_path, capsys):
         p = tmp_path / "pts.shape"

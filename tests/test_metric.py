@@ -382,8 +382,70 @@ def _span_projector(T):
     return np.round(T.T @ T, 9)
 
 
+def _face_span_keys_by_incidence(b):
+    """`span_key`s of the body's face spans of rank 2 to d - 1, every face
+    read off the generator-normal incidence: the generators tight on one
+    normal form a facet, a rank-deficient body is a face of itself, and
+    the closure intersects the sets of the previous round with the
+    facets until a round finds nothing new."""
+    G = b.generator_array
+    m, d = G.shape
+    tight = (np.abs(G @ b.normal_array.T) <= 1e-9).T
+    if b.span()[1] < d:
+        tight = np.vstack([tight, np.ones((1, m), dtype=bool)])
+    facets = tight[tight.sum(axis=1) >= 2]
+    known = {tuple(f) for f in facets}
+    fresh = known
+    while fresh:
+        meets = {tuple(np.array(f) & g) for f in fresh for g in facets}
+        fresh = {f for f in meets if sum(f) >= 2} - known
+        known |= fresh
+    keys = set()
+    for face in known:
+        B, r = cones.span_basis(G[np.array(face)])
+        if 2 <= r < d:
+            keys.add(cones.span_key(B))
+    return keys
+
+
+def _face_span_cases():
+    """Bodies of every `gen_convex_body` kind on S^1 to S^3 and their
+    polars, with hemispheres, lunes and S^4 polytope cones: arcs and
+    points, full-rank bodies with facets only (S^2) and with lower
+    faces (S^3, S^4), and rank-deficient bodies that are faces of
+    themselves."""
+    for dim in (1, 2, 3):
+        pole = harness.pole_axis(dim)
+        for seed in range(6):
+            rng = np.random.default_rng([dim, seed, 5])
+            bodies = [harness.gen_convex_body(pole, kind, rng) for kind in ("hull", "arc", "point", "wide_cap")]
+            bodies += [body.hemisphere_body(rng.normal(size=dim + 1))]
+            bodies += [_lune(dim)] if dim > 1 else []
+            for b in bodies:
+                yield b
+                if transforms.polar_admissible(b):
+                    yield transforms.polar(b)
+    cube = np.array(list(itertools.product([1.0, -1.0], repeat=4)))
+    yield body.from_generators(np.hstack([cube, np.full((16, 1), 3.0)]))
+    orthoplex = np.vstack([np.eye(4), -np.eye(4)])
+    yield body.from_generators(np.hstack([orthoplex, np.full((8, 1), 3.0)]))
+
+
 class TestFaceSpans:
     """The face spans are exactly the body's faces of rank 2 to d - 1."""
+
+    def test_matches_the_incidence_closure(self):
+        ranks = set()
+        for b in _face_span_cases():
+            spans = metric._face_spans(b)
+            keys = [cones.span_key(B) for T in spans for B in T]
+            assert len(keys) == len(set(keys))
+            assert set(keys) == _face_span_keys_by_incidence(b)
+            ranks.add((b.span()[1], tuple(sorted(T.shape[1] for T in spans))))
+        # (span rank, face ranks): an arc is a face of itself, S^2 bodies
+        # have facets only, an S^3 lune has facets and itself, and the
+        # full S^3 and S^4 bodies have lower faces too
+        assert {(2, (2,)), (3, (2,)), (3, (2, 3)), (4, (2, 3)), (5, (2, 3, 4))} <= ranks
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
     def test_regular_polygon_has_one_span_per_edge(self, m):
@@ -532,9 +594,9 @@ def _record_batches(monkeypatch):
 
 def _unscreened_exact(a, b):
     """Exact directed distance from every generator of a and every
-    eigenvector candidate inside a, with no screen: for each pair of face
-    spans F of a and E of b, the eigenvectors of P_F P_E P_F in F and
-    their antipodes."""
+    eigenvector candidate within slack 1e-9 of a, moved onto a, with no
+    screen: for each pair of face spans F of a and E of b, the
+    eigenvectors of P_F P_E P_F in F and their antipodes."""
     Ga, Na = a.generator_array, a.normal_array
     cands = [Ga]
     for TF in metric._face_spans(a):
@@ -546,7 +608,7 @@ def _unscreened_exact(a, b):
                 X = X[nrm > 1e-9] / nrm[nrm > 1e-9, None]
                 X = np.vstack([X, -X])
                 if Na.shape[0]:
-                    X = X[(X @ Na.T).min(axis=1) >= -1e-9]
+                    X = metric._nearest_body_points(X[(X @ Na.T).min(axis=1) >= -1e-9], a)[1]
                 cands.append(X)
     return float(metric.batch_point_body_distance(np.vstack(cands), b).max())
 
@@ -581,8 +643,33 @@ def _exact_route_pairs():
     yield harness.gen_wulff(pole, 8, 0.9, 9), harness.gen_wulff(pole, 8, 0.9, 10009)
 
 
+def _thin_body(seed, thickness):
+    """The hull of 3 to 8 points within `thickness` of an arc of a great
+    circle of S^2 (even seeds) or S^3 (odd seeds), plus the arc midpoint
+    lifted 1e-3 off the circle's plane."""
+    rng = np.random.default_rng(seed)
+    d = 3 + seed % 2
+    u, w, n = np.linalg.qr(rng.normal(size=(d, d)))[0].T[:3]
+    ang = rng.uniform(0.0, 2.0, size=int(rng.integers(3, 9)))
+    arc = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * w
+    noise = cones.unitize(rng.normal(size=arc.shape))
+    jitter = rng.uniform(-thickness, thickness, size=(len(ang), 1)) * noise
+    mid = np.cos(1.0) * u + np.sin(1.0) * w + 1e-3 * n
+    return body.from_generators(np.vstack([arc + jitter, mid]))
+
+
 class TestExactRoute:
     """The screened single batch of `_exact_directed` against no screen."""
+
+    @pytest.mark.parametrize("thickness", [1e-6, 1e-7, 1e-8])
+    def test_thin_body_is_at_distance_zero_from_itself(self, thickness):
+        # an eigenvector candidate within slack 1e-9 of a thin source can
+        # lie far outside it, across two nearly opposite normals; scored
+        # without moving it onto the source, it puts such bodies up to
+        # 0.58 rad from themselves, as exact
+        for seed in range(50):
+            b = _thin_body(seed, thickness)
+            assert metric.hausdorff_with_bound(b, b) == (0.0, 0.0, "exact")
 
     def test_matches_the_unscreened_candidates(self):
         checked = inside_a_face = 0

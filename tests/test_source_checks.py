@@ -69,6 +69,12 @@ def test_certificate_call_sites():
     assert _callers("linprog") <= {"cones.pointed_witness", "metric.separate"}
 
 
+def test_one_dual_conversion_per_body():
+    # a body's normals come from one conversion at construction; the
+    # polar swaps the stored arrays instead of converting again
+    assert _callers("dual_cone_rays") == {"body.from_generators"}
+
+
 def test_oracles_read_no_private_cone_name():
     # the oracles judge the cone layer, so they may not lean on its
     # internals: `oracles.py` reads only public `cones` names, as

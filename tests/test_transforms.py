@@ -128,6 +128,41 @@ class TestPolarBasics:
             if witnesses.shape[0]:
                 assert (b.generator_array @ witnesses[0]).min() >= -1e-12
 
+    def test_polar_swaps_the_stored_arrays(self):
+        # the stored normals are the conversion's output for the stored
+        # generators, bit for bit, so the swap is the polar that a rerun
+        # of the conversion would build
+        for dim in (1, 2, 3):
+            pole = harness.pole_axis(dim)
+            for seed in range(8):
+                rng = np.random.default_rng([dim, seed])
+                for kind in ("hull", "arc", "point", "wide_cap"):
+                    b = harness.gen_convex_body(pole, kind, rng)
+                    p = transforms.polar(b)
+                    rerun = cones.rays_with_lineality(*cones.dual_cone_rays(b.generator_array))
+                    assert np.array_equal(p.generator_array, rerun)
+                    assert np.array_equal(p.normal_array, b.generator_array)
+                # a hemisphere stores its exact center, which the
+                # conversion reproduces to rounding
+                h = body.hemisphere_body(rng.normal(size=dim + 1))
+                p = transforms.polar(h)
+                rerun = cones.rays_with_lineality(*cones.dual_cone_rays(h.generator_array))
+                assert np.array_equal(p.generator_array, h.normal_array)
+                assert np.abs(p.generator_array - rerun).max() <= 1e-13
+                assert np.array_equal(p.normal_array, h.generator_array)
+
+    def test_double_polar_converts_the_normals(self, monkeypatch):
+        # `polar` alone would hand the input back; the round trip must
+        # run the conversion on the input's normals
+        square = cap_polytope(math.pi / 6, [45, 135, 225, 315])
+        calls = []
+        convert = cones.dual_cone_rays
+        monkeypatch.setattr(cones, "dual_cone_rays", lambda G: calls.append(G) or convert(G))
+        transforms.double_polar(square)
+        # on the normals as `canonicalize` re-reduces them, to rounding
+        assert len(calls) == 1
+        assert np.abs(calls[0] - square.normal_array).max() <= 1e-14
+
     def test_double_polar_random_bodies(self):
         rng = np.random.default_rng(41)
         for dim in (2, 3):
