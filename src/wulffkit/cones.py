@@ -330,17 +330,25 @@ def _nnls_reduce(R):
 
 
 def _pointed_extreme(R):
-    """Extreme rays of cone(R) assuming the cone is pointed."""
+    """Extreme rays of cone(R) assuming the cone is pointed, or None.
+
+    Linearly independent rows span a simplicial cone, and a pointed
+    1-dimensional cone is a single ray; both come back without a test,
+    so they rely on the assumption.  Otherwise the rows must carry a
+    `pointed_witness` w in span coordinates, which proves the
+    assumption; without one the result is None and the caller decides.
+    With w, an arc's ends are the rows of extreme angle about w, and a
+    higher cone's extreme rays are the vertices of its gnomonic section
+    (`_nnls_reduce` when Qhull refuses it).
+    """
     m, d = R.shape
     B, s = span_basis(R)
     if m <= s or s == 1:
-        # linearly independent rays span a simplicial cone; a pointed
-        # 1-dimensional cone is a single ray
         return R if m <= s else R[:1]
     Rs = unitize(R @ B.T)
     w = pointed_witness(Rs)
     if w is None:
-        return _nnls_reduce(R)
+        return None
     if s == 2:
         wp = np.array([-w[1], w[0]])
         ang = np.arctan2(Rs @ wp, Rs @ w)
@@ -368,25 +376,47 @@ def extreme_rays(G):
     with -g also in the cone): any vanishing nonnegative combination
     only involves two-sided generators, so they span every line the
     cone contains.
+
+    With m deduplicated rows of span rank s, m > s >= 2, the pointed
+    witness is sought first (`_pointed_extreme`); when it exists, the
+    two-sided test could find nothing, so it is skipped.  Proof: let
+    w be the witness mapped back by the span basis, a unit vector with
+    g . w >= FEAS_EPS for every row g (the rows lie in the span, and
+    that bound holds up to rounding of order 1e-16).  For any lam >= 0
+    with t = sum(lam), the residual r = G^T lam + g of the test
+    `cone_member(G, -g)` has |r| >= w . r >= FEAS_EPS (1 + t) and
+    |r| >= |g| - t = 1 - t.  The larger of the two is least at
+    t = (1 - FEAS_EPS) / (1 + FEAS_EPS), where it is
+    2 FEAS_EPS / (1 + FEAS_EPS), about twice RAY_TOL = FEAS_EPS; so
+    every test is False whatever coefficients the solver returns, and
+    the rays are the ones the loop's own call to `_pointed_extreme`
+    would compute.  When no witness exists and the loop finds no
+    two-sided row, the rest is G itself, whose witness search just
+    failed, so `_nnls_reduce` runs on it directly.  Rows with m <= s
+    or s == 1 test for two-sided rows first, since `_pointed_extreme`
+    takes them as pointed untested.
     """
     G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
-    d = G.shape[1]
-    m = G.shape[0]
+    m, d = G.shape
+    pointed_test = m > span_basis(G)[1] >= 2
+    if pointed_test:
+        rays = _pointed_extreme(G)
+        if rays is not None:
+            return lex_sorted_rows(rays), np.zeros((0, d))
     two = [i for i in range(m) if cone_member(G, -G[i])]
-    if two:
-        Bl, _ = span_basis(G[two])
-        lin = subspace_canonical_basis(Bl.T @ Bl)
-        rest = G - (G @ lin.T) @ lin
-        norms = np.linalg.norm(rest, axis=1)
-        rest = rest[norms > NEAR_ZERO]
-        if rest.shape[0]:
-            rest = dedupe_rays(unitize(rest))
-    else:
-        lin = np.zeros((0, d))
-        rest = G
+    if not two:
+        rays = _nnls_reduce(G) if pointed_test else _pointed_extreme(G)
+        return lex_sorted_rows(rays), np.zeros((0, d))
+    Bl, _ = span_basis(G[two])
+    lin = subspace_canonical_basis(Bl.T @ Bl)
+    rest = G - (G @ lin.T) @ lin
+    rest = rest[np.linalg.norm(rest, axis=1) > NEAR_ZERO]
     if rest.shape[0] == 0:
         return np.zeros((0, d)), lin
+    rest = dedupe_rays(unitize(rest))
     rays = _pointed_extreme(rest)
+    if rays is None:
+        rays = _nnls_reduce(rest)
     return lex_sorted_rows(rays), lin
 
 

@@ -12,7 +12,8 @@ generator-normal incidence (`_face_spans`).
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
-whole source, found by a least-distance program): the squared cosine
+whole source, found among a few points the two bodies store or, failing
+those, by a least-distance program): the squared cosine
 of the distance is then C^1, every interior extremum over a source
 face is an eigenvector of a small operator projected on a source face
 span and a target face span, and the finite candidate set (source
@@ -415,28 +416,45 @@ def point_body_distance_sampled(x, body, resolution=None):
 def _deep_witness(a, b):
     """A point of b strictly within a quarter turn of all of a, or None.
 
-    Solves the least-distance program min |z| subject to G_a z >= 1 and
-    N_b z >= 0 (`cones.least_distance`).  The canonical normal list N_b,
-    with its +/- lineality rows, generates the dual cone of b, so
-    N_b z >= 0 says exactly that z lies in cone(G_b).  A unit w in that
-    cone with G_a w > 0 scales to a feasible z, and a feasible z
-    normalizes to such a w, so the program is feasible exactly when
-    some point of b is strictly within a quarter turn of every
-    generator of a, hence of every point of a.  The witness w = z / |z|
-    is re-verified on the raw arrays before it is returned.  It keeps
-    all point-to-body distances of the pair in the regime where the
-    exact extremum enumeration is complete.
+    A unit w counts when it passes two checks on the raw arrays:
+    min(G_a w) > 1e-9 and min(N_b w) >= -MEMBERSHIP_TOL.  The canonical
+    normal list N_b, with its +/- lineality rows, generates the dual cone
+    of b, so the second check says that w is a point of b; the first
+    puts it strictly within a quarter turn of every generator of a,
+    hence of every point of a.  Any w that passes proves what the exact
+    route needs, so the cheap candidates are tried first, in this order:
+    the rows of G_b, the normalized sum of G_b (a point of cone(G_b)),
+    and the normalized sum of a's normals (the point
+    `body.hemispherical_witness` reads).  Only when none passes is the
+    least-distance program min |z| subject to G_a z >= 1 and N_b z >= 0
+    solved (`cones.least_distance`).  A unit w in cone(G_b) with
+    G_a w > 0 scales to a feasible z, and a feasible z normalizes to
+    such a w, so the program is feasible exactly when some point of b
+    is strictly within a quarter turn of all of a; its w = z / |z| gets
+    the same two checks.  A candidate can thus only add pairs to the
+    exact route, never take one away from it.  The witness keeps all
+    point-to-body distances of the pair in the regime where the exact
+    extremum enumeration is complete.
     """
     Ga = a.generator_array
+    Gb = b.generator_array
     Nb = b.normal_array
+
+    def first_verified(W):
+        ok = (kernels.min_slack(W, Ga) > 1e-9) & (kernels.min_slack(W, Nb) >= -MEMBERSHIP_TOL)
+        return W[np.argmax(ok)] if ok.any() else None
+
+    sums = np.vstack([Gb.sum(axis=0), a.normal_array.sum(axis=0)])
+    norms = np.linalg.norm(sums, axis=1, keepdims=True)
+    keep = norms[:, 0] >= NEAR_ZERO
+    w = first_verified(np.vstack([Gb, sums[keep] / norms[keep]]))
+    if w is not None:
+        return w
     h = np.concatenate([np.ones(Ga.shape[0]), np.zeros(Nb.shape[0])])
     z = least_distance(np.vstack([Ga, Nb]), h)
     if z is None:
         return None
-    w = z / float(np.linalg.norm(z))
-    if float((Ga @ w).min()) <= 1e-9 or float((Nb @ w).min(initial=0.0)) < -MEMBERSHIP_TOL:
-        return None
-    return w
+    return first_verified(z[None, :] / float(np.linalg.norm(z)))
 
 
 def _exact_directed(a, b):

@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from wulffkit import cones, oracles
+from wulffkit import body, cones, harness, oracles
 from wulffkit.errors import NormalizationError
-from wulffkit.geometry import subspace_canonical_basis
+from wulffkit.geometry import NEAR_ZERO, complement_basis, subspace_canonical_basis
 
 
 def matched_gaps(A, B):
@@ -424,7 +424,95 @@ class TestDegenerateStarts:
                 assert (matched_gaps(in_span, ref) <= bound).all(), kind
 
 
+def _loop_first_extreme_rays(G):
+    """`cones.extreme_rays` as it ran before the pointed witness went
+    first: the two-sided test on every row, then the pointed reduction of
+    the rest, falling back to per-ray membership tests without a witness."""
+    G = cones.dedupe_rays(cones.unitize(np.asarray(G, dtype=float)))
+    d = G.shape[1]
+    two = [i for i in range(G.shape[0]) if cones.cone_member(G, -G[i])]
+    lin, rest = np.zeros((0, d)), G
+    if two:
+        Bl, _ = cones.span_basis(G[two])
+        lin = subspace_canonical_basis(Bl.T @ Bl)
+        rest = G - (G @ lin.T) @ lin
+        rest = rest[np.linalg.norm(rest, axis=1) > NEAR_ZERO]
+        if rest.shape[0]:
+            rest = cones.dedupe_rays(cones.unitize(rest))
+    if rest.shape[0] == 0:
+        return np.zeros((0, d)), lin
+    rays = cones._pointed_extreme(rest)
+    if rays is None:
+        rays = cones._nnls_reduce(rest)
+    return cones.lex_sorted_rows(rays), lin
+
+
+def _cap_rows(n, radius, count):
+    """The rows `harness.cap_polytope` hulls: `count` points on the
+    boundary circle of the cap of the given radius about the pole of S^n."""
+    pole = harness.pole_axis(n)
+    B = complement_basis(pole)
+    ang = 2.0 * math.pi * np.arange(count) / count
+    dirs = np.cos(ang)[:, None] * B[0] + np.sin(ang)[:, None] * B[1]
+    return math.cos(radius) * pole.vec[None, :] + math.sin(radius) * dirs
+
+
 class TestExtremeRays:
+    def test_witness_first_matches_the_loop_first_routine(self, monkeypatch):
+        # the raw rows `from_generators` hands over while it builds bodies
+        # of every suite kind, hemispheres, lunes, the full sphere and a
+        # pair of antipodes
+        inputs = []
+        extreme_rays = cones.extreme_rays
+
+        def recorded(G):
+            inputs.append(np.array(G, dtype=float))
+            return extreme_rays(G)
+
+        monkeypatch.setattr(cones, "extreme_rays", recorded)
+        kinds = ["hull", "arc", "point", "wide_cap"]
+        for dim in (1, 2, 3):
+            pole = harness.pole_axis(dim)
+            e = np.eye(dim + 1)
+            for t in range(8):
+                rng = np.random.default_rng([dim, t, 19])
+                harness.gen_convex_body(pole, kinds[t % 4], rng)
+                harness.gen_wulff(
+                    pole, int(rng.integers(dim + 2, dim + 7)), rng.uniform(0.1, 1.2),
+                    int(rng.integers(2**31)),
+                )
+            body.from_generators(body.hemisphere_body(pole.vec).generator_array)
+            body.from_generators(np.vstack([e, -e]))
+            body.from_generators([e[dim], -e[dim]])
+            if dim > 1:
+                body.from_generators([e[dim], -e[dim], e[0], e[1]])
+        monkeypatch.undo()
+        # rows repeated at chordal distances on both sides of RAY_TOL
+        rng = np.random.default_rng(61)
+        for gap in (1e-10, 5e-10, 2e-9, 1e-8):
+            G = cones.unitize(rng.normal(size=(6, 3)) * 0.4 + [0.0, 0.0, 1.0])
+            inputs.append(np.vstack([G, G + gap * cones.unitize(rng.normal(size=G.shape))]))
+        # caps just short of a hemisphere; at pi/2 - 5e-10 the witness
+        # margin falls short of FEAS_EPS, yet no row tests two-sided
+        for n in (2, 3):
+            inputs += [_cap_rows(n, math.pi / 2 - 10.0**-k, 8) for k in range(7, 13)]
+            inputs += [_cap_rows(n, math.pi / 2 - 5e-10, count) for count in (5, 8)]
+        branches = set()
+        for G in inputs:
+            rays, lin = cones.extreme_rays(G)
+            ref_rays, ref_lin = _loop_first_extreme_rays(G)
+            assert np.array_equal(rays, ref_rays) and np.array_equal(lin, ref_lin)
+            R = cones.dedupe_rays(cones.unitize(G))
+            B, s = cones.span_basis(R)
+            tested = R.shape[0] > s >= 2
+            witnessed = tested and cones.pointed_witness(cones.unitize(R @ B.T)) is not None
+            branches.add((tested, witnessed, lin.shape[0] > 0))
+        # the witness, the two-sided loop after a failed witness search, the
+        # per-ray tests on rows with neither, and the loop alone on rows
+        # that `_pointed_extreme` would take as pointed untested
+        assert {(True, True, False), (True, False, True), (True, False, False),
+                (False, False, False), (False, False, True)} <= branches
+
     def test_redundant_ray_dropped(self):
         G = cones.unitize(
             np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])

@@ -596,14 +596,18 @@ def _unscreened_exact(a, b):
     """Exact directed distance from every generator of a and every
     eigenvector candidate within slack 1e-9 of a, moved onto a, with no
     screen: for each pair of face spans F of a and E of b, the
-    eigenvectors of P_F P_E P_F in F and their antipodes."""
+    eigenvectors of P_F P_E P_F in F below eigenvalue 1 and their
+    antipodes."""
     Ga, Na = a.generator_array, a.normal_array
     cands = [Ga]
     for TF in metric._face_spans(a):
         for TE in metric._face_spans(b):
             for F, E in itertools.product(TF, TE):
-                _, V = np.linalg.eigh(F @ E.T @ E @ F.T)
-                X = V.T @ F
+                vals, V = np.linalg.eigh(F @ E.T @ E @ F.T)
+                # an eigenvalue of 1 to rounding marks a point of F in
+                # span(E), of branch value 0: no stationary point, and
+                # never a maximum above the generators'
+                X = V.T[vals < 1.0 - 1e-12] @ F
                 nrm = np.linalg.norm(X, axis=1)
                 X = X[nrm > 1e-9] / nrm[nrm > 1e-9, None]
                 X = np.vstack([X, -X])
@@ -950,6 +954,21 @@ def _lp_deep_margin(a, b):
     return res.x[mb]
 
 
+def _least_distance_witness(a, b):
+    """`metric._deep_witness` with the least-distance program alone, as it
+    ran before the cheap candidates: min |z| subject to G_a z >= 1 and
+    N_b z >= 0, normalized and re-verified on the raw arrays."""
+    Ga, Nb = a.generator_array, b.normal_array
+    h = np.concatenate([np.ones(Ga.shape[0]), np.zeros(Nb.shape[0])])
+    z = cones.least_distance(np.vstack([Ga, Nb]), h)
+    if z is None:
+        return None
+    w = z / float(np.linalg.norm(z))
+    if float((Ga @ w).min()) <= 1e-9 or float((Nb @ w).min(initial=0.0)) < -metric.MEMBERSHIP_TOL:
+        return None
+    return w
+
+
 class TestDeepWitness:
     def test_decisions_agree_with_the_linear_program(self):
         # points, arcs, hulls, wide caps, their polars and hemispheres on
@@ -967,6 +986,7 @@ class TestDeepWitness:
                 for x, y in ((a, b2), (b2, a), (pa, b2), (b2, pa), (b2, hemi), (hemi, b2)):
                     w = metric._deep_witness(x, y)
                     assert (w is not None) == (_lp_deep_margin(x, y) > 1e-9)
+                    assert (w is not None) == (_least_distance_witness(x, y) is not None)
                     seen[w is not None] += 1
                     if w is not None:
                         assert body.contains(y, w)
@@ -983,6 +1003,24 @@ class TestDeepWitness:
         w2 = harness.gen_wulff(pole, 8, 0.9, 10009)
         _, err, path = metric.hausdorff_with_bound(w1, w2)
         assert (err, path) == (0.0, "exact")
+
+    def test_wulff_pairs_and_their_polars_solve_no_least_distance_program(self, monkeypatch):
+        # a point one of the two bodies stores certifies every such pair
+        def refuse(*args, **kwargs):
+            raise AssertionError("least_distance called on a Wulff pair")
+
+        monkeypatch.setattr(metric, "least_distance", refuse)
+        pole = harness.pole_axis(2)
+        for t in range(20):
+            rng = np.random.default_rng([t, 23])
+            w1, w2 = (
+                harness.gen_wulff(pole, int(rng.integers(4, 9)), rng.uniform(0.1, 1.2),
+                                  int(rng.integers(2**31)))
+                for _ in range(2)
+            )
+            for a, b in ((w1, w2), (transforms.polar(w1), transforms.polar(w2))):
+                _, err, path = metric.hausdorff_with_bound(a, b)
+                assert (err, path) == (0.0, "exact")
 
 
 class TestDimensionMismatchErrors:

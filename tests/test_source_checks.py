@@ -69,6 +69,13 @@ def test_certificate_call_sites():
     assert _callers("linprog") <= {"cones.pointed_witness", "metric.separate"}
 
 
+def test_nonnegative_fit_call_sites():
+    # the least-distance program is the deep witness's last resort, and
+    # the membership fit serves only the extreme-ray reduction
+    assert _callers("least_distance") == {"metric._deep_witness"}
+    assert _callers("cone_member") == {"cones.extreme_rays", "cones._nnls_reduce"}
+
+
 def test_one_dual_conversion_per_body():
     # a body's normals come from one conversion at construction; the
     # polar swaps the stored arrays instead of converting again
