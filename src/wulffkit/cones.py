@@ -29,8 +29,11 @@ from .geometry import NEAR_ZERO, subspace_canonical_basis
 
 RAY_TOL = 1e-9    # two unit rays within this chordal distance are one ray
 CLASS_TOL = 1e-10  # sign classification of dot products / membership slack
-FEAS_EPS = 1e-9   # strict-positivity margin demanded of LP witnesses
+FEAS_EPS = 1e-9   # strict-positivity margin demanded of pointed witnesses
 SPAN_TOL = 1e-10  # singular values below this do not extend a span
+
+# `dedupe_rays` forms its pairwise gaps in blocks of about this many pairs
+_DEDUPE_PAIRS = 1 << 16
 
 
 def unitize(M):
@@ -56,16 +59,26 @@ def unitize(M):
 
 
 def dedupe_rays(M):
-    """Drop rows that repeat an earlier row within chordal distance RAY_TOL."""
-    if M.shape[0] <= 1:
+    """Drop rows that repeat an earlier row within chordal distance RAY_TOL.
+
+    Greedy in row order: a row goes when a kept earlier row lies within
+    RAY_TOL, so of a chain a ~ b ~ c with a, c apart, b goes and c stays.
+    The pairwise gaps are computed once, in blocks of about _DEDUPE_PAIRS
+    pairs; a row with no earlier row that close is kept outright, and
+    only the others go through the greedy pass.
+    """
+    m = M.shape[0]
+    if m <= 1:
         return M
-    keep = []
-    for i in range(M.shape[0]):
-        if keep:
-            gaps = np.linalg.norm(M[keep] - M[i], axis=1)
-            if gaps.min() <= RAY_TOL:
-                continue
-        keep.append(i)
+    step = max(1, _DEDUPE_PAIRS // m)
+    close = np.vstack([
+        np.linalg.norm(M[lo:lo + step, None, :] - M[None, :, :], axis=2) <= RAY_TOL
+        for lo in range(0, m, step)
+    ])
+    close = np.tril(close, -1)
+    keep = ~close.any(axis=1)
+    for i in np.flatnonzero(~keep):
+        keep[i] = not (close[i] & keep).any()
     return M[keep]
 
 
@@ -203,8 +216,21 @@ def pointed_witness(G):
     """Unit q with q . g >= FEAS_EPS for every row g, or None.
 
     Existence of such a q says cone(G) is pointed (equivalently: the
-    rows sit in a common open half-space).  The LP maximizes the worst
-    slack inside the unit box; the witness is re-verified after
+    rows sit in a common open half-space).  The rows themselves are
+    tried first: each row of length at least NEAR_ZERO, normalized, is
+    a candidate, one product G Q^T gives every candidate's margin
+    min_j g_j . q, and the candidate of largest margin (the first on
+    ties) is returned when that margin is at least FEAS_EPS, the same
+    raw check the solved witness must pass.  The largest margin is
+    taken because the witness only sets the chart of the caller's
+    gnomonic section {x : x . q = 1}, whose conditioning is about one
+    over the margin: for any q inside the dual cone the vertices of
+    that section are the cone's extreme rays, so which witness is used
+    does not change which rows come back, in exact arithmetic; in
+    floats the margin bounds how much the chart amplifies rounding.
+
+    Only when no row qualifies is the LP solved.  It maximizes the
+    worst slack inside the unit box; the witness is re-verified after
     normalization rather than trusted from the solver.  The LP leaves
     the part of q off the rows' span free, and when the rows do not
     span R^d it can come back at the box's edge and shrink the
@@ -218,6 +244,14 @@ def pointed_witness(G):
     m, d = G.shape
     if m == 0:
         return None
+    norms = np.linalg.norm(G, axis=1)
+    usable = norms >= NEAR_ZERO
+    Q = G[usable] / norms[usable, None]
+    if Q.shape[0]:
+        margins = (G @ Q.T).min(axis=0)
+        best = int(np.argmax(margins))
+        if margins[best] >= FEAS_EPS:
+            return Q[best]
     c = np.zeros(d + 1)
     c[-1] = -1.0
     A = np.hstack([-G, np.ones((m, 1))])
@@ -309,7 +343,11 @@ def dual_cone_rays(G):
     if s == 0:
         raise NormalizationError("cone has no span")
     rays = _dd_in_span(lex_sorted_rows(unitize(G @ B.T))) @ B
-    lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
+    if s == d:
+        # the projector below is rounding noise then, and has no basis
+        lin = np.zeros((0, d))
+    else:
+        lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
     return lex_sorted_rows(rays), lin
 
 
@@ -329,7 +367,7 @@ def _nnls_reduce(R):
     return R[keep]
 
 
-def _pointed_extreme(R):
+def _pointed_extreme(R, span):
     """Extreme rays of cone(R) assuming the cone is pointed, or None.
 
     Linearly independent rows span a simplicial cone, and a pointed
@@ -339,10 +377,11 @@ def _pointed_extreme(R):
     assumption; without one the result is None and the caller decides.
     With w, an arc's ends are the rows of extreme angle about w, and a
     higher cone's extreme rays are the vertices of its gnomonic section
-    (`_nnls_reduce` when Qhull refuses it).
+    (`_nnls_reduce` when Qhull refuses it).  `span` is R's
+    `span_basis`, passed in because `extreme_rays` already has it.
     """
     m, d = R.shape
-    B, s = span_basis(R)
+    B, s = span
     if m <= s or s == 1:
         return R if m <= s else R[:1]
     Rs = unitize(R @ B.T)
@@ -358,7 +397,12 @@ def _pointed_extreme(R):
     # extreme rays into vertices of a convex polytope
     t = Rs @ w
     X = Rs / t[:, None]
-    Bw = subspace_canonical_basis(np.eye(s) - np.outer(w, w))
+    # any orthonormal basis of w's complement gives the same vertices;
+    # the SVD's has s - 1 rows for every w, where Gram-Schmidt on
+    # I - w w^T can keep an extra row when w is all but orthogonal to a
+    # coordinate axis (as a row witness of a thin cone is to the last
+    # span coordinate)
+    Bw = np.linalg.svd(w[None, :])[2][1:]
     U = (X - w) @ Bw.T
     try:
         hull = ConvexHull(U)
@@ -390,22 +434,25 @@ def extreme_rays(G):
     2 FEAS_EPS / (1 + FEAS_EPS), about twice RAY_TOL = FEAS_EPS; so
     every test is False whatever coefficients the solver returns, and
     the rays are the ones the loop's own call to `_pointed_extreme`
-    would compute.  When no witness exists and the loop finds no
-    two-sided row, the rest is G itself, whose witness search just
-    failed, so `_nnls_reduce` runs on it directly.  Rows with m <= s
-    or s == 1 test for two-sided rows first, since `_pointed_extreme`
-    takes them as pointed untested.
+    would compute.  The argument uses nothing of w but that bound, so
+    it holds for any witness that passed `pointed_witness`' check,
+    whether an input row or the linear program's.  When no witness
+    exists and the loop finds no two-sided row, the rest is G itself,
+    whose witness search just failed, so `_nnls_reduce` runs on it
+    directly.  Rows with m <= s or s == 1 test for two-sided rows
+    first, since `_pointed_extreme` takes them as pointed untested.
     """
     G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
     m, d = G.shape
-    pointed_test = m > span_basis(G)[1] >= 2
+    span = span_basis(G)
+    pointed_test = m > span[1] >= 2
     if pointed_test:
-        rays = _pointed_extreme(G)
+        rays = _pointed_extreme(G, span)
         if rays is not None:
             return lex_sorted_rows(rays), np.zeros((0, d))
     two = [i for i in range(m) if cone_member(G, -G[i])]
     if not two:
-        rays = _nnls_reduce(G) if pointed_test else _pointed_extreme(G)
+        rays = _nnls_reduce(G) if pointed_test else _pointed_extreme(G, span)
         return lex_sorted_rows(rays), np.zeros((0, d))
     Bl, _ = span_basis(G[two])
     lin = subspace_canonical_basis(Bl.T @ Bl)
@@ -414,7 +461,7 @@ def extreme_rays(G):
     if rest.shape[0] == 0:
         return np.zeros((0, d)), lin
     rest = dedupe_rays(unitize(rest))
-    rays = _pointed_extreme(rest)
+    rays = _pointed_extreme(rest, span_basis(rest))
     if rays is None:
         rays = _nnls_reduce(rest)
     return lex_sorted_rows(rays), lin

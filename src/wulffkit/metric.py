@@ -480,13 +480,15 @@ def _exact_directed(a, b):
     sqrt(2 * 4 ulp), 3e-8, and the lower bound by at most the 1e-10
     membership tolerance and the rounding of arcsin.
 
-    The candidates within slack 1e-9 of a are then replaced by their
-    nearest points of a, so every scored point is a genuine point of a
-    and the maximum never exceeds the true one.  (A slack bound is no
-    angle bound: against two nearly opposite normals of a thin body, a
-    candidate of slack -1e-9 can lie 1e-3 rad outside it.)  A candidate
-    already in a comes back unchanged, so the maximizer, which lies in
-    a, is still scored as it is.
+    The candidates within slack 1e-9 of a are kept, and those of them
+    that fail a's membership test (slack below -MEMBERSHIP_TOL) are
+    replaced by their nearest points of a, so every scored point is a
+    genuine point of a and the maximum never exceeds the true one.  (A
+    slack bound is no angle bound: against two nearly opposite normals
+    of a thin body, a candidate of slack -1e-9 can lie 1e-3 rad outside
+    it.)  The members skip the projection, which reads the same slack
+    test and would return them unchanged, so the maximizer, which lies
+    in a, is still scored as it is.
     """
     if _deep_witness(a, b) is None:
         return None
@@ -511,7 +513,10 @@ def _exact_directed(a, b):
     X = np.vstack(parts)
     X = np.vstack([X, -X])
     if Na.shape[0]:
-        X = _nearest_body_points(X[kernels.min_slack(X, Na) >= -1e-9], a)[1]
+        slack = kernels.min_slack(X, Na)
+        near = (slack >= -1e-9) & (slack < -MEMBERSHIP_TOL)
+        X[near] = _nearest_body_points(X[near], a)[1]
+        X = X[slack >= -1e-9]
     best = float(batch_point_body_distance(np.vstack([Ga, X]), b).max())
     if best >= math.pi / 2.0 - 1e-9:
         return None

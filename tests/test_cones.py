@@ -93,6 +93,38 @@ class TestRowUtilities:
         out = cones.dedupe_rays(cones.unitize(M))
         assert out.shape[0] == 2
 
+    def test_dedupe_rays_matches_the_greedy_loop(self):
+        def greedy(M):
+            keep = []
+            for i in range(M.shape[0]):
+                if keep and np.linalg.norm(M[keep] - M[i], axis=1).min() <= cones.RAY_TOL:
+                    continue
+                keep.append(i)
+            return M[keep]
+
+        # a chain a ~ b ~ c with a, c apart: b goes, c stays
+        a = np.array([1.0, 0.0, 0.0])
+        b = cones.unitize(a + [0.0, 0.7e-9, 0.0])[0]
+        c = cones.unitize(a + [0.0, 1.4e-9, 0.0])[0]
+        chain = np.array([a, b, c, [0.0, 1.0, 0.0]])
+        assert np.array_equal(cones.dedupe_rays(chain), chain[[0, 2, 3]])
+        assert np.array_equal(greedy(chain), chain[[0, 2, 3]])
+        # clusters of rows at chordal gaps on both sides of RAY_TOL, and
+        # one set large enough to span several blocks of pairs
+        rng = np.random.default_rng(67)
+        for trial in range(40):
+            d = 2 + trial % 3
+            base = cones.unitize(rng.normal(size=(int(rng.integers(1, 7)), d)))
+            reps = base[rng.integers(0, base.shape[0], size=int(rng.integers(1, 12)))]
+            gaps = rng.choice([2e-10, 6e-10, 1e-9, 1.5e-9, 3e-9], size=(reps.shape[0], 1))
+            M = np.vstack([base, reps + gaps * cones.unitize(rng.normal(size=reps.shape))])
+            M = M[rng.permutation(M.shape[0])]
+            assert np.array_equal(cones.dedupe_rays(M), greedy(M)), trial
+        M = cones.unitize(rng.normal(size=(300, 3)))
+        M = np.vstack([M, M[:150] + 5e-10 * cones.unitize(rng.normal(size=(150, 3)))])
+        assert np.array_equal(cones.dedupe_rays(M), greedy(M))
+        assert cones.dedupe_rays(M).shape[0] == 300
+
     def test_lex_sorted_rows(self):
         M = np.array([[1.0, 0.0], [-1.0, 2.0], [1.0, -1.0]])
         out = cones.lex_sorted_rows(M)
@@ -140,6 +172,19 @@ class TestConeMembershipAndProjection:
             assert abs(float((x - proj) @ proj)) < 1e-8
 
 
+def _counted_linprog(monkeypatch):
+    """Count the calls of `cones`' linear program; returns the counter."""
+    calls = []
+    linprog = cones.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "linprog", counted)
+    return calls
+
+
 class TestWitnesses:
     def test_pointed_witness_found_for_cap_cone(self):
         rng = np.random.default_rng(31)
@@ -148,9 +193,56 @@ class TestWitnesses:
         assert w is not None
         assert float((G @ w).min()) >= cones.FEAS_EPS
 
-    def test_pointed_witness_absent_for_line(self):
-        G = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert cones.pointed_witness(G) is None
+    def test_pointed_witness_takes_the_row_of_largest_margin(self, monkeypatch):
+        calls = _counted_linprog(monkeypatch)
+        rng = np.random.default_rng(71)
+        for trial in range(30):
+            d = 2 + trial % 3
+            G = rng.normal(size=(int(rng.integers(2, 9)), d)) * 0.5
+            G[:, -1] = np.abs(G[:, -1]) + 1.0
+            G *= rng.uniform(0.5, 3.0, size=(G.shape[0], 1))
+            w = cones.pointed_witness(G)
+            Q = G / np.linalg.norm(G, axis=1, keepdims=True)
+            margins = (G @ Q.T).min(axis=0)
+            assert np.array_equal(w, Q[int(np.argmax(margins))]), trial
+            assert float((G @ w).min()) >= cones.FEAS_EPS
+        assert not calls
+
+    def test_pointed_witness_absent_for_line(self, monkeypatch):
+        # no row qualifies, so the linear program decides, and finds none
+        calls = _counted_linprog(monkeypatch)
+        assert cones.pointed_witness(np.array([[1.0, 0.0], [-1.0, 0.0]])) is None
+        assert cones.pointed_witness(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                               [1.0, 0.0, 0.0]])) is None
+        assert len(calls) == 2
+
+    def test_linear_program_runs_only_when_no_row_qualifies(self, monkeypatch):
+        # the rows `gen_wulff` adds 0.02 rad from its pole lie within
+        # 0.02 + rho < pi/2 of every row, so a row is always the witness;
+        # each boundary row of a cap of radius 1.3 lies 2.6 rad from the
+        # opposite one, so no row is one and the linear program runs (as
+        # on the wide caps of the benchmark's mixed workload)
+        calls = _counted_linprog(monkeypatch)
+        for t in range(50):
+            dim = 1 + t % 3
+            rng = np.random.default_rng([dim, t, 73])
+            harness.gen_wulff(
+                harness.pole_axis(dim), int(rng.integers(dim + 2, dim + 7)),
+                rng.uniform(0.1, 1.2), int(rng.integers(2**31)),
+            )
+        assert not calls
+        witnesses = []
+        pointed_witness = cones.pointed_witness
+
+        def recorded(G):
+            witnesses.append((G, pointed_witness(G)))
+            return witnesses[-1][1]
+
+        monkeypatch.setattr(cones, "pointed_witness", recorded)
+        harness.cap_polytope(harness.pole_axis(2), 1.3, 8)
+        assert calls and witnesses
+        for G, w in witnesses:
+            assert w is not None and float((G @ w).min()) >= cones.FEAS_EPS
 
     def test_nontrivial_dual_witness_agrees_with_conversion(self):
         # the exact dual is nontrivial iff it has a ray or a lineality
@@ -441,10 +533,46 @@ def _loop_first_extreme_rays(G):
             rest = cones.dedupe_rays(cones.unitize(rest))
     if rest.shape[0] == 0:
         return np.zeros((0, d)), lin
-    rays = cones._pointed_extreme(rest)
+    rays = cones._pointed_extreme(rest, cones.span_basis(rest))
     if rays is None:
         rays = cones._nnls_reduce(rest)
     return cones.lex_sorted_rows(rays), lin
+
+
+def _lp_pointed_witness(G):
+    """`cones.pointed_witness` as it ran before the rows were tried: the
+    linear program alone, projected onto the rows' span and re-verified."""
+    G = np.asarray(G, dtype=float)
+    m, d = G.shape
+    if m == 0:
+        return None
+    c = np.zeros(d + 1)
+    c[-1] = -1.0
+    A = np.hstack([-G, np.ones((m, 1))])
+    bounds = [(-1.0, 1.0)] * d + [(None, 2.0)]
+    res = cones.linprog(c, A_ub=A, b_ub=np.zeros(m), bounds=bounds, method="highs")
+    if not res.success:
+        return None
+    B, _ = cones.span_basis(G)
+    q = B.T @ (B @ res.x[:d])
+    nq = float(np.linalg.norm(q))
+    if nq < NEAR_ZERO:
+        return None
+    q = q / nq
+    return q if float((G @ q).min()) >= cones.FEAS_EPS else None
+
+
+def _thin_rows(rng, d, thickness):
+    """Points within `thickness` of an arc of a great circle of S^(d-1),
+    plus the arc midpoint lifted 1e-3 off the circle's plane (the thin
+    kind of `degenerate_generators`)."""
+    u, w, n = np.linalg.qr(rng.normal(size=(d, d)))[0].T[:3]
+    ang = rng.uniform(0.0, 2.0, size=int(rng.integers(3, 9)))
+    arc = np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * w
+    noise = cones.unitize(rng.normal(size=arc.shape))
+    jitter = rng.uniform(-thickness, thickness, size=(len(ang), 1)) * noise
+    mid = np.cos(1.0) * u + np.sin(1.0) * w + 1e-3 * n
+    return np.vstack([arc + jitter, mid])
 
 
 def _cap_rows(n, radius, count):
@@ -512,6 +640,55 @@ class TestExtremeRays:
         # that `_pointed_extreme` would take as pointed untested
         assert {(True, True, False), (True, False, True), (True, False, False),
                 (False, False, False), (False, False, True)} <= branches
+
+    def test_row_witness_matches_the_lp_witness(self, monkeypatch):
+        # any witness inside the dual cone gives a gnomonic section whose
+        # vertices are the extreme rays, so the best row and the solved
+        # witness must pick the same rows
+        inputs = []
+        extreme_rays = cones.extreme_rays
+
+        def recorded(G):
+            inputs.append(np.array(G, dtype=float))
+            return extreme_rays(G)
+
+        monkeypatch.setattr(cones, "extreme_rays", recorded)
+        for dim in (1, 2, 3):
+            pole = harness.pole_axis(dim)
+            for kind in ("hull", "arc", "point", "wide_cap"):
+                for t in range(12):
+                    b = harness.gen_convex_body(pole, kind, np.random.default_rng([dim, t, 79]))
+                    if b.normal_array.shape[0]:
+                        inputs.append(b.normal_array)
+        monkeypatch.undo()
+        rng = np.random.default_rng(83)
+        for thickness in (1e-6, 1e-7, 1e-8):
+            inputs += [_thin_rows(rng, 3 + t % 2, thickness) for t in range(20)]
+        for n in (2, 3):
+            for k in range(1, 13):
+                inputs += [_cap_rows(n, math.pi / 2 - c * 10.0**-k, count)
+                           for c in (1.0, 3.0) for count in (5, 8)]
+            # the opposite rows of an even cap of radius pi/4 - 10^-e are
+            # 2 * 10^-e short of a quarter turn apart, so the best row's
+            # margin falls to about 2e-9 at e = 9
+            inputs += [_cap_rows(n, math.pi / 4 - 10.0**-e, 8) for e in range(3, 12)]
+        margins = []
+        for G in inputs:
+            rays, lin = cones.extreme_rays(G)
+            with monkeypatch.context() as m:
+                m.setattr(cones, "pointed_witness", _lp_pointed_witness)
+                ref_rays, ref_lin = cones.extreme_rays(G)
+            assert np.array_equal(rays, ref_rays) and np.array_equal(lin, ref_lin)
+            R = cones.dedupe_rays(cones.unitize(G))
+            B, s = cones.span_basis(R)
+            if R.shape[0] > s >= 2:
+                Rs = cones.unitize(R @ B.T)
+                margins.append(float((Rs @ Rs.T).min(axis=0).max()))
+        margins = np.array(margins)
+        row_path = margins[margins >= cones.FEAS_EPS]
+        # both witnesses met, and the row path reached margins near FEAS_EPS
+        assert row_path.size and (margins < cones.FEAS_EPS).any()
+        assert row_path.min() < 1e-8
 
     def test_redundant_ray_dropped(self):
         G = cones.unitize(
