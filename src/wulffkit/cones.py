@@ -13,10 +13,10 @@ Conventions
   basis vector.
 * Tolerance hierarchy: sign classification CLASS_TOL = 1e-10 is
   coarser than the construction accuracy (~1e-12), so the zero sets
-  the double description reads stay stable under downstream
-  arithmetic.  The coarser RAY_TOL = 1e-9 decides only which input
-  rows are one ray (`dedupe_rays`) and the residual of `cone_member`;
-  computed rays are never merged by distance.
+  the double description reads, and the rows `extreme_rays` finds
+  tight on dual rays, stay stable under downstream arithmetic.  The
+  coarser RAY_TOL = 1e-9 decides only which input rows are one ray
+  (`dedupe_rays`); computed rays are never merged by distance.
 """
 
 import numpy as np
@@ -163,12 +163,6 @@ def nonneg_lstsq(A, b):
                 break
     x = np.where(x > 0.0, x, 0.0)
     return x, float(np.linalg.norm(A @ x - b))
-
-
-def cone_member(G, x):
-    """Whether x lies in cone(rows of G), via a nonnegative fit."""
-    _, res = nonneg_lstsq(G.T, np.asarray(x, dtype=float))
-    return res <= RAY_TOL
 
 
 def project_onto_cone(G, x):
@@ -347,43 +341,23 @@ def dual_cone_rays(G):
         # the projector below is rounding noise then, and has no basis
         lin = np.zeros((0, d))
     else:
-        lin = subspace_canonical_basis(np.eye(d) - B.T @ B)
+        lin = subspace_canonical_basis(np.eye(d) - B.T @ B, d - s)
     return lex_sorted_rows(rays), lin
 
 
-def _nnls_reduce(R):
-    """Irredundant rays of a pointed cone by per-ray membership tests.
-
-    A deduplicated ray is extreme iff it is not a nonnegative
-    combination of the others; the tests are independent of each other,
-    so they can run against the full list.
-    """
-    m = R.shape[0]
-    keep = []
-    for i in range(m):
-        others = np.delete(R, i, axis=0)
-        if not cone_member(others, R[i]):
-            keep.append(i)
-    return R[keep]
-
-
 def _pointed_extreme(R, span):
-    """Extreme rays of cone(R) assuming the cone is pointed, or None.
+    """Extreme rays of cone(R) from a pointed witness, or None.
 
-    Linearly independent rows span a simplicial cone, and a pointed
-    1-dimensional cone is a single ray; both come back without a test,
-    so they rely on the assumption.  Otherwise the rows must carry a
-    `pointed_witness` w in span coordinates, which proves the
-    assumption; without one the result is None and the caller decides.
-    With w, an arc's ends are the rows of extreme angle about w, and a
-    higher cone's extreme rays are the vertices of its gnomonic section
-    (`_nnls_reduce` when Qhull refuses it).  `span` is R's
-    `span_basis`, passed in because `extreme_rays` already has it.
+    For m > s >= 2 rows of span rank s.  The rows must carry a
+    `pointed_witness` w in span coordinates, which proves the cone
+    pointed.  With w, an arc's ends are the rows of extreme angle about
+    w, and a higher cone's extreme rays are the vertices of its gnomonic
+    section.  Without a witness, or when Qhull refuses the section
+    (`QhullError`), the result is None and the caller reads the dual
+    instead.  `span` is R's `span_basis`, passed in because
+    `extreme_rays` already has it.
     """
-    m, d = R.shape
     B, s = span
-    if m <= s or s == 1:
-        return R if m <= s else R[:1]
     Rs = unitize(R @ B.T)
     w = pointed_witness(Rs)
     if w is None:
@@ -407,7 +381,7 @@ def _pointed_extreme(R, span):
     try:
         hull = ConvexHull(U)
     except QhullError:
-        return _nnls_reduce(R)
+        return None
     idx = sorted(int(v) for v in hull.vertices)
     return R[idx]
 
@@ -415,56 +389,52 @@ def _pointed_extreme(R, span):
 def extreme_rays(G):
     """Canonical irredundant V-form of cone(rows of G).
 
-    Returns (pointed rays, lineality basis), rows lex-sorted.  The
-    lineality space is the span of the two-sided generators (those g
-    with -g also in the cone): any vanishing nonnegative combination
-    only involves two-sided generators, so they span every line the
-    cone contains.
+    Returns (pointed rays, lineality basis), rows lex-sorted.  The rows
+    are unitized and deduplicated to m rows of span rank s, and one of
+    three branches answers:
 
-    With m deduplicated rows of span rank s, m > s >= 2, the pointed
-    witness is sought first (`_pointed_extreme`); when it exists, the
-    two-sided test could find nothing, so it is skipped.  Proof: let
-    w be the witness mapped back by the span basis, a unit vector with
-    g . w >= FEAS_EPS for every row g (the rows lie in the span, and
-    that bound holds up to rounding of order 1e-16).  For any lam >= 0
-    with t = sum(lam), the residual r = G^T lam + g of the test
-    `cone_member(G, -g)` has |r| >= w . r >= FEAS_EPS (1 + t) and
-    |r| >= |g| - t = 1 - t.  The larger of the two is least at
-    t = (1 - FEAS_EPS) / (1 + FEAS_EPS), where it is
-    2 FEAS_EPS / (1 + FEAS_EPS), about twice RAY_TOL = FEAS_EPS; so
-    every test is False whatever coefficients the solver returns, and
-    the rays are the ones the loop's own call to `_pointed_extreme`
-    would compute.  The argument uses nothing of w but that bound, so
-    it holds for any witness that passed `pointed_witness`' check,
-    whether an input row or the linear program's.  When no witness
-    exists and the loop finds no two-sided row, the rest is G itself,
-    whose witness search just failed, so `_nnls_reduce` runs on it
-    directly.  Rows with m <= s or s == 1 test for two-sided rows
-    first, since `_pointed_extreme` takes them as pointed untested.
+    1. m <= s.  Since s <= m, the rows are independent: no nonzero
+       nonnegative combination of them vanishes, so the cone is pointed,
+       and no row is a nonnegative combination of the others, so every
+       row is extreme.  The cone is simplicial and G comes back as is.
+    2. m > s >= 2, and `_pointed_extreme` finds a witness and Qhull
+       accepts the section: its hull rows.
+    3. Every other input is read off one `dual_cone_rays(G)`.  Its rays
+       N lie in span(G) and generate the dual's part there, the dual
+       being that part plus span(G)^perp.  The lineality L of cone(G) is
+       the set of x orthogonal to the whole dual, so L = span(G) & N^perp,
+       of rank l = s - rank(N).  Taken off L, cone(G) is the pointed cone
+       C = {x in V : n . x >= 0 for every n in N} of dimension s - l in
+       V = span(G) & L^perp, which N spans.  A nonzero x of such a cone
+       spans an extreme ray iff the constraints tight at x have rank one
+       less than the cone's dimension (Fukuda and Prodon, "Double
+       description method revisited", 1996), here s - l - 1.  Every
+       extreme ray of C is a generator, so one of the rows taken off L;
+       the rows that pass the rank rule, deduplicated, are C's extreme
+       rays.  A row is tight on n when |g . n| <= CLASS_TOL, and both
+       ranks are taken at SPAN_TOL.  Without lineality the rows are not
+       moved, so they come back with their bits as given.
     """
     G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
     m, d = G.shape
     span = span_basis(G)
-    pointed_test = m > span[1] >= 2
-    if pointed_test:
+    B, s = span
+    if m <= s:
+        return lex_sorted_rows(G), np.zeros((0, d))
+    if s >= 2:
         rays = _pointed_extreme(G, span)
         if rays is not None:
             return lex_sorted_rows(rays), np.zeros((0, d))
-    two = [i for i in range(m) if cone_member(G, -G[i])]
-    if not two:
-        rays = _nnls_reduce(G) if pointed_test else _pointed_extreme(G, span)
-        return lex_sorted_rows(rays), np.zeros((0, d))
-    Bl, _ = span_basis(G[two])
-    lin = subspace_canonical_basis(Bl.T @ Bl)
-    rest = G - (G @ lin.T) @ lin
-    rest = rest[np.linalg.norm(rest, axis=1) > NEAR_ZERO]
-    if rest.shape[0] == 0:
-        return np.zeros((0, d)), lin
-    rest = dedupe_rays(unitize(rest))
-    rays = _pointed_extreme(rest, span_basis(rest))
-    if rays is None:
-        rays = _nnls_reduce(rest)
-    return lex_sorted_rows(rays), lin
+    N, _ = dual_cone_rays(G)
+    Bn, r = span_basis(N)
+    lin, rest = np.zeros((0, d)), G
+    if r < s:
+        lin = subspace_canonical_basis(B.T @ B - Bn.T @ Bn, s - r)
+        rest = G - (G @ lin.T) @ lin
+        rest = dedupe_rays(unitize(rest[np.linalg.norm(rest, axis=1) > NEAR_ZERO]))
+    tight = np.abs(rest @ N.T) <= CLASS_TOL
+    keep = np.array([span_basis(N[t])[1] == r - 1 for t in tight], dtype=bool)
+    return lex_sorted_rows(rest[keep]), lin
 
 
 def rays_with_lineality(rays, lin):

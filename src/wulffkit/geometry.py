@@ -175,39 +175,61 @@ def hemisphere_contains(center, q):
     return float(center.vec @ q.vec) >= -MEMBERSHIP_TOL
 
 
-def subspace_canonical_basis(projector, expected_dim=None):
-    """Deterministic orthonormal basis (rows) of a subspace.
+def subspace_canonical_basis(projector, rank):
+    """Deterministic orthonormal basis (rows) of a subspace of known rank.
 
     The input is the orthogonal projector onto the subspace, which is
     basis-independent, so two different computations of the same
-    subspace produce the same canonical basis.  The construction is
-    Gram-Schmidt over the projected standard basis vectors with a sign
-    fix (largest-magnitude entry made positive).
+    subspace produce the same canonical basis; `rank` is its dimension,
+    which every caller knows.  The construction is Gram-Schmidt over the
+    projected standard basis vectors with a sign fix (largest-magnitude
+    entry made positive), and exactly `rank` rows come back.
+
+    The columns are taken in axis order, each kept when its residual
+    exceeds 1e-9.  A kept row carries its column's rounding, about
+    1e-16, divided by its residual, so these rows are returned only when
+    there are exactly `rank` of them and every residual exceeds the
+    margin 1e-4, which keeps each row within about 1e-12 of the
+    subspace.  A residual just above 1e-9 gives a row up to about 1e-7
+    off it, and usually an extra row as well: the next column keeps a
+    residual of that size.  Otherwise each row is taken from the column
+    of largest residual; at each step the squared residuals of the d
+    columns sum to the rank still missing, so that residual is at least
+    1 / sqrt(d), and each row is exact to a few ulps times sqrt(d).
     """
     P = np.asarray(projector, dtype=float)
     d = P.shape[0]
-    rows = []
+    rows, kept = [], []
     for j in range(d):
-        w = P[:, j].copy()
-        # two orthogonalization passes keep the basis orthonormal to
-        # machine precision even for nearly dependent projections
-        for _ in range(2):
-            for b in rows:
-                w -= (b @ w) * b
+        w = _residual(P[:, j], rows)
         nw = float(np.linalg.norm(w))
         if nw > 1e-9:
-            w /= nw
-            k = int(np.argmax(np.abs(w)))
-            if w[k] < 0:
-                w = -w
-            rows.append(w)
-    basis = np.array(rows) if rows else np.zeros((0, d))
-    if expected_dim is not None and basis.shape[0] != expected_dim:
-        raise NormalizationError(
-            f"subspace basis has dimension {basis.shape[0]}, "
-            f"expected {expected_dim}"
-        )
-    return basis
+            rows.append(_signed_unit(w))
+            kept.append(nw)
+    if len(rows) != rank or min(kept, default=1.0) <= 1e-4:
+        rows = []
+        for _ in range(rank):
+            w = max((_residual(P[:, j], rows) for j in range(d)), key=np.linalg.norm)
+            rows.append(_signed_unit(w))
+    return np.array(rows).reshape(rank, d)
+
+
+def _residual(v, rows):
+    """v minus its parts along the orthonormal rows; two passes keep the
+    result orthogonal to them to machine precision even when v is nearly
+    in their span."""
+    w = v.copy()
+    for _ in range(2):
+        for b in rows:
+            w -= (b @ w) * b
+    return w
+
+
+def _signed_unit(w):
+    """w normalized, with its largest-magnitude entry made positive."""
+    w = w / np.linalg.norm(w)
+    k = int(np.argmax(np.abs(w)))
+    return -w if w[k] < 0 else w
 
 
 def complement_basis(p):
@@ -217,7 +239,7 @@ def complement_basis(p):
     which scales before it normalizes, so any scale works."""
     v = as_unit_point(as_vector(p)).vec
     proj = np.eye(v.size) - np.outer(v, v)
-    return subspace_canonical_basis(proj, expected_dim=v.size - 1)
+    return subspace_canonical_basis(proj, v.size - 1)
 
 
 def sample_cap(center, radius, rng_seed, count):

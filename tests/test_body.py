@@ -282,12 +282,13 @@ class TestLinealityNormals:
 
     def test_is_hemispherical_matches_the_linear_program(self):
         # caps 10^-k short of a hemisphere, k = 1..9; from k = 10 on their
-        # construction is itself wrong (`extreme_rays`' two-sided test finds
-        # lineality in their generators), so no predicate can be checked on
-        # them.  The S^3 cap's generators span only 3 dimensions of R^4, so
-        # the reference projects its linear program's witness onto their
-        # span; at k = 9 the pole clears FEAS_EPS by 1.4e-16, and the witness
-        # does too only after that projection
+        # construction is itself wrong (at k = 10 some normals are missing,
+        # from k = 11 `extreme_rays` finds lineality in their generators),
+        # so no predicate can be checked on them.  The S^3 cap's generators
+        # span only 3 dimensions of R^4, so the reference projects its
+        # linear program's witness onto their span; at k = 9 the pole clears
+        # FEAS_EPS by 1.4e-16, and the witness does too only after that
+        # projection
         caps = [
             harness.cap_polytope(harness.pole_axis(n), math.pi / 2 - 10.0**-k, 8)
             for n in (2, 3)

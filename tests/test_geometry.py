@@ -198,7 +198,7 @@ class TestSubspaceBasis:
             M = rng.standard_normal((dim, 5))
             Q, _ = np.linalg.qr(M.T)
             P = Q @ Q.T
-            B = subspace_canonical_basis(P, expected_dim=dim)
+            B = subspace_canonical_basis(P, dim)
             assert B.shape == (dim, 5)
             assert np.allclose(B @ B.T, np.eye(dim), atol=1e-10)
             assert np.allclose(B.T @ B, P, atol=1e-9)
@@ -210,13 +210,66 @@ class TestSubspaceBasis:
         Q1, _ = np.linalg.qr(M.T)
         mixed = M.T @ np.array([[2.0, 1.0], [-1.0, 3.0]])
         Q2, _ = np.linalg.qr(mixed)
-        B1 = subspace_canonical_basis(Q1 @ Q1.T)
-        B2 = subspace_canonical_basis(Q2 @ Q2.T)
+        B1 = subspace_canonical_basis(Q1 @ Q1.T, 2)
+        B2 = subspace_canonical_basis(Q2 @ Q2.T, 2)
         assert np.allclose(B1, B2, atol=1e-9)
 
-    def test_expected_dim_enforced(self):
-        with pytest.raises(NormalizationError):
-            subspace_canonical_basis(np.eye(3), expected_dim=2)
+    def test_axis_order_rows_kept_when_their_count_is_the_rank(self):
+        def axis_order(P):
+            # Gram-Schmidt over the projected axes in order, keeping every
+            # residual above 1e-9, with no rank given; returns the rows and
+            # the smallest kept residual
+            rows, kept = [], [1.0]
+            for j in range(P.shape[0]):
+                w = P[:, j].copy()
+                for _ in range(2):
+                    for b in rows:
+                        w -= (b @ w) * b
+                nw = float(np.linalg.norm(w))
+                if nw > 1e-9:
+                    w /= nw
+                    rows.append(-w if w[int(np.argmax(np.abs(w)))] < 0 else w)
+                    kept.append(nw)
+            return np.array(rows).reshape(-1, P.shape[0]), min(kept)
+
+        # random subspaces of R^2-R^6, and complements of unit vectors whose
+        # entries span up to 11 orders of magnitude, so that residuals fall
+        # on both sides of the margin
+        rng = np.random.default_rng(89)
+        same = pivoted = 0
+        for t in range(600):
+            d = 2 + t % 5
+            if t % 2:
+                rank = int(rng.integers(0, d + 1))
+                Q = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :rank]
+            else:
+                v = rng.normal(size=d) * 10.0 ** -rng.integers(0, 12, size=d)
+                v /= np.linalg.norm(v)
+                Q, rank = np.linalg.qr(np.eye(d) - np.outer(v, v))[0][:, : d - 1], d - 1
+            P = Q @ Q.T
+            B = subspace_canonical_basis(P, rank)
+            assert B.shape == (rank, d), t
+            assert np.abs(B @ B.T - np.eye(rank)).max(initial=0.0) <= 1e-15, t
+            ref, least = axis_order(P)
+            if ref.shape[0] == rank and least > 1e-4:
+                assert np.array_equal(B, ref), t
+                assert np.abs(B.T @ B - P).max() <= 2e-12, t
+                same += 1
+            else:
+                assert np.abs(B.T @ B - P).max() <= 2e-15, t
+                pivoted += 1
+        assert same > 450 and pivoted > 60
+
+    def test_complement_basis_of_a_vector_all_but_orthogonal_to_two_axes(self):
+        # the row witness of a thin R^4 cone: the axis-order sweep keeps the
+        # third axis at a residual of 6.7e-8, so its row lies 3.4e-6 off the
+        # complement and the fourth axis is kept as well
+        w = np.array([-0.97296, 0.23097, -8.3805e-4, -5.6553e-11])
+        w /= np.linalg.norm(w)
+        B = complement_basis(w)
+        assert B.shape == (3, 4)
+        assert np.abs(B @ B.T - np.eye(3)).max() <= 1e-15
+        assert np.abs(B @ w).max() <= 1e-15
 
     def test_complement_basis(self):
         p = UnitPoint((0.0, 0.0, 1.0))

@@ -372,8 +372,8 @@ class TestOneMembershipTest:
         # and moved 0.8e-10 along each axis of the complement of the span
         nudge = rng.normal(size=G.shape)
         nudge *= rng.uniform(0.3e-10, 3e-10, (G.shape[0], 1)) / np.linalg.norm(nudge, axis=1, keepdims=True)
-        B, _ = b.span()
-        axes = subspace_canonical_basis(np.eye(G.shape[1]) - B.T @ B)
+        B, s = b.span()
+        axes = subspace_canonical_basis(np.eye(G.shape[1]) - B.T @ B, G.shape[1] - s)
         for x in np.vstack([G + nudge, G + 0.8e-10 * axes.sum(axis=0)]):
             assert body.contains(b, x) == (metric.point_body_distance(x, b) == 0.0)
 

@@ -71,15 +71,18 @@ def test_certificate_call_sites():
 
 def test_nonnegative_fit_call_sites():
     # the least-distance program is the deep witness's last resort, and
-    # the membership fit serves only the extreme-ray reduction
+    # the nonnegative fit serves only it and the nearest point of a cone:
+    # construction makes no fit
     assert _callers("least_distance") == {"metric._deep_witness"}
-    assert _callers("cone_member") == {"cones.extreme_rays", "cones._nnls_reduce"}
+    assert _callers("nonneg_lstsq") == {"cones.least_distance", "cones.project_onto_cone"}
 
 
 def test_one_dual_conversion_per_body():
-    # a body's normals come from one conversion at construction; the
-    # polar swaps the stored arrays instead of converting again
-    assert _callers("dual_cone_rays") == {"body.from_generators"}
+    # a body's normals come from one conversion at construction, and its
+    # generators from a second one only for raw rows without a pointed
+    # witness, which `extreme_rays` reads off their dual; nothing in
+    # `transforms` converts, since the polar swaps the stored arrays
+    assert _callers("dual_cone_rays") == {"body.from_generators", "cones.extreme_rays"}
 
 
 def test_oracles_read_no_private_cone_name():
@@ -102,7 +105,7 @@ def test_oracles_read_no_private_cone_name():
 def test_body_predicates_call_no_solver():
     # bodies and transforms read the stored generators and normals; the
     # solvers stay in the cone layer, the metric and the oracles
-    solvers = ("linprog", "least_distance", "pointed_witness", "nonneg_lstsq", "cone_member")
+    solvers = ("linprog", "least_distance", "pointed_witness", "nonneg_lstsq")
     found = {
         caller
         for name in solvers
