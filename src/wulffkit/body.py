@@ -95,10 +95,30 @@ def from_generators(points):
     """Spherical convex hull (cone-cap) of the given points.
 
     The generators are reduced to the extreme rays of their cone (plus
-    the +/- lineality convention for non-pointed input) and the support
-    normals are computed by exact dual-cone conversion.  If the points
-    positively span the whole space the body is the full sphere and the
-    normal list is empty.
+    the +/- lineality convention for non-pointed input) by
+    `cones.convert`, and the support normals are the dual cone's
+    generators in the same layout.  If the points positively span the
+    whole space the body is the full sphere and the normal list is
+    empty.
+
+    Each body costs one conversion: the normals are the dual that
+    `convert` found along with the generators, and only where it found
+    none (simplicial and arc inputs, whose rays need no conversion)
+    does `cones.dual_cone_rays` run on the stored generators.  The
+    normals of a pointed cone with a witness w in span(G) are read off
+    the hull of its gnomonic section S = {x in cone(G) : x . w = 1}.
+    They are the cone's facets:
+    - every nonzero x in the cone has x . w > 0, so x -> x / (x . w)
+      maps the cone's faces other than {0} one to one onto S's nonempty
+      faces, keeping inclusion, and so maps facets onto facets;
+    - a facet inequality of S, linear on the hyperplane x . w = 1, is
+      made homogeneous by writing its constant as a multiple of x . w
+      there; it then holds on all of cone(G), which is S scaled, and is
+      tight exactly on the facet's rays (`cones.convert`, branch 2, has
+      the formula in Qhull's chart);
+    - Qhull's triangulated output splits a facet into simplices that all
+      carry the facet's hyperplane, one equation row bit for bit, so
+      grouping the pieces by that row gives each facet once.
     """
     if isinstance(points, np.ndarray):
         raw = points.astype(float)
@@ -108,11 +128,13 @@ def from_generators(points):
         raise ValueError("need at least one generator")
     if not np.isfinite(raw).all():
         raise NonFiniteError("generator coordinates must be finite")
-    gens = cones.rays_with_lineality(*cones.extreme_rays(raw))
+    rays, lin, dual = cones.convert(raw)
+    gens = cones.rays_with_lineality(rays, lin)
     if gens.shape[0] == 0:
         raise ValueError("generators span no direction")
-    d_rays, d_lin = cones.dual_cone_rays(gens)
-    normals = cones.rays_with_lineality(d_rays, d_lin)
+    if dual is None:
+        dual = cones.dual_cone_rays(gens)
+    normals = cones.rays_with_lineality(*dual)
     body = SphericalBody(gens, normals, _trusted=True)
     _check_cross_consistency(body)
     return body

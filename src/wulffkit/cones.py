@@ -11,6 +11,12 @@ Conventions
 * Non-pointed cones are reported as (pointed rays, lineality basis);
   callers that need a plain generator list append +/- each lineality
   basis vector.
+* `convert` reduces raw rows to their cone's extreme rays and hands
+  back the dual description wherever the branch that found the rays
+  found it too: the facets of a gnomonic-section hull, or the
+  `dual_cone_rays` result it read the rays off.  Only simplicial and
+  arc inputs, which need no conversion for their rays, come back
+  without one.  So a body costs one conversion.
 * Tolerance hierarchy: sign classification CLASS_TOL = 1e-10 is
   coarser than the construction accuracy (~1e-12), so the zero sets
   the double description reads, and the rows `extreme_rays` finds
@@ -337,25 +343,33 @@ def dual_cone_rays(G):
     if s == 0:
         raise NormalizationError("cone has no span")
     rays = _dd_in_span(lex_sorted_rows(unitize(G @ B.T))) @ B
+    return lex_sorted_rows(rays), _span_complement(B)
+
+
+def _span_complement(B):
+    """Canonical orthonormal basis (rows) of the complement of the span
+    of the orthonormal rows B."""
+    s, d = B.shape
     if s == d:
         # the projector below is rounding noise then, and has no basis
-        lin = np.zeros((0, d))
-    else:
-        lin = subspace_canonical_basis(np.eye(d) - B.T @ B, d - s)
-    return lex_sorted_rows(rays), lin
+        return np.zeros((0, d))
+    return subspace_canonical_basis(np.eye(d) - B.T @ B, d - s)
 
 
 def _pointed_extreme(R, span):
-    """Extreme rays of cone(R) from a pointed witness, or None.
+    """Extreme rays of cone(R) from a pointed witness, with the normals
+    of the dual's part in span(R) when a hull found them; or None.
 
     For m > s >= 2 rows of span rank s.  The rows must carry a
     `pointed_witness` w in span coordinates, which proves the cone
     pointed.  With w, an arc's ends are the rows of extreme angle about
-    w, and a higher cone's extreme rays are the vertices of its gnomonic
-    section.  Without a witness, or when Qhull refuses the section
-    (`QhullError`), the result is None and the caller reads the dual
-    instead.  `span` is R's `span_basis`, passed in because
-    `extreme_rays` already has it.
+    w, and no normal is read (None in their place).  A higher cone's
+    extreme rays are the vertices of its gnomonic section, and its
+    facets are the section's facets: one unit normal per facet of the
+    section hull (see `convert`).  Without a witness, or when Qhull
+    refuses the section (`QhullError`), the result is None and the
+    caller reads the dual instead.  `span` is R's `span_basis`, passed
+    in because `convert` already has it.
     """
     B, s = span
     Rs = unitize(R @ B.T)
@@ -366,7 +380,7 @@ def _pointed_extreme(R, span):
         wp = np.array([-w[1], w[0]])
         ang = np.arctan2(Rs @ wp, Rs @ w)
         idx = sorted({int(np.argmin(ang)), int(np.argmax(ang))})
-        return R[idx]
+        return R[idx], None
     # gnomonic section: rays scaled to the hyperplane {x . w = 1} turn
     # extreme rays into vertices of a convex polytope
     t = Rs @ w
@@ -383,27 +397,52 @@ def _pointed_extreme(R, span):
     except QhullError:
         return None
     idx = sorted(int(v) for v in hull.vertices)
-    return R[idx]
+    # the pieces of one triangulated facet repeat its equation row bit
+    # for bit: keep the first row of each run of equal sorted rows
+    eq = hull.equations[np.lexsort(hull.equations.T)]
+    eq = eq[np.concatenate([[True], (eq[1:] != eq[:-1]).any(axis=1)])]
+    normals = -(eq[:, :-1] @ Bw + eq[:, -1:] * w)
+    return R[idx], unitize(normals @ B)
 
 
-def extreme_rays(G):
-    """Canonical irredundant V-form of cone(rows of G).
+def convert(G):
+    """Both canonical descriptions of cone(rows of G), from one conversion.
 
-    Returns (pointed rays, lineality basis), rows lex-sorted.  The rows
-    are unitized and deduplicated to m rows of span rank s, and one of
-    three branches answers:
+    Returns (rays, lin, dual): `extreme_rays`' pointed rays and
+    lineality basis, and dual = (normals, normal lineality basis) in
+    `dual_cone_rays`' layout wherever the branch that found the rays
+    also found the dual, else None.  The rows are unitized and
+    deduplicated to m rows of span rank s, and one of three branches
+    answers:
 
     1. m <= s.  Since s <= m, the rows are independent: no nonzero
        nonnegative combination of them vanishes, so the cone is pointed,
        and no row is a nonnegative combination of the others, so every
-       row is extreme.  The cone is simplicial and G comes back as is.
+       row is extreme.  The cone is simplicial and G comes back as is,
+       with no dual.
     2. m > s >= 2, and `_pointed_extreme` finds a witness and Qhull
-       accepts the section: its hull rows.
-    3. Every other input is read off one `dual_cone_rays(G)`.  Its rays
-       N lie in span(G) and generate the dual's part there, the dual
-       being that part plus span(G)^perp.  The lineality L of cone(G) is
-       the set of x orthogonal to the whole dual, so L = span(G) & N^perp,
-       of rank l = s - rank(N).  Taken off L, cone(G) is the pointed cone
+       accepts the section: its hull rows.  An arc (s = 2) comes back
+       with no dual.  For s >= 3 the dual is read off the same hull, one
+       normal per facet of the section (why those are the cone's facets
+       is proved in `body.from_generators`).  In span coordinates, with
+       witness w and Bw an orthonormal basis of w's complement, the
+       section is charted by u = Bw x on the hyperplane x . w = 1, and
+       Qhull reports a facet as a . u + b <= 0.  Since Bw^T a is
+       orthogonal to w and x . w = 1 there, that is n . x >= 0 with
+       n = -(Bw^T a + b w), which is homogeneous and so holds on the
+       whole cone.  n is not zero: its part orthogonal to w is Bw^T a, of
+       length |a| = 1.  Mapped through the span basis and unitized, the
+       n are the dual's rays in span(G); its lineality is span(G)^perp.
+       The pieces into which Qhull's triangulated output splits a facet
+       repeat its equation row bit for bit, so the rows are grouped by
+       exact equality.  No normal is derived from one piece's vertices,
+       and none are merged by distance.
+    3. Every other input is read off one `dual_cone_rays(G)`, which is
+       also the dual.  Its rays N lie in span(G) and generate the dual's
+       part there, the dual being that part plus span(G)^perp.  The
+       lineality L of cone(G) is the set of x orthogonal to the whole
+       dual, so L = span(G) & N^perp, of rank l = s - rank(N).  Taken
+       off L, cone(G) is the pointed cone
        C = {x in V : n . x >= 0 for every n in N} of dimension s - l in
        V = span(G) & L^perp, which N spans.  A nonzero x of such a cone
        spans an extreme ray iff the constraints tight at x have rank one
@@ -420,12 +459,14 @@ def extreme_rays(G):
     span = span_basis(G)
     B, s = span
     if m <= s:
-        return lex_sorted_rows(G), np.zeros((0, d))
+        return lex_sorted_rows(G), np.zeros((0, d)), None
     if s >= 2:
-        rays = _pointed_extreme(G, span)
-        if rays is not None:
-            return lex_sorted_rows(rays), np.zeros((0, d))
-    N, _ = dual_cone_rays(G)
+        found = _pointed_extreme(G, span)
+        if found is not None:
+            rays, normals = found
+            dual = None if normals is None else (lex_sorted_rows(normals), _span_complement(B))
+            return lex_sorted_rows(rays), np.zeros((0, d)), dual
+    N, N_lin = dual_cone_rays(G)
     Bn, r = span_basis(N)
     lin, rest = np.zeros((0, d)), G
     if r < s:
@@ -434,7 +475,14 @@ def extreme_rays(G):
         rest = dedupe_rays(unitize(rest[np.linalg.norm(rest, axis=1) > NEAR_ZERO]))
     tight = np.abs(rest @ N.T) <= CLASS_TOL
     keep = np.array([span_basis(N[t])[1] == r - 1 for t in tight], dtype=bool)
-    return lex_sorted_rows(rest[keep]), lin
+    return lex_sorted_rows(rest[keep]), lin, (N, N_lin)
+
+
+def extreme_rays(G):
+    """Canonical irredundant V-form of cone(rows of G): (pointed rays,
+    lineality basis), rows lex-sorted, as `convert` finds them."""
+    rays, lin, _ = convert(G)
+    return rays, lin
 
 
 def rays_with_lineality(rays, lin):

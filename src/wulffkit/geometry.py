@@ -258,13 +258,19 @@ def sample_cap(center, radius, rng_seed, count):
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
+    return _draw_cap(center, complement_basis(center), r, rng_seed, count)
+
+
+def _draw_cap(center, basis, radius, rng_seed, count):
+    """`sample_cap`'s draw on checked arguments: the UnitPoint center,
+    `complement_basis(center)` (n rows) as basis, a float radius in
+    (0, pi/2) and a positive int count."""
     n = center.ambient_dim
     rng = np.random.default_rng(int(rng_seed))
-    basis = complement_basis(center)  # (n, n+1)
-    sin_r = np.sin(r)
+    sin_r = np.sin(radius)
     out = []
     while len(out) < count:
-        theta = rng.uniform(0.0, r)
+        theta = rng.uniform(0.0, radius)
         if n > 1:
             if rng.uniform() > (np.sin(theta) / sin_r) ** (n - 1):
                 continue

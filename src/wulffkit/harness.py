@@ -11,6 +11,7 @@ configs produce identical rows (byte-identical CSV apart from ``ms``).
 """
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -24,7 +25,7 @@ from .body import (
     is_wulff_relative,
 )
 from .errors import GenerationError
-from .geometry import UnitPoint, arc_point, complement_basis, sample_cap
+from .geometry import UnitPoint, _draw_cap, arc_point, complement_basis, sample_cap
 from .transforms import double_polar, polar, polar_antitone_check
 
 SUITE_NAMES = (
@@ -104,12 +105,17 @@ def pole_axis(dim):
     return UnitPoint(v)
 
 
+@functools.cache
 def _regular_simplex(m):
-    """m+1 unit vectors in R^m with pairwise dot -1/m (deterministic)."""
+    """m+1 unit vectors in R^m with pairwise dot -1/m (deterministic).
+
+    Built once per m; the cached array is read-only."""
     A = np.eye(m + 1) - np.full((m + 1, m + 1), 1.0 / (m + 1))
     _, _, Vt = np.linalg.svd(A)
     B = A @ Vt[:m].T
-    return B / np.linalg.norm(B, axis=1)[:, None]
+    B = B / np.linalg.norm(B, axis=1)[:, None]
+    B.flags.writeable = False
+    return B
 
 
 def gen_wulff(p, k, rho, seed):
@@ -133,7 +139,7 @@ def gen_wulff(p, k, rho, seed):
     simplex = _regular_simplex(n)
     tilt = 0.02
     fixed = math.cos(tilt) * p.vec[None, :] + math.sin(tilt) * (simplex @ tangent)
-    pts = sample_cap(p, rho, int(seed) << 7, k)
+    pts = _draw_cap(p, tangent, rho, int(seed) << 7, k)
     body = from_generators(np.vstack([np.array([q.vec for q in pts]), fixed]))
     if not is_wulff_relative(body, p):
         raise GenerationError(

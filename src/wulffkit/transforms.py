@@ -41,10 +41,12 @@ def polar(body):
 
     A body's two arrays describe each other symmetrically:
     - the normals are the canonical generators of the dual cone of
-      cone(G): `from_generators` stores them as
-      `rays_with_lineality(*dual_cone_rays(G))` of the stored G, and
-      `hemisphere_body` stores the center, the dual's one ray, which
-      that conversion reproduces to rounding;
+      cone(G): `from_generators` stores the dual that the conversion
+      which found G had in hand, in `rays_with_lineality` layout (the
+      facets of the section hull, or `dual_cone_rays` of the rows, which
+      a rerun of `dual_cone_rays` on the stored G reproduces to
+      rounding), and `hemisphere_body` stores the center, the dual's one
+      ray, which that conversion reproduces to rounding too;
     - the generators are the dual cone's irredundant constraints (a
       generator implied by the others would not have been extreme), so
       they are the canonical generators of the dual of cone(N).

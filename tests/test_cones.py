@@ -13,6 +13,7 @@ judges its coplanar rows against the exact dual of a twin that is
 coplanar exactly in floats.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -571,17 +572,17 @@ def _cap_rows(n, radius, count):
 
 class TestExtremeRays:
     def test_every_branch_matches_the_exact_reference(self, monkeypatch):
-        # the raw rows `from_generators` hands over while it builds bodies
-        # of every suite kind, hemispheres, lunes, the full sphere and a
-        # pair of antipodes
+        # the raw rows `from_generators` hands to the conversion while it
+        # builds bodies of every suite kind, hemispheres, lunes, the full
+        # sphere and a pair of antipodes
         inputs = []
-        extreme_rays = cones.extreme_rays
+        convert = cones.convert
 
         def recorded(G):
             inputs.append(np.array(G, dtype=float))
-            return extreme_rays(G)
+            return convert(G)
 
-        monkeypatch.setattr(cones, "extreme_rays", recorded)
+        monkeypatch.setattr(cones, "convert", recorded)
         kinds = ["hull", "arc", "point", "wide_cap"]
         for dim in (1, 2, 3):
             pole = harness.pole_axis(dim)
@@ -677,13 +678,13 @@ class TestExtremeRays:
         # vertices are the extreme rays, so the best row and the solved
         # witness must pick the same rows
         inputs = []
-        extreme_rays = cones.extreme_rays
+        convert = cones.convert
 
         def recorded(G):
             inputs.append(np.array(G, dtype=float))
-            return extreme_rays(G)
+            return convert(G)
 
-        monkeypatch.setattr(cones, "extreme_rays", recorded)
+        monkeypatch.setattr(cones, "convert", recorded)
         for dim in (1, 2, 3):
             pole = harness.pole_axis(dim)
             for kind in ("hull", "arc", "point", "wide_cap"):
@@ -770,6 +771,86 @@ class TestExtremeRays:
         assert ray_set_match_angle(
             out, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         ) < 1e-12
+
+
+def _built_body(kind, dim, seed):
+    """A body of a `gen_convex_body` kind or a `gen_wulff` draw on S^dim."""
+    rng = np.random.default_rng(seed)
+    pole = harness.pole_axis(dim)
+    if kind == "wulff":
+        return harness.gen_wulff(
+            pole, int(rng.integers(dim + 2, dim + 8)), rng.uniform(0.1, 1.2),
+            int(rng.integers(2**63)),
+        )
+    return harness.gen_convex_body(pole, kind, rng)
+
+
+def _assert_stores_the_exact_dual(build):
+    """The body `build()` stores the exact dual of its generators as its
+    normals, and a second build gives both arrays bit for bit."""
+    b = build()
+    ref = cones.rays_with_lineality(*oracles.dual_cone_rays_exact(b.generator_array))
+    assert b.normal_array.shape == ref.shape
+    assert ray_set_match_angle(b.normal_array, ref) <= 1e-9
+    again = build()
+    assert np.array_equal(again.generator_array, b.generator_array)
+    assert np.array_equal(again.normal_array, b.normal_array)
+
+
+class TestStoredNormals:
+    """The normals `from_generators` stores come from the conversion
+    that found the generators; they must be the exact dual of the
+    stored generators."""
+
+    @pytest.mark.parametrize("kind", ["hull", "arc", "point", "wide_cap", "wulff"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_drawn_bodies(self, kind, dim, seed):
+        _assert_stores_the_exact_dual(lambda: _built_body(kind, dim, seed))
+
+    @pytest.mark.parametrize("kind", ["cube", "orthoplex"])
+    def test_s4_polytope_cones(self, kind):
+        # `TestFaceSpans`' cones: the cube's facets have 8 generators, so
+        # the hull reports each of its section's facets in pieces.  Turned
+        # copies are not tested: rounding moves a facet's generators off
+        # one hyperplane, and the exact dual of the float rows splits it
+        V = (np.array(list(itertools.product([1.0, -1.0], repeat=4))) if kind == "cube"
+             else np.vstack([np.eye(4), -np.eye(4)]))
+        G = np.hstack([V, np.full((V.shape[0], 1), 3.0)])
+        _assert_stores_the_exact_dual(lambda: body.from_generators(G))
+
+    def test_one_conversion_per_body(self, monkeypatch):
+        # one section hull or one double description per built body,
+        # never both, on every kind and branch
+        conversions = []
+        hull, dual = cones.ConvexHull, cones.dual_cone_rays
+        monkeypatch.setattr(cones, "ConvexHull", lambda U: conversions.append(U) or hull(U))
+        monkeypatch.setattr(cones, "dual_cone_rays", lambda G: conversions.append(G) or dual(G))
+        rows = [_cap_rows(n, math.pi / 2 - 5e-10, 8) for n in (2, 3)]
+        for dim in (1, 2, 3):
+            e = np.eye(dim + 1)
+            rows += [np.vstack([e, -e]), np.vstack([e[dim], -e[dim]])]
+        for G in rows:
+            conversions.clear()
+            body.from_generators(G)
+            assert len(conversions) == 1
+        for dim in (1, 2, 3):
+            for kind in ("hull", "arc", "point", "wide_cap", "wulff"):
+                for seed in range(4):
+                    conversions.clear()
+                    _built_body(kind, dim, seed)
+                    assert len(conversions) == 1, (kind, dim, seed)
+
+    def test_thin_draws_store_every_normal(self):
+        # at thickness 1e-8 the double description misses facets of some
+        # of these draws (FOUND (c) in ROADMAP.md): rerun on the stored
+        # generators it is short on seeds 7, 31, 35 and 43, where the hull
+        # that found the generators has every facet
+        for seed in range(50):
+            b = body.from_generators(_thin_rows(np.random.default_rng(seed), 3 + seed % 2, 1e-8))
+            ref = cones.rays_with_lineality(*oracles.dual_cone_rays_exact(b.generator_array))
+            assert b.normal_array.shape == ref.shape, seed
 
 
 class TestNonnegLstsq:

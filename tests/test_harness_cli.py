@@ -1,6 +1,7 @@
 """Verification suites, CSV reporting, and the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 import pathlib
@@ -180,6 +181,36 @@ class TestGenerators:
         assert (b.generator_array @ pole.vec).min() >= math.cos(0.81)
         again = harness.gen_wulff(pole, 7, 0.8, 3)
         assert (again.generator_array == b.generator_array).all()
+
+    def test_gen_wulff_draws_are_pinned(self, monkeypatch):
+        # the rows 600 draws on S^1-S^3 hand to `from_generators`, and the
+        # generators their bodies store, bit for bit: reusing the pole's
+        # tangent basis and one simplex per sphere must not move a draw
+        digest = hashlib.sha256()
+        build = harness.from_generators
+
+        def hashed(points):
+            digest.update(np.ascontiguousarray(points).tobytes())
+            return build(points)
+
+        monkeypatch.setattr(harness, "from_generators", hashed)
+        for dim in (1, 2, 3):
+            pole = harness.pole_axis(dim)
+            for t in range(200):
+                rng = np.random.default_rng([dim, t, 23])
+                b = harness.gen_wulff(
+                    pole, int(rng.integers(dim + 2, dim + 8)), rng.uniform(0.1, 1.2),
+                    int(rng.integers(2**63)),
+                )
+                digest.update(b.generator_array.tobytes())
+        assert digest.hexdigest()[:16] == "41eeda6bfa088872"
+
+    def test_regular_simplex_is_built_once_and_read_only(self):
+        S = harness._regular_simplex(3)
+        assert harness._regular_simplex(3) is S
+        assert np.allclose(S @ S.T, np.where(np.eye(4, dtype=bool), 1.0, -1.0 / 3.0), atol=1e-15)
+        with pytest.raises(ValueError):
+            S[0, 0] = 0.0
 
     @pytest.mark.parametrize("dim", (1, 2, 3))
     def test_gen_wulff_single_draw_margins(self, dim):

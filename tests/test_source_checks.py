@@ -78,11 +78,14 @@ def test_nonnegative_fit_call_sites():
 
 
 def test_one_dual_conversion_per_body():
-    # a body's normals come from one conversion at construction, and its
-    # generators from a second one only for raw rows without a pointed
-    # witness, which `extreme_rays` reads off their dual; nothing in
-    # `transforms` converts, since the polar swaps the stored arrays
-    assert _callers("dual_cone_rays") == {"body.from_generators", "cones.extreme_rays"}
+    # a body is built by one conversion: `cones.convert` runs the
+    # section hull or the double description, and `from_generators` runs
+    # the double description itself only where `convert` found no dual;
+    # nothing in `transforms` converts, since the polar swaps the stored
+    # arrays
+    assert _callers("convert") == {"body.from_generators", "cones.extreme_rays"}
+    assert _callers("ConvexHull") == {"cones._pointed_extreme"}
+    assert _callers("dual_cone_rays") == {"body.from_generators", "cones.convert"}
 
 
 def test_oracles_read_no_private_cone_name():

@@ -129,9 +129,10 @@ class TestPolarBasics:
                 assert (b.generator_array @ witnesses[0]).min() >= -1e-12
 
     def test_polar_swaps_the_stored_arrays(self):
-        # the stored normals are the conversion's output for the stored
-        # generators, bit for bit, so the swap is the polar that a rerun
-        # of the conversion would build
+        # the stored normals are the dual that the conversion which found
+        # the generators had in hand (for hulls on S^2 and up, the facets
+        # of the hull), so the swap is, to rounding, the polar that a
+        # rerun of the double description on the stored generators builds
         for dim in (1, 2, 3):
             pole = harness.pole_axis(dim)
             for seed in range(8):
@@ -140,7 +141,9 @@ class TestPolarBasics:
                     b = harness.gen_convex_body(pole, kind, rng)
                     p = transforms.polar(b)
                     rerun = cones.rays_with_lineality(*cones.dual_cone_rays(b.generator_array))
-                    assert np.array_equal(p.generator_array, rerun)
+                    assert np.array_equal(p.generator_array, b.normal_array)
+                    assert p.generator_array.shape == rerun.shape
+                    assert np.abs(p.generator_array - rerun).max(initial=0.0) <= 1e-13
                     assert np.array_equal(p.normal_array, b.generator_array)
                 # a hemisphere stores its exact center, which the
                 # conversion reproduces to rounding
@@ -153,15 +156,16 @@ class TestPolarBasics:
 
     def test_double_polar_converts_the_normals(self, monkeypatch):
         # `polar` alone would hand the input back; the round trip must
-        # run the conversion on the input's normals
+        # run one conversion, on the input's normals
         square = cap_polytope(math.pi / 6, [45, 135, 225, 315])
-        calls = []
-        convert = cones.dual_cone_rays
-        monkeypatch.setattr(cones, "dual_cone_rays", lambda G: calls.append(G) or convert(G))
+        inputs, conversions = [], []
+        convert, hull, dual = cones.convert, cones.ConvexHull, cones.dual_cone_rays
+        monkeypatch.setattr(cones, "convert", lambda G: inputs.append(G) or convert(G))
+        monkeypatch.setattr(cones, "ConvexHull", lambda U: conversions.append(U) or hull(U))
+        monkeypatch.setattr(cones, "dual_cone_rays", lambda G: conversions.append(G) or dual(G))
         transforms.double_polar(square)
-        # on the normals as `canonicalize` re-reduces them, to rounding
-        assert len(calls) == 1
-        assert np.abs(calls[0] - square.normal_array).max() <= 1e-14
+        assert len(inputs) == 1 and np.array_equal(inputs[0], square.normal_array)
+        assert len(conversions) == 1
 
     def test_double_polar_random_bodies(self):
         rng = np.random.default_rng(41)
