@@ -94,28 +94,30 @@ class SphericalBody:
 def from_generators(points):
     """Spherical convex hull (cone-cap) of the given points.
 
-    The generators are reduced to the extreme rays of their cone (plus
-    the +/- lineality convention for non-pointed input) by
-    `cones.convert`, and the support normals are the dual cone's
-    generators in the same layout.  If the points positively span the
-    whole space the body is the full sphere and the normal list is
-    empty.
+    The points must be a 2-D array (or a list of vectors) of at least
+    one row and at least 2 columns; anything else is refused with a
+    `ValueError` naming its shape.  The generators are reduced to the
+    extreme rays of their cone (plus the +/- lineality convention for
+    non-pointed input) by `cones.extreme_rays`, and the support normals
+    are the dual cone's generators in the same layout.  If the points
+    positively span the whole space the body is the full sphere and the
+    normal list is empty.
 
-    Each body costs one conversion: the normals are the dual that
-    `convert` found along with the generators, and only where it found
-    none (simplicial and arc inputs, whose rays need no conversion)
-    does `cones.dual_cone_rays` run on the stored generators.  The
-    normals of a pointed cone with a witness w in span(G) are read off
-    the hull of its gnomonic section S = {x in cone(G) : x . w = 1}.
-    They are the cone's facets:
+    Each body costs one conversion call: the normals are the dual that
+    `extreme_rays` found along with the generators, in closed form for
+    independent rows (simplicial and arc inputs), off the section hull,
+    or off the double description it read the rays from.  The normals
+    of a pointed cone with a witness w in span(G) are read off the hull
+    of its gnomonic section S = {x in cone(G) : x . w = 1}.  They are
+    the cone's facets:
     - every nonzero x in the cone has x . w > 0, so x -> x / (x . w)
       maps the cone's faces other than {0} one to one onto S's nonempty
       faces, keeping inclusion, and so maps facets onto facets;
     - a facet inequality of S, linear on the hyperplane x . w = 1, is
       made homogeneous by writing its constant as a multiple of x . w
       there; it then holds on all of cone(G), which is S scaled, and is
-      tight exactly on the facet's rays (`cones.convert`, branch 2, has
-      the formula in Qhull's chart);
+      tight exactly on the facet's rays (`cones.extreme_rays`, branch 2,
+      has the formula in Qhull's chart);
     - Qhull's triangulated output splits a facet into simplices that all
       carry the facet's hyperplane, one equation row bit for bit, so
       grouping the pieces by that row gives each facet once.
@@ -124,16 +126,14 @@ def from_generators(points):
         raw = points.astype(float)
     else:
         raw = np.array([as_vector(p) for p in points], dtype=float)
-    if raw.ndim != 2 or raw.shape[0] == 0:
-        raise ValueError("need at least one generator")
+    if raw.ndim != 2 or raw.shape[0] == 0 or raw.shape[1] < 2:
+        raise ValueError(f"need a 2-D array of generators in R^2 or up, got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise NonFiniteError("generator coordinates must be finite")
-    rays, lin, dual = cones.convert(raw)
+    rays, lin, dual = cones.extreme_rays(raw)
     gens = cones.rays_with_lineality(rays, lin)
     if gens.shape[0] == 0:
         raise ValueError("generators span no direction")
-    if dual is None:
-        dual = cones.dual_cone_rays(gens)
     normals = cones.rays_with_lineality(*dual)
     body = SphericalBody(gens, normals, _trusted=True)
     _check_cross_consistency(body)

@@ -11,12 +11,11 @@ Conventions
 * Non-pointed cones are reported as (pointed rays, lineality basis);
   callers that need a plain generator list append +/- each lineality
   basis vector.
-* `convert` reduces raw rows to their cone's extreme rays and hands
-  back the dual description wherever the branch that found the rays
-  found it too: the facets of a gnomonic-section hull, or the
-  `dual_cone_rays` result it read the rays off.  Only simplicial and
-  arc inputs, which need no conversion for their rays, come back
-  without one.  So a body costs one conversion.
+* `extreme_rays` reduces raw rows to their cone's extreme rays and
+  hands back the dual description found by the same branch: the closed
+  form of independent rows (simplicial and arc inputs), the facets of
+  a gnomonic-section hull, or the `dual_cone_rays` result it read the
+  rays off.  So a body costs one conversion call.
 * Tolerance hierarchy: sign classification CLASS_TOL = 1e-10 is
   coarser than the construction accuracy (~1e-12), so the zero sets
   the double description reads, and the rows `extreme_rays` finds
@@ -277,8 +276,8 @@ def _dd_in_span(C):
     C rows must be unit vectors spanning R^s, so the solution cone is
     pointed and its extreme rays describe it completely.  The start is
     the simplicial cone of s independent rows, picked by QR with column
-    pivoting (largest residual first): its extreme rays are the columns
-    of inv(C[first]), column j being tight on every picked row but j.
+    pivoting (largest residual first), whose extreme rays are
+    `_simplicial_dual` of those rows.
     The remaining rows are added one at a time in their given order, each
     in one array step: the rays negative on the row go, and each
     adjacent positive/negative pair adds the ray where the edge between
@@ -302,7 +301,7 @@ def _dd_in_span(C):
     m, s = C.shape
     first = qr(C.T, mode="r", pivoting=True)[1][:s]
     C = np.vstack([C[first], np.delete(C, first, axis=0)])
-    R = unitize(np.linalg.inv(C[:s]).T)
+    R = _simplicial_dual(C[:s])
     Z = np.zeros((s, m), dtype=bool)  # Z[r, j]: ray r is tight on row j
     Z[:, :s] = ~np.eye(s, dtype=bool)
     for k in range(s, m):
@@ -326,6 +325,14 @@ def _dd_in_span(C):
         Znew[:, k] = True
         Z = np.vstack([Z[~neg], Znew])
     return R
+
+
+def _simplicial_dual(C):
+    """Extreme rays of {q in R^s : C q >= 0} for s independent rows C of
+    R^s: the unitized rows of inv(C)^T.  Row j is tight on every row of
+    C but j and positive on row j (C inv(C) = I), so the rows are the s
+    edges of the simplicial cone, one per facet."""
+    return unitize(np.linalg.inv(C).T)
 
 
 def dual_cone_rays(G):
@@ -357,19 +364,19 @@ def _span_complement(B):
 
 
 def _pointed_extreme(R, span):
-    """Extreme rays of cone(R) from a pointed witness, with the normals
-    of the dual's part in span(R) when a hull found them; or None.
+    """Extreme rays of cone(R) from a pointed witness, with the unit
+    normals of the dual's part in span(R); or None.
 
     For m > s >= 2 rows of span rank s.  The rows must carry a
     `pointed_witness` w in span coordinates, which proves the cone
     pointed.  With w, an arc's ends are the rows of extreme angle about
-    w, and no normal is read (None in their place).  A higher cone's
-    extreme rays are the vertices of its gnomonic section, and its
-    facets are the section's facets: one unit normal per facet of the
-    section hull (see `convert`).  Without a witness, or when Qhull
-    refuses the section (`QhullError`), the result is None and the
-    caller reads the dual instead.  `span` is R's `span_basis`, passed
-    in because `convert` already has it.
+    w, two independent rows whose normals are their `_simplicial_dual`.
+    A higher cone's extreme rays are the vertices of its gnomonic
+    section, and its facets are the section's facets: one unit normal
+    per facet of the section hull (see `extreme_rays`).  Without a
+    witness, or when Qhull refuses the section (`QhullError`), the
+    result is None and the caller reads the dual instead.  `span` is
+    R's `span_basis`, passed in because `extreme_rays` already has it.
     """
     B, s = span
     Rs = unitize(R @ B.T)
@@ -380,7 +387,7 @@ def _pointed_extreme(R, span):
         wp = np.array([-w[1], w[0]])
         ang = np.arctan2(Rs @ wp, Rs @ w)
         idx = sorted({int(np.argmin(ang)), int(np.argmax(ang))})
-        return R[idx], None
+        return R[idx], _simplicial_dual(Rs[idx]) @ B
     # gnomonic section: rays scaled to the hyperplane {x . w = 1} turn
     # extreme rays into vertices of a convex polytope
     t = Rs @ w
@@ -405,26 +412,29 @@ def _pointed_extreme(R, span):
     return R[idx], unitize(normals @ B)
 
 
-def convert(G):
+def extreme_rays(G):
     """Both canonical descriptions of cone(rows of G), from one conversion.
 
-    Returns (rays, lin, dual): `extreme_rays`' pointed rays and
-    lineality basis, and dual = (normals, normal lineality basis) in
-    `dual_cone_rays`' layout wherever the branch that found the rays
-    also found the dual, else None.  The rows are unitized and
-    deduplicated to m rows of span rank s, and one of three branches
-    answers:
+    Returns (rays, lin, dual): the cone's pointed extreme rays and
+    lineality basis, rows lex-sorted, and dual = (normals, normal
+    lineality basis) in `dual_cone_rays`' layout, found by the same
+    branch.  The rows are unitized and deduplicated to m rows of span
+    rank s, and one of three branches answers:
 
     1. m <= s.  Since s <= m, the rows are independent: no nonzero
        nonnegative combination of them vanishes, so the cone is pointed,
        and no row is a nonnegative combination of the others, so every
-       row is extreme.  The cone is simplicial and G comes back as is,
-       with no dual.
+       row is extreme.  The cone is simplicial and G comes back as is.
+       Its dual's part in span(G) is the simplicial cone whose rays are
+       `_simplicial_dual` of the rows in span coordinates, mapped back
+       through the span basis (the start cone of the double
+       description); the dual's lineality is span(G)^perp.
     2. m > s >= 2, and `_pointed_extreme` finds a witness and Qhull
-       accepts the section: its hull rows.  An arc (s = 2) comes back
-       with no dual.  For s >= 3 the dual is read off the same hull, one
-       normal per facet of the section (why those are the cone's facets
-       is proved in `body.from_generators`).  In span coordinates, with
+       accepts the section: its hull rows.  An arc (s = 2) has two
+       independent ends, and its dual is theirs as in branch 1.  For
+       s >= 3 the dual is read off the same hull, one normal per facet
+       of the section (why those are the cone's facets is proved in
+       `body.from_generators`).  In span coordinates, with
        witness w and Bw an orthonormal basis of w's complement, the
        section is charted by u = Bw x on the hyperplane x . w = 1, and
        Qhull reports a facet as a . u + b <= 0.  Since Bw^T a is
@@ -459,13 +469,13 @@ def convert(G):
     span = span_basis(G)
     B, s = span
     if m <= s:
-        return lex_sorted_rows(G), np.zeros((0, d)), None
-    if s >= 2:
-        found = _pointed_extreme(G, span)
-        if found is not None:
-            rays, normals = found
-            dual = None if normals is None else (lex_sorted_rows(normals), _span_complement(B))
-            return lex_sorted_rows(rays), np.zeros((0, d)), dual
+        found = G, _simplicial_dual(G @ B.T) @ B
+    else:
+        found = _pointed_extreme(G, span) if s >= 2 else None
+    if found is not None:
+        rays, normals = found
+        dual = lex_sorted_rows(normals), _span_complement(B)
+        return lex_sorted_rows(rays), np.zeros((0, d)), dual
     N, N_lin = dual_cone_rays(G)
     Bn, r = span_basis(N)
     lin, rest = np.zeros((0, d)), G
@@ -476,13 +486,6 @@ def convert(G):
     tight = np.abs(rest @ N.T) <= CLASS_TOL
     keep = np.array([span_basis(N[t])[1] == r - 1 for t in tight], dtype=bool)
     return lex_sorted_rows(rest[keep]), lin, (N, N_lin)
-
-
-def extreme_rays(G):
-    """Canonical irredundant V-form of cone(rows of G): (pointed rays,
-    lineality basis), rows lex-sorted, as `convert` finds them."""
-    rays, lin, _ = convert(G)
-    return rays, lin
 
 
 def rays_with_lineality(rays, lin):

@@ -397,8 +397,9 @@ def dual_cone_rays_exact(G):
 
 
 def extreme_rays_exact(G):
-    """Exact reference for `cones.extreme_rays`: the dual of the exact
-    dual, enumerated on its rays and +/- its lineality basis."""
+    """Exact reference for the (rays, lineality) of `cones.extreme_rays`:
+    the dual of the exact dual, enumerated on its rays and +/- its
+    lineality basis."""
     rows, d = _exact_input(G)
     rays, lin = _exact_dual(rows, d)
     return _as_floats(*_exact_dual(rays + lin + [[-x for x in v] for v in lin], d), d)

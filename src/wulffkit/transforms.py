@@ -41,12 +41,13 @@ def polar(body):
 
     A body's two arrays describe each other symmetrically:
     - the normals are the canonical generators of the dual cone of
-      cone(G): `from_generators` stores the dual that the conversion
-      which found G had in hand, in `rays_with_lineality` layout (the
-      facets of the section hull, or `dual_cone_rays` of the rows, which
-      a rerun of `dual_cone_rays` on the stored G reproduces to
-      rounding), and `hemisphere_body` stores the center, the dual's one
-      ray, which that conversion reproduces to rounding too;
+      cone(G): `from_generators` stores the dual that
+      `cones.extreme_rays` found along with G, in `rays_with_lineality`
+      layout (the closed form of independent rows, the facets of the
+      section hull, or `dual_cone_rays` of the rows, each of which a
+      rerun of `dual_cone_rays` on the stored G reproduces to rounding),
+      and `hemisphere_body` stores the center, the dual's one ray, which
+      that conversion reproduces to rounding too;
     - the generators are the dual cone's irredundant constraints (a
       generator implied by the others would not have been extreme), so
       they are the canonical generators of the dual of cone(N).

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestConstruction:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             body.from_generators([])
+        # anything but a 2-D array of at least one row and 2 columns is
+        # refused, with its shape named: a list of scalars would be an
+        # S^0 body, and a 1-D or empty-column array no generator list
+        for points, shape in (
+            ([1.0, 2.0], "(2, 1)"),
+            (np.array([0.0, 0.0, 1.0]), "(3,)"),
+            (np.zeros((2, 0)), "(2, 0)"),
+            (np.zeros((0, 3)), "(0, 3)"),
+            (np.ones((1, 1)), "(1, 1)"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(shape)):
+                body.from_generators(points)
 
     def test_non_finite_input_rejected(self):
         pts = cap_points(0.4, [0, 120, 240])

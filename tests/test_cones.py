@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from wulffkit import body, cones, harness, oracles
+from wulffkit import body, cones, harness, oracles, transforms
 from wulffkit.errors import NormalizationError
 from wulffkit.geometry import NEAR_ZERO, complement_basis, subspace_canonical_basis
 
@@ -576,13 +576,13 @@ class TestExtremeRays:
         # builds bodies of every suite kind, hemispheres, lunes, the full
         # sphere and a pair of antipodes
         inputs = []
-        convert = cones.convert
+        extreme_rays = cones.extreme_rays
 
         def recorded(G):
             inputs.append(np.array(G, dtype=float))
-            return convert(G)
+            return extreme_rays(G)
 
-        monkeypatch.setattr(cones, "convert", recorded)
+        monkeypatch.setattr(cones, "extreme_rays", recorded)
         kinds = ["hull", "arc", "point", "wide_cap"]
         for dim in (1, 2, 3):
             pole = harness.pole_axis(dim)
@@ -619,7 +619,7 @@ class TestExtremeRays:
             reads = []
             with monkeypatch.context() as m:
                 m.setattr(cones, "dual_cone_rays", lambda R: reads.append(1) or dual_cone_rays(R))
-                rays, lin = cones.extreme_rays(G)
+                rays, lin, _ = cones.extreme_rays(G)
             ref_rays, ref_lin = oracles.extreme_rays_exact(G)
             assert rays.shape == ref_rays.shape and lin.shape == ref_lin.shape
             assert ray_set_match_angle(rays, ref_rays) <= 1e-9
@@ -644,7 +644,7 @@ class TestExtremeRays:
     @pytest.mark.parametrize("n, k", [(2, 11), (2, 12), (3, 11), (3, 12)])
     def test_caps_within_1e_11_of_a_hemisphere(self, n, k):
         G = _cap_rows(n, math.pi / 2 - 10.0**-k, 8)
-        rays, lin = cones.extreme_rays(G)
+        rays, lin, _ = cones.extreme_rays(G)
         ref_rays, ref_lin = oracles.extreme_rays_exact(G)
         assert rays.shape == ref_rays.shape and lin.shape == ref_lin.shape
         assert ray_set_match_angle(rays, ref_rays) <= 1e-9
@@ -678,13 +678,13 @@ class TestExtremeRays:
         # vertices are the extreme rays, so the best row and the solved
         # witness must pick the same rows
         inputs = []
-        convert = cones.convert
+        extreme_rays = cones.extreme_rays
 
         def recorded(G):
             inputs.append(np.array(G, dtype=float))
-            return convert(G)
+            return extreme_rays(G)
 
-        monkeypatch.setattr(cones, "convert", recorded)
+        monkeypatch.setattr(cones, "extreme_rays", recorded)
         for dim in (1, 2, 3):
             pole = harness.pole_axis(dim)
             for kind in ("hull", "arc", "point", "wide_cap"):
@@ -706,10 +706,10 @@ class TestExtremeRays:
             inputs += [_cap_rows(n, math.pi / 4 - 10.0**-e, 8) for e in range(3, 12)]
         margins = []
         for G in inputs:
-            rays, lin = cones.extreme_rays(G)
+            rays, lin, _ = cones.extreme_rays(G)
             with monkeypatch.context() as m:
                 m.setattr(cones, "pointed_witness", _lp_pointed_witness)
-                ref_rays, ref_lin = cones.extreme_rays(G)
+                ref_rays, ref_lin, _ = cones.extreme_rays(G)
             assert np.array_equal(rays, ref_rays) and np.array_equal(lin, ref_lin)
             R = cones.dedupe_rays(cones.unitize(G))
             B, s = cones.span_basis(R)
@@ -726,14 +726,14 @@ class TestExtremeRays:
         G = cones.unitize(
             np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         )
-        rays, lin = cones.extreme_rays(G)
+        rays, lin, _ = cones.extreme_rays(G)
         assert lin.shape[0] == 0
         assert rays.shape[0] == 2
         assert ray_set_match_angle(rays, np.eye(2)) < 1e-12
 
     def test_lineality_detected(self):
         G = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        rays, lin = cones.extreme_rays(G)
+        rays, lin, _ = cones.extreme_rays(G)
         assert lin.shape[0] == 1
         assert np.allclose(np.abs(lin[0]), [1.0, 0.0, 0.0], atol=1e-12)
         assert rays.shape[0] == 1
@@ -748,7 +748,7 @@ class TestExtremeRays:
             G = rng.normal(size=(m, d)) * 0.4
             G[:, -1] = np.abs(G[:, -1]) + 0.6
             G = cones.unitize(G)
-            fast, lin = cones.extreme_rays(G)
+            fast, lin, _ = cones.extreme_rays(G)
             assert lin.shape[0] == 0
             slow, slow_lin = oracles.extreme_rays_exact(G)
             assert slow_lin.shape[0] == 0
@@ -759,7 +759,7 @@ class TestExtremeRays:
         G = rng.normal(size=(9, 3)) * 0.4
         G[:, -1] = np.abs(G[:, -1]) + 0.6
         G = cones.unitize(G)
-        rays, _ = cones.extreme_rays(G)
+        rays, _, _ = cones.extreme_rays(G)
         for g in G:
             assert in_cone(rays, g)
 
@@ -821,26 +821,69 @@ class TestStoredNormals:
         _assert_stores_the_exact_dual(lambda: body.from_generators(G))
 
     def test_one_conversion_per_body(self, monkeypatch):
-        # one section hull or one double description per built body,
-        # never both, on every kind and branch
-        conversions = []
-        hull, dual = cones.ConvexHull, cones.dual_cone_rays
+        # one `cones.extreme_rays` call per built body; inside it no
+        # section hull and no double description for a body whose
+        # deduplicated rows are independent or the two ends of an arc
+        # (its dual has a closed form), and exactly one, never both, for
+        # every other kind and branch
+        inputs, conversions = [], []
+        extreme_rays, hull, dual = cones.extreme_rays, cones.ConvexHull, cones.dual_cone_rays
+        monkeypatch.setattr(cones, "extreme_rays", lambda G: inputs.append(G) or extreme_rays(G))
         monkeypatch.setattr(cones, "ConvexHull", lambda U: conversions.append(U) or hull(U))
         monkeypatch.setattr(cones, "dual_cone_rays", lambda G: conversions.append(G) or dual(G))
+
+        def expected(b):
+            # the body was built by one conversion call, on inputs[0]
+            assert len(inputs) == 1
+            R = cones.dedupe_rays(cones.unitize(inputs[0]))
+            s = cones.span_basis(R)[1]
+            arc = s == 2 and b.generator_array.shape[0] == 2
+            return 0 if R.shape[0] <= s or arc else 1
+
         rows = [_cap_rows(n, math.pi / 2 - 5e-10, 8) for n in (2, 3)]
         for dim in (1, 2, 3):
             e = np.eye(dim + 1)
             rows += [np.vstack([e, -e]), np.vstack([e[dim], -e[dim]])]
         for G in rows:
+            inputs.clear()
             conversions.clear()
-            body.from_generators(G)
-            assert len(conversions) == 1
+            b = body.from_generators(G)
+            assert len(conversions) == expected(b) == 1
+        counts = set()
         for dim in (1, 2, 3):
             for kind in ("hull", "arc", "point", "wide_cap", "wulff"):
                 for seed in range(4):
+                    inputs.clear()
                     conversions.clear()
-                    _built_body(kind, dim, seed)
-                    assert len(conversions) == 1, (kind, dim, seed)
+                    want = expected(_built_body(kind, dim, seed))
+                    counts.add(want)
+                    assert len(conversions) == want, (kind, dim, seed)
+        assert counts == {0, 1}
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_arc_branch_stores_the_closed_form_dual(self, monkeypatch, d):
+        # 3-6 rows on one great circle, spread less than pi: the arc
+        # branch finds the two ends, and their dual in closed form
+        dual = cones.dual_cone_rays
+        reads = []
+        rng = np.random.default_rng([d, 89])
+        for trial in range(20):
+            P = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+            ang = rng.uniform(0.0, rng.uniform(0.1, math.pi - 0.1), size=int(rng.integers(3, 7)))
+            rows = np.cos(ang)[:, None] * P[0] + np.sin(ang)[:, None] * P[1]
+            with monkeypatch.context() as m:
+                m.setattr(cones, "dual_cone_rays", lambda G: reads.append(G) or dual(G))
+                b = body.from_generators(rows)
+            assert not reads
+            assert b.generator_array.shape == (2, d)
+            exact = cones.rays_with_lineality(*oracles.dual_cone_rays_exact(b.generator_array))
+            assert b.normal_array.shape == exact.shape == (2 * d - 2, d)
+            assert ray_set_match_angle(b.normal_array, exact) <= 1e-9
+            rerun = cones.rays_with_lineality(*dual(b.generator_array))
+            assert rerun.shape == b.normal_array.shape
+            assert np.abs(b.normal_array - rerun).max() <= 1e-13, trial
+            back = transforms.double_polar(b)
+            assert body.body_match_angle(back, b) <= 1e-10
 
     def test_thin_draws_store_every_normal(self):
         # at thickness 1e-8 the double description misses facets of some

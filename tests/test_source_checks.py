@@ -78,14 +78,14 @@ def test_nonnegative_fit_call_sites():
 
 
 def test_one_dual_conversion_per_body():
-    # a body is built by one conversion: `cones.convert` runs the
-    # section hull or the double description, and `from_generators` runs
-    # the double description itself only where `convert` found no dual;
+    # a body is built by one conversion call: `cones.extreme_rays` finds
+    # both descriptions, by closed form, section hull or double
+    # description, and `from_generators` runs no conversion of its own;
     # nothing in `transforms` converts, since the polar swaps the stored
     # arrays
-    assert _callers("convert") == {"body.from_generators", "cones.extreme_rays"}
+    assert _callers("extreme_rays") == {"body.from_generators"}
     assert _callers("ConvexHull") == {"cones._pointed_extreme"}
-    assert _callers("dual_cone_rays") == {"body.from_generators", "cones.convert"}
+    assert _callers("dual_cone_rays") == {"cones.extreme_rays"}
 
 
 def test_oracles_read_no_private_cone_name():

@@ -159,8 +159,8 @@ class TestPolarBasics:
         # run one conversion, on the input's normals
         square = cap_polytope(math.pi / 6, [45, 135, 225, 315])
         inputs, conversions = [], []
-        convert, hull, dual = cones.convert, cones.ConvexHull, cones.dual_cone_rays
-        monkeypatch.setattr(cones, "convert", lambda G: inputs.append(G) or convert(G))
+        extreme_rays, hull, dual = cones.extreme_rays, cones.ConvexHull, cones.dual_cone_rays
+        monkeypatch.setattr(cones, "extreme_rays", lambda G: inputs.append(G) or extreme_rays(G))
         monkeypatch.setattr(cones, "ConvexHull", lambda U: conversions.append(U) or hull(U))
         monkeypatch.setattr(cones, "dual_cone_rays", lambda G: conversions.append(G) or dual(G))
         transforms.double_polar(square)
