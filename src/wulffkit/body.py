@@ -265,10 +265,8 @@ def body_match_angle(a, b):
     B = b.generator_array
     if A.shape[0] != B.shape[0]:
         return float("inf")
-    # chordal form 2 asin(|u - v| / 2): exact for unit vectors and, unlike
-    # arccos of the dot, has no 1e-8 precision floor near zero angles
-    diff = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2)
-    cost = 2.0 * np.arcsin(np.clip(diff / 2.0, 0.0, 1.0))
+    m = A.shape[0]
+    cost = kernels.angles(np.repeat(A, m, axis=0), np.tile(B, (m, 1))).reshape(m, m)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 

@@ -174,10 +174,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WulffkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (WulffkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

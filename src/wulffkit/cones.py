@@ -121,13 +121,16 @@ def span_key(B):
 def nonneg_lstsq(A, b):
     """min |A x - b| over x >= 0 by the classical active-set algorithm.
 
-    scipy.optimize.nnls (the >= 1.12 rewrite) returns KKT-violating
-    coefficient vectors with a wrong (often zero) reported residual on
-    underdetermined systems — and every cone fit here is underdetermined
-    (d equations, m > d generator columns) — so this module carries its
-    own implementation with exact least-squares subproblems.  Returns
-    (x, residual_norm); the residual is recomputed from x, never trusted
-    from intermediate state.
+    scipy.optimize.nnls (the >= 1.12 rewrite, still on 1.17.1) returns
+    KKT-violating coefficient vectors with a wrong (often zero) reported
+    residual on underdetermined systems — and every cone fit here is
+    underdetermined (d equations, m > d generator columns).  On the
+    16-column least-distance system of two wide caps' polars it reports
+    residual 0.519 for an x of residual 0.728, where the optimum is
+    0.6996 (`tests/test_cones.py` pins that system).  So this module
+    carries its own implementation with exact least-squares subproblems.
+    Returns (x, residual_norm); the residual is recomputed from x, never
+    trusted from intermediate state.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -25,18 +25,16 @@ from .body import (
     is_wulff_relative,
 )
 from .errors import GenerationError
-from .geometry import UnitPoint, _draw_cap, arc_point, complement_basis, sample_cap
-from .transforms import double_polar, polar, polar_antitone_check
-
-SUITE_NAMES = (
-    "isometry",
-    "bilipschitz",
-    "tightness",
-    "double_dual",
-    "antitone",
-    "metric_identities",
-    "approximation",
+from .geometry import (
+    UnitPoint,
+    _draw_cap,
+    arc_point,
+    as_unit_point,
+    complement_basis,
+    sample_cap,
+    uniform_sphere_points,
 )
+from .transforms import double_polar, polar, polar_antitone_check
 
 #: sample count for the dilation-identity membership comparison
 IDENTITY_SAMPLES = 10_000
@@ -139,8 +137,8 @@ def gen_wulff(p, k, rho, seed):
     simplex = _regular_simplex(n)
     tilt = 0.02
     fixed = math.cos(tilt) * p.vec[None, :] + math.sin(tilt) * (simplex @ tangent)
-    pts = _draw_cap(p, tangent, rho, int(seed) << 7, k)
-    body = from_generators(np.vstack([np.array([q.vec for q in pts]), fixed]))
+    pts = _draw_cap(p.vec, tangent, rho, int(seed) << 7, k)
+    body = from_generators(np.vstack([pts, fixed]))
     if not is_wulff_relative(body, p):
         raise GenerationError(
             f"drawn body is not a Wulff shape around its pole "
@@ -154,7 +152,7 @@ def cap_polytope(center, radius, count, phase=0.0):
 
     On S^1 the boundary has two points and `count` is ignored.
     """
-    c = center if isinstance(center, UnitPoint) else UnitPoint(center)
+    c = as_unit_point(center)
     B = complement_basis(c)
     radius = float(radius)
     if B.shape[0] == 1:
@@ -187,12 +185,11 @@ def gen_convex_body(pole, kind, rng):
     """
     n = pole.ambient_dim
     if kind == "point":
-        q = sample_cap(pole, 0.9, int(rng.integers(2**63)), 1)[0]
-        return from_generators(q.vec[None, :])
+        return from_generators(sample_cap(pole, 0.9, int(rng.integers(2**63)), 1))
     if kind == "arc":
-        a = sample_cap(pole, 1.0, int(rng.integers(2**63)), 1)[0]
-        b = sample_cap(pole, 1.0, int(rng.integers(2**63)), 1)[0]
-        return from_generators(np.vstack([a.vec, b.vec]))
+        a = sample_cap(pole, 1.0, int(rng.integers(2**63)), 1)
+        b = sample_cap(pole, 1.0, int(rng.integers(2**63)), 1)
+        return from_generators(np.vstack([a, b]))
     if kind == "wide_cap":
         radius = rng.uniform(1.25, math.pi / 2.0 - 0.1)
         count = max(2 * n + 2, 8)
@@ -235,7 +232,7 @@ def _draw_wulff(p, rng, dim):
 
 def _center_and_tangent(dim, ts, rng):
     """A uniform point of S^dim and one of its complement basis vectors."""
-    p1 = UnitPoint(oracles.uniform_sphere_points(dim, 1, ts)[0])
+    p1 = UnitPoint(uniform_sphere_points(dim, 1, ts)[0])
     tangent = complement_basis(p1)
     return p1, tangent[int(rng.integers(tangent.shape[0]))]
 
@@ -334,14 +331,14 @@ def suite_double_dual(cfg):
     yield row(cfg.seed, "roundtrip_gap_point", from_generators(p.vec[None, :]))
     yield row(cfg.seed, "roundtrip_gap_hemisphere", hemisphere_body(p))
     for _, ts, rng in _trials(cfg):
-        pole = UnitPoint(oracles.uniform_sphere_points(cfg.dim, 1, ts)[0])
+        pole = UnitPoint(uniform_sphere_points(cfg.dim, 1, ts)[0])
         pts = sample_cap(
             pole,
             rng.uniform(0.2, 1.4),
             int(rng.integers(2**63)),
             int(rng.integers(2, cfg.dim + 7)),
         )
-        yield row(ts, "roundtrip_gap", from_generators(np.array([q.vec for q in pts])))
+        yield row(ts, "roundtrip_gap", from_generators(pts))
 
 
 def suite_antitone(cfg):
@@ -442,8 +439,8 @@ def suite_approximation(cfg):
             w = from_generators(p.vec[None, :])
         elif kind == "arc":
             a = sample_cap(p, rng.uniform(0.2, 1.0), int(rng.integers(2**63)), 1)[0]
-            b = UnitPoint(_mirror_through(p.vec, a.vec))
-            w = from_generators(np.vstack([a.vec, b.vec]))
+            b = UnitPoint(_mirror_through(p.vec, a))
+            w = from_generators(np.vstack([a, b.vec]))
         else:
             w = gen_wulff(
                 p,
@@ -487,6 +484,9 @@ _SUITES = {
     "metric_identities": suite_metric_identities,
     "approximation": suite_approximation,
 }
+
+#: the suite names, in the order `verify --suite all` runs them
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(cfg):

@@ -1,12 +1,16 @@
-"""Batch kernels on (N, d) point blocks against small (m, d) direction sets.
+"""Batch kernels on (N, d) point blocks.
 
 - ``min_slack(X, M)``: per-row min of ``X @ M.T``
 - ``max_dot(X, M)``: per-row max of ``X @ M.T``
-- ``angles_to_point(X, p)``: stable geodesic angle from each row to p
+- ``angles(X, Y)``: geodesic angle between matching unit rows of X and
+  Y, or from each row of X to one unit vector Y
 
 ``min_slack`` against a body's normals is the one membership test, read
 by ``body``, ``transforms`` and ``metric``; ``metric`` calls ``max_dot``
 for the nearest-generator upper bound of the sampled directed distance.
+``angles`` is the package's one geodesic-angle routine: ``geometry``'s
+point distance, ``metric``'s nearest-point routine and ``body``'s
+generator matching all read it.
 
 Inputs are validated once at entry.  Large blocks run in chunks of
 ``_CHUNK`` rows to bound the temporaries.  The reductions run across
@@ -52,20 +56,23 @@ def max_dot(X, M):
     return _reduce_products(X, M, np.maximum, -np.inf)
 
 
-def angles_to_point(X, p):
-    """Stable geodesic angle from each row of X to the unit vector p.
+def angles(X, Y):
+    """Geodesic angle between each unit row x of X and the matching row y
+    of Y, or the one unit vector Y: atan2(|y - c x|, c) with c = x . y.
 
-    Uses atan2 of the explicit perpendicular component; plain arccos of
-    the dot product loses precision near 0 and pi.
+    arccos of the dot alone loses half the significant digits near 0 and
+    pi; the perpendicular part keeps them.
     """
     X = _prep(X)
-    p = np.asarray(p, dtype=float).reshape(-1)
-    if X.shape[1] != p.size:
-        raise ValueError("point block and reference point disagree on dimension")
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], _CHUNK):
-        block = X[lo:lo + _CHUNK]
-        c = block @ p
-        perp = block - c[:, None] * p[None, :]
-        out[lo:lo + _CHUNK] = np.arctan2(np.linalg.norm(perp, axis=1), c)
-    return out
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape not in (X.shape, X.shape[1:]):
+        raise ValueError("point blocks disagree on shape")
+    if X.shape[0] > _CHUNK:
+        return np.concatenate([
+            angles(X[lo:lo + _CHUNK], Y if Y.ndim == 1 else Y[lo:lo + _CHUNK])
+            for lo in range(0, X.shape[0], _CHUNK)
+        ])
+    Y = Y.reshape(-1, X.shape[1])
+    c = np.einsum("ij,ij->i", X, Y)
+    perp = Y - c[:, None] * X
+    return np.arctan2(np.sqrt(np.einsum("ij,ij->i", perp, perp)), c)

@@ -60,6 +60,7 @@ from .geometry import (
     UnitPoint,
     as_unit_point,
     geodesic_distance,
+    uniform_sphere_points,
 )
 from .transforms import polar, polar_admissible
 
@@ -122,12 +123,6 @@ def _resolve_resolution(resolution, body):
 def _norms(A):
     """Euclidean norms along the last axis."""
     return np.sqrt(np.einsum("...i,...i->...", A, A))
-
-
-def _angles(X, Y):
-    """Row-wise geodesic angles between unit rows, via the perpendicular part."""
-    c = np.einsum("ij,ij->i", X, Y)
-    return np.arctan2(_norms(Y - c[:, None] * X), c)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def _nearest_block(X, body, spans):
     dots = X @ G.T
     pick = dots.argmax(axis=1)
     Y = G[pick]
-    ang = _angles(X, Y)
+    ang = kernels.angles(X, Y)
     member = kernels.min_slack(X, N) >= -MEMBERSHIP_TOL
     live = np.flatnonzero(~member & (dots[np.arange(X.shape[0]), pick] > 0.0))
     Xl = X[live]
@@ -405,7 +400,7 @@ def point_body_distance_sampled(x, body, resolution=None):
     v = as_unit_point(x).vec
     resolution = _resolve_resolution(resolution, body)
     samples = _body_sample_points(body, resolution)
-    return Angle(float(kernels.angles_to_point(samples, v).min()))
+    return Angle(float(kernels.angles(samples, v).min()))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +695,7 @@ def dilation_intersection_mismatches(w, r, samples, seed):
         raise ValueError("body has a trivial polar; identity check undefined")
     pw = polar(w)
     d = w.generator_array.shape[1]
-    X = oracles.uniform_sphere_points(d - 1, samples, seed)
+    X = uniform_sphere_points(d - 1, samples, seed)
     dist_polar = batch_point_body_distance(X, pw)
     worst = math.pi - batch_point_body_distance(-X, w)
     dist_hemis = np.maximum(worst - math.pi / 2.0, 0.0)

@@ -1,10 +1,10 @@
-"""Deterministic sphere sampling used by the sampled-distance routines,
-and the test oracles.
+"""The covering grid of the sampled-distance routines, and the test
+oracles.
 
-The sampling part (`sphere_grid`, its cell index `grid_cells`,
-`uniform_sphere_points` and `COVERING_COEFF`) is on the production
-path: the sampled distance route and the dilation-identity check of
-`metric`, and the harness suites, call it.
+The grid part (`sphere_grid`, its cell index `grid_cells` and
+`COVERING_COEFF`) is on the production path: the sampled distance
+route of `metric` and the approximation suite's ring directions call
+it.  Seeded random draws on the sphere live in `geometry`.
 
 The oracles are slow routes, independent of the production code, to
 answers it computes another way.  The tests cross-validate against
@@ -92,7 +92,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import cones
+from . import cones, kernels
 from .errors import DimensionMismatchError, ResolutionError
 from .geometry import Angle, subspace_canonical_basis
 
@@ -284,23 +284,6 @@ def _build_cells(grid, spacing):
     return GridCells(perm, starts, centers, radii)
 
 
-def uniform_sphere_points(dim, count, seed):
-    """Seeded uniform sample of `count` points on the dim-sphere."""
-    if count < 1:
-        raise ValueError(f"need at least one sample, got {count}")
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, dim + 1))
-    norms = np.linalg.norm(pts, axis=1)
-    # the probability of a near-zero gaussian draw is negligible, but
-    # redrawing keeps the output well-defined for every seed
-    bad = norms < 1e-12
-    while bad.any():
-        pts[bad] = rng.standard_normal((int(bad.sum()), dim + 1))
-        norms = np.linalg.norm(pts, axis=1)
-        bad = norms < 1e-12
-    return pts / norms[:, None]
-
-
 def face_spans_bruteforce(body):
     """Subset-enumeration oracle for `metric._face_spans`.
 
@@ -424,7 +407,7 @@ def min_body_gap(a, b):
     dots = Ga @ Gb.T
     i, j = np.unravel_index(int(np.argmax(dots)), dots.shape)
     y = Gb[j][None, :]
-    best = float(metric._angles(Ga[i][None, :], y)[0])
+    best = float(kernels.angles(Ga[i][None, :], y)[0])
     for _ in range(_GAP_ITERATIONS):
         _, x = metric._nearest_body_points(y, a)
         gap, y = metric._nearest_body_points(x, b)

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from wulffkit import body, cones, harness, metric, oracles, transforms
-from wulffkit.geometry import complement_basis
+from wulffkit.geometry import complement_basis, uniform_sphere_points
 
 S2_POLE = harness.pole_axis(2)
 
@@ -174,7 +174,7 @@ def test_hemisphere_closed_form_100_pairs():
     for t in range(100):
         dim, delta = (1, 0.005) if t < 50 else (2, 0.02)
         rng = np.random.default_rng(7000 + t)
-        p = oracles.uniform_sphere_points(dim, 1, 7000 + t)[0]
+        p = uniform_sphere_points(dim, 1, 7000 + t)[0]
         tangent = complement_basis(p)
         u = tangent[int(rng.integers(tangent.shape[0]))]
         spread = rng.uniform(0.05, math.pi / 2.0)

@@ -21,10 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import QhullError
 
 from wulffkit import body, cones, harness, oracles, transforms
 from wulffkit.errors import NormalizationError
-from wulffkit.geometry import NEAR_ZERO, complement_basis, subspace_canonical_basis
+from wulffkit.geometry import (
+    NEAR_ZERO,
+    complement_basis,
+    subspace_canonical_basis,
+    uniform_sphere_points,
+)
 
 
 def matched_gaps(A, B):
@@ -259,7 +265,7 @@ class TestWitnesses:
         for trial in range(30):
             d = 2 + trial % 3
             m = int(rng.integers(2, 9))
-            G = oracles.uniform_sphere_points(d - 1, m, 100 + trial)
+            G = uniform_sphere_points(d - 1, m, 100 + trial)
             witnesses = cones.rays_with_lineality(*oracles.dual_cone_rays_exact(G))
             rays, lin = cones.dual_cone_rays(G)
             nontrivial = rays.shape[0] > 0 or lin.shape[0] > 0
@@ -337,7 +343,7 @@ class TestDualConversion:
         for trial in range(40):
             d = 2 + trial % 3
             m = int(rng.integers(d, 10))
-            G = oracles.uniform_sphere_points(d - 1, m, 300 + trial)
+            G = uniform_sphere_points(d - 1, m, 300 + trial)
             rays, lin = cones.dual_cone_rays(G)
             full = cones.rays_with_lineality(rays, lin)
             if full.shape[0]:
@@ -350,7 +356,7 @@ class TestDualConversion:
             d = 2 + trial % 3
             m = int(rng.integers(d, 13))
             if trial % 2:
-                G = oracles.uniform_sphere_points(d - 1, m, 500 + trial)
+                G = uniform_sphere_points(d - 1, m, 500 + trial)
             else:
                 # cap-concentrated draws give mostly nontrivial duals
                 G = rng.normal(size=(m, d)) * 0.4
@@ -639,6 +645,30 @@ class TestExtremeRays:
         assert branches == {"simplicial", "witness hull", "read without lineality",
                             "read with lineality", "read of a subspace"}
 
+    def test_qhull_refusal_falls_back_to_the_dual_read(self, monkeypatch):
+        # when Qhull refuses the gnomonic section, `_pointed_extreme` gives
+        # up and both descriptions are read off `dual_cone_rays`
+        def refuse(U):
+            raise QhullError("section refused")
+
+        reads = []
+        dual_cone_rays = cones.dual_cone_rays
+        monkeypatch.setattr(cones, "ConvexHull", refuse)
+        monkeypatch.setattr(cones, "dual_cone_rays", lambda R: reads.append(1) or dual_cone_rays(R))
+        rng = np.random.default_rng(71)
+        for d in (3, 4):
+            for m in (d + 1, d + 5):
+                G = cones.unitize(rng.normal(size=(m, d)) * 0.4 + np.eye(d)[-1])
+                reads.clear()
+                rays, lin, (N, N_lin) = cones.extreme_rays(G)
+                assert len(reads) == 1
+                ref_rays, ref_lin = oracles.extreme_rays_exact(G)
+                assert rays.shape == ref_rays.shape and lin.shape == ref_lin.shape == (0, d)
+                assert ray_set_match_angle(rays, ref_rays) <= 1e-9
+                ref_N, ref_N_lin = oracles.dual_cone_rays_exact(G)
+                assert N.shape == ref_N.shape and N_lin.shape == ref_N_lin.shape == (0, d)
+                assert ray_set_match_angle(N, ref_N) <= 1e-9
+
     @pytest.mark.xfail(strict=True, reason="FOUND (a) and item 2 in ROADMAP.md: caps within "
                        "1e-11 of a hemisphere come back as a plane of lineality")
     @pytest.mark.parametrize("n, k", [(2, 11), (2, 12), (3, 11), (3, 12)])
@@ -896,23 +926,41 @@ class TestStoredNormals:
             assert b.normal_array.shape == ref.shape, seed
 
 
+def _wide_cap_least_distance_system():
+    """(E, f) of the least-distance program `metric._deep_witness` poses
+    from the polar of one wide cap to the polar of another: E = [G^T; h^T]
+    with G = [G_src; N_tgt] (16 x 3) and h = [1]*8 + [0]*8, f = e_4."""
+    rng = np.random.default_rng([2, 15])
+    a = harness.gen_convex_body(harness.pole_axis(2), "wide_cap", rng)
+    b = harness.gen_convex_body(harness.pole_axis(2), "wide_cap", rng)
+    src, tgt = transforms.polar(b), transforms.polar(a)
+    G = np.vstack([src.generator_array, tgt.normal_array])
+    h = np.concatenate([np.ones(src.generator_array.shape[0]), np.zeros(tgt.normal_array.shape[0])])
+    return np.vstack([G.T, h[None, :]]), np.eye(4)[3]
+
+
 class TestNonnegLstsq:
     """The in-package active-set solver that replaced scipy.optimize.nnls.
 
-    scipy 1.15's nnls returns KKT-violating answers with a wrong reported
-    residual on wide systems (the shape of every cone fit here), so the
-    solver it replaced is held to explicit optimality certificates.
+    scipy's nnls (1.17.1, as on 1.15) returns KKT-violating answers with a
+    wrong reported residual on wide systems (the shape of every cone fit
+    here), so the solver it replaced is held to explicit optimality
+    certificates.
     """
 
     def test_kkt_certificate_on_wide_systems(self):
         # gradient of 0.5|Ax-b|^2 must be <= 0 everywhere and ~0 on the
         # support; residual must match a recomputation from x.
         rng = np.random.default_rng(99)
+        systems = []
         for t in range(400):
             d = 2 + t % 4
             m = int(rng.integers(d + 1, 20))
-            A = rng.normal(size=(d, m))
-            b = rng.normal(size=d)
+            systems.append((rng.normal(size=(d, m)), rng.normal(size=d)))
+        # scipy 1.17.1's nnls reports residual 0.519 on this system for an
+        # x of residual 0.728; the optimum is 0.6996
+        systems.append(_wide_cap_least_distance_system())
+        for A, b in systems:
             x, rnorm = cones.nonneg_lstsq(A, b)
             assert (x >= 0.0).all()
             assert rnorm == pytest.approx(np.linalg.norm(A @ x - b), abs=0.0)
@@ -922,6 +970,7 @@ class TestNonnegLstsq:
             support = x > 1e-10
             if support.any():
                 assert np.abs(grad[support]).max() <= 1e-10 * scale
+        assert rnorm == pytest.approx(0.6995532117657767, abs=1e-12)
 
     def test_membership_agrees_with_lp(self):
         # decisive fits (clearly zero / clearly positive residual) must

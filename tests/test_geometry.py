@@ -297,7 +297,8 @@ class TestSampleCap:
     def test_samples_stay_in_cap(self):
         center = UnitPoint((0.0, 0.0, 1.0))
         pts = sample_cap(center, 0.7, 42, 200)
-        assert len(pts) == 200
+        assert pts.shape == (200, 3)
+        assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-15
         for q in pts:
             assert float(geodesic_distance(center, q)) < 0.7
 
@@ -305,7 +306,7 @@ class TestSampleCap:
         center = UnitPoint((1.0, 0.0, 0.0, 0.0))
         a = sample_cap(center, 0.5, 9, 20)
         b = sample_cap(center, 0.5, 9, 20)
-        assert all(x == y for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,11 @@ class TestActiveBackend:
         assert np.abs(kernels.min_slack(X, M) - reference_min_slack(X, M)).max() <= 1e-14
         assert np.abs(kernels.max_dot(X, M) - reference_max_dot(X, M)).max() <= 1e-14
         p = M[0]
-        assert np.abs(kernels.angles_to_point(X, p) - reference_angles(X, p)).max() <= 1e-12
+        assert np.abs(kernels.angles(X, p) - reference_angles(X, p)).max() <= 1e-12
+        # matching rows: row i of X against row i of Y
+        Y = np.roll(X, 1, axis=0)
+        expect = [reference_angles(x[None, :], y)[0] for x, y in zip(X, Y)]
+        assert np.abs(kernels.angles(X, Y) - expect).max() <= 1e-12
 
     def test_read_only_inputs_accepted(self):
         X, M = random_blocks(3)
@@ -48,7 +52,8 @@ class TestActiveBackend:
         M.flags.writeable = False
         kernels.min_slack(X, M)
         kernels.max_dot(X, M)
-        kernels.angles_to_point(X, M[0])  # read-only row view
+        kernels.angles(X, M[0])  # read-only row view
+        kernels.angles(X, X)
 
     def test_non_contiguous_inputs_accepted(self):
         X, M = random_blocks(4, d=6)
@@ -56,6 +61,10 @@ class TestActiveBackend:
         Ms = M[:, ::2]
         expect = reference_min_slack(np.ascontiguousarray(Xs), np.ascontiguousarray(Ms))
         assert np.abs(kernels.min_slack(Xs, Ms) - expect).max() <= 1e-14
+        Xs = Xs / np.linalg.norm(Xs, axis=1, keepdims=True)
+        Ms = Ms / np.linalg.norm(Ms, axis=1, keepdims=True)
+        expect = reference_angles(np.ascontiguousarray(Xs), np.ascontiguousarray(Ms[0]))
+        assert np.abs(kernels.angles(Xs, Ms[0]) - expect).max() <= 1e-12
 
     def test_angle_precision_near_zero(self):
         # arccos of the dot loses half the digits near zero angle; the
@@ -63,7 +72,7 @@ class TestActiveBackend:
         p = np.array([0.0, 0.0, 1.0])
         eps = 1e-9
         X = np.array([[math.sin(eps), 0.0, math.cos(eps)]])
-        got = kernels.angles_to_point(X, p)[0]
+        got = kernels.angles(X, p)[0]
         assert got == pytest.approx(eps, rel=1e-6)
 
     def test_empty_direction_set(self):
@@ -79,7 +88,9 @@ class TestActiveBackend:
         with pytest.raises(ValueError):
             kernels.max_dot(X, M[:, :3])
         with pytest.raises(ValueError):
-            kernels.angles_to_point(X, M[0, :3])
+            kernels.angles(X, M[0, :3])
+        with pytest.raises(ValueError):
+            kernels.angles(X, X[:-1])
         with pytest.raises(ValueError):
             kernels.min_slack(X[0], M)
 
@@ -91,6 +102,13 @@ class TestActiveBackend:
             np.abs(kernels.min_slack(X, M) - reference_min_slack(X, M)).max()
             <= 1e-14
         )
+        Y = np.roll(X, 1, axis=0)
+        whole = kernels.angles(X, Y)
+        for lo in (0, kernels._CHUNK - 3):
+            part = kernels.angles(X[lo:lo + 1000], Y[lo:lo + 1000])
+            assert np.array_equal(whole[lo:lo + 1000], part)
+        seam = slice(kernels._CHUNK - 3, kernels._CHUNK + 3)
+        assert np.abs(kernels.angles(X, M[0])[seam] - reference_angles(X[seam], M[0])).max() <= 1e-12
 
 
 class TestBackendSelection:

@@ -17,7 +17,11 @@ from wulffkit.errors import (
     ResolutionError,
     SeparationError,
 )
-from wulffkit.geometry import geodesic_distance, subspace_canonical_basis
+from wulffkit.geometry import (
+    geodesic_distance,
+    subspace_canonical_basis,
+    uniform_sphere_points,
+)
 
 POLE = np.array([0.0, 0.0, 1.0])
 
@@ -266,7 +270,7 @@ def _query_rows(b, rng, seed):
     G = b.generator_array
     near = G[rng.integers(0, G.shape[0], 12)] + 0.1 * rng.normal(size=(12, dim + 1))
     near /= np.linalg.norm(near, axis=1, keepdims=True)
-    return np.vstack([oracles.uniform_sphere_points(dim, 12, seed), near])
+    return np.vstack([uniform_sphere_points(dim, 12, seed), near])
 
 
 _KINDS = ["wulff", "hull", "arc", "point", "wide_cap", "many"]
@@ -689,6 +693,25 @@ class TestExactRoute:
         assert abs(value - 0.40571753876675193) <= 1e-12
         assert checked >= 100 and inside_a_face >= 10
 
+    def test_quarter_turn_guard_hands_the_pair_to_the_sampled_route(self, monkeypatch):
+        # a certified pair stays below a quarter turn up to rounding, so
+        # the guard is reached by reporting pi/2 from the exact batch once
+        a, b = cap_body(0.9, [0, 120, 240]), cap_body(0.4, [60, 180, 300])
+        exact, err, path = metric.directed_distance_with_bound(a, b)
+        assert path == "exact" and err == 0.0 and float(exact) > 0.1
+        batch = metric.batch_point_body_distance
+        calls = []
+
+        def saturated_once(X, target):
+            calls.append(X.shape[0])
+            d = batch(X, target)
+            return np.full_like(d, math.pi / 2.0) if len(calls) == 1 else d
+
+        monkeypatch.setattr(metric, "batch_point_body_distance", saturated_once)
+        value, err, path = metric.directed_distance_with_bound(a, b, 0.01)
+        assert path == "sampled" and err == 0.01
+        assert abs(float(value) - float(exact)) <= 0.01
+
     def test_one_exact_batch(self, monkeypatch):
         blocks = _record_batches(monkeypatch)
         certified = 0
@@ -775,7 +798,7 @@ class TestSampledPruning:
         assert groups.starts[0] == 0 and groups.starts[-1] == explicit.shape[0]
         assert (np.diff(groups.starts) > 0).all()
         owner = np.repeat(np.arange(groups.radii.size), np.diff(groups.starts))
-        assert (metric._angles(groups.centers[owner], explicit) <= groups.radii[owner]).all()
+        assert (kernels.angles(groups.centers[owner], explicit) <= groups.radii[owner]).all()
         # with the deep rows they hold each grid row inside a or in its band
         # once, a band row moved onto a
         slack = kernels.min_slack(grid, a.normal_array)
@@ -1191,7 +1214,7 @@ def generator_route_mismatches(w, r, samples, seed):
     equivalent to the identity (see that docstring); the frozen counts
     below pin where it fails.
     """
-    X = oracles.uniform_sphere_points(w.generator_array.shape[1] - 1, samples, seed)
+    X = uniform_sphere_points(w.generator_array.shape[1] - 1, samples, seed)
     dist_polar = metric.batch_point_body_distance(X, transforms.polar(w))
     worst = np.arccos(np.clip((X @ w.generator_array.T).min(axis=1), -1.0, 1.0))
     dist_hemis = np.maximum(worst - math.pi / 2.0, 0.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wulffkit import kernels, oracles
+from wulffkit import geometry, kernels, oracles
 from wulffkit.errors import ResolutionError
 
 
@@ -42,11 +42,11 @@ class TestCoveringGuarantee:
     )
     def test_random_probes_within_radius(self, dim, spacing, probes):
         grid = oracles.sphere_grid(dim, spacing)
-        pts = oracles.uniform_sphere_points(dim, probes, seed=dim * 1000 + 1)
+        pts = geometry.uniform_sphere_points(dim, probes, seed=dim * 1000 + 1)
         bound = oracles.COVERING_COEFF[dim] * spacing
         worst = 0.0
         for p in pts:
-            worst = max(worst, float(kernels.angles_to_point(grid, p).min()))
+            worst = max(worst, float(kernels.angles(grid, p).min()))
         assert worst <= bound, f"covering radius {worst} > {bound}"
 
     def test_adversarial_probes_near_rings(self):
@@ -68,7 +68,7 @@ class TestCoveringGuarantee:
                         math.cos(theta),
                     ]
                 )
-                worst = max(worst, float(kernels.angles_to_point(grid, p).min()))
+                worst = max(worst, float(kernels.angles(grid, p).min()))
         assert worst <= bound
 
 
@@ -159,24 +159,25 @@ class TestGridCells:
         assert np.array_equal(again.radii, cells.radii)
 
 
+# the seeded draw of the covering probes above, from `geometry`
 class TestUniformSamples:
     def test_deterministic(self):
-        a = oracles.uniform_sphere_points(2, 100, seed=9)
-        b = oracles.uniform_sphere_points(2, 100, seed=9)
+        a = geometry.uniform_sphere_points(2, 100, seed=9)
+        b = geometry.uniform_sphere_points(2, 100, seed=9)
         assert (a == b).all()
-        c = oracles.uniform_sphere_points(2, 100, seed=10)
+        c = geometry.uniform_sphere_points(2, 100, seed=10)
         assert not (a == c).all()
 
     def test_unit_rows(self):
-        pts = oracles.uniform_sphere_points(3, 500, seed=1)
+        pts = geometry.uniform_sphere_points(3, 500, seed=1)
         assert pts.shape == (500, 4)
         assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-12
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            oracles.uniform_sphere_points(2, 0, seed=0)
+            geometry.uniform_sphere_points(2, 0, seed=0)
 
     def test_roughly_isotropic(self):
-        pts = oracles.uniform_sphere_points(2, 20_000, seed=4)
+        pts = geometry.uniform_sphere_points(2, 20_000, seed=4)
         mean = pts.mean(axis=0)
         assert np.linalg.norm(mean) < 0.02

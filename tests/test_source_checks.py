@@ -20,9 +20,9 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-# the names of `oracles` the package may read: its sphere sampling, which
-# the sampled route, the dilation-identity check and the suites use
-_SAMPLING = {"sphere_grid", "grid_cells", "GridCells", "uniform_sphere_points", "COVERING_COEFF"}
+# the names of `oracles` the package may read: its covering grid, which
+# the sampled route and the approximation suite use
+_SAMPLING = {"sphere_grid", "grid_cells", "GridCells", "COVERING_COEFF"}
 
 
 def test_oracles_stay_off_the_production_path():
@@ -67,6 +67,13 @@ def test_certificate_call_sites():
     # so swapping the primitive touches no other code
     assert _callers("pointed_witness") == {"cones._pointed_extreme"}
     assert _callers("linprog") <= {"cones.pointed_witness", "metric.separate"}
+
+
+def test_one_geodesic_angle_routine():
+    # every angle between unit vectors comes from `kernels.angles`; the
+    # other two atan2 calls are the nearest-point routine's tangent-ranked
+    # winners and an arc's extreme angles about its witness
+    assert _callers("arctan2") == {"kernels.angles", "metric._nearest_block", "cones._pointed_extreme"}
 
 
 def test_nonnegative_fit_call_sites():
