@@ -16,7 +16,6 @@ import dataclasses
 import json
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import cones, kernels
 from .errors import DimensionMismatchError, NonFiniteError, ShapeFileError
@@ -266,6 +265,8 @@ def body_match_angle(a, b):
     if A.shape[0] != B.shape[0]:
         return float("inf")
     m = A.shape[0]
+    from scipy.optimize import linear_sum_assignment
+
     cost = kernels.angles(np.repeat(A, m, axis=0), np.tile(B, (m, 1))).reshape(m, m)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -22,11 +22,13 @@ Conventions
   tight on dual rays, stay stable under downstream arithmetic.  The
   coarser RAY_TOL = 1e-9 decides only which input rows are one ray
   (`dedupe_rays`); computed rays are never merged by distance.
+* The one solver, scipy's `linprog`, is imported on first use (see
+  `linprog`), so importing the package or building a body whose rows
+  hold a witness loads no `scipy.optimize`.
 """
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NormalizationError
@@ -39,6 +41,15 @@ SPAN_TOL = 1e-10  # singular values below this do not extend a span
 
 # `dedupe_rays` forms its pairwise gaps in blocks of about this many pairs
 _DEDUPE_PAIRS = 1 << 16
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call: building a
+    body with a row witness solves nothing, so a run that never solves
+    never loads `scipy.optimize`."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def unitize(M):
@@ -56,7 +67,8 @@ def unitize(M):
     if M.shape[0] == 0:
         return M
     top = np.abs(M).max(axis=1, keepdims=True)
-    M = np.ldexp(M, -np.where(top > 1.0, np.frexp(top)[1], 0))
+    if (top > 1.0).any():
+        M = np.ldexp(M, -np.where(top > 1.0, np.frexp(top)[1], 0))
     norms = np.linalg.norm(M, axis=1)
     if (norms < NEAR_ZERO).any():
         raise NormalizationError("zero row cannot define a ray")
@@ -76,11 +88,13 @@ def dedupe_rays(M):
     if m <= 1:
         return M
     step = max(1, _DEDUPE_PAIRS // m)
+    idx = np.arange(m)
+    # close[i, j]: row j is earlier than row i and within RAY_TOL of it
     close = np.vstack([
-        np.linalg.norm(M[lo:lo + step, None, :] - M[None, :, :], axis=2) <= RAY_TOL
+        (np.linalg.norm(M[lo:lo + step, None, :] - M[None, :, :], axis=2) <= RAY_TOL)
+        & (idx[lo:lo + step, None] > idx)
         for lo in range(0, m, step)
     ])
-    close = np.tril(close, -1)
     keep = ~close.any(axis=1)
     for i in np.flatnonzero(~keep):
         keep[i] = not (close[i] & keep).any()
@@ -380,17 +394,23 @@ def _pointed_extreme(R, span):
     witness, or when Qhull refuses the section (`QhullError`), the
     result is None and the caller reads the dual instead.  `span` is
     R's `span_basis`, passed in because `extreme_rays` already has it.
+
+    Span coordinates are those of `_chart`: a full-rank input (s = d)
+    is charted in R^d as it is, with no rotation.  The arguments above
+    hold in any orthonormal chart of span(R), since an orthogonal
+    change of coordinates keeps every dot product, so they hold in the
+    identity chart too.
     """
     B, s = span
-    Rs = unitize(R @ B.T)
+    Rs = _chart(R, B)
     w = pointed_witness(Rs)
     if w is None:
         return None
     if s == 2:
         wp = np.array([-w[1], w[0]])
         ang = np.arctan2(Rs @ wp, Rs @ w)
-        idx = sorted({int(np.argmin(ang)), int(np.argmax(ang))})
-        return R[idx], _simplicial_dual(Rs[idx]) @ B
+        idx = np.unique([np.argmin(ang), np.argmax(ang)])
+        return R[idx], _unchart(_simplicial_dual(Rs[idx]), B)
     # gnomonic section: rays scaled to the hyperplane {x . w = 1} turn
     # extreme rays into vertices of a convex polytope
     t = Rs @ w
@@ -406,13 +426,27 @@ def _pointed_extreme(R, span):
         hull = ConvexHull(U)
     except QhullError:
         return None
-    idx = sorted(int(v) for v in hull.vertices)
     # the pieces of one triangulated facet repeat its equation row bit
     # for bit: keep the first row of each run of equal sorted rows
     eq = hull.equations[np.lexsort(hull.equations.T)]
     eq = eq[np.concatenate([[True], (eq[1:] != eq[:-1]).any(axis=1)])]
-    normals = -(eq[:, :-1] @ Bw + eq[:, -1:] * w)
-    return R[idx], unitize(normals @ B)
+    normals = unitize(-(eq[:, :-1] @ Bw + eq[:, -1:] * w))
+    return R[np.sort(hull.vertices)], _unchart(normals, B)
+
+
+def _chart(R, B):
+    """The rows R, which lie in the span of the orthonormal rows B, in
+    B's coordinates; R itself when B spans R^d, whose identity chart
+    needs no rotation.  Unit rows stay unit up to rounding, and nothing
+    read in the chart depends on row lengths: the witness is normalized,
+    the section x / (x . w) is scale-free and the simplicial dual is
+    unitized."""
+    return R if B.shape[0] == B.shape[1] else R @ B.T
+
+
+def _unchart(X, B):
+    """Rows X in `_chart(., B)` coordinates mapped back to R^d."""
+    return X if B.shape[0] == B.shape[1] else X @ B
 
 
 def extreme_rays(G):
@@ -444,8 +478,12 @@ def extreme_rays(G):
        orthogonal to w and x . w = 1 there, that is n . x >= 0 with
        n = -(Bw^T a + b w), which is homogeneous and so holds on the
        whole cone.  n is not zero: its part orthogonal to w is Bw^T a, of
-       length |a| = 1.  Mapped through the span basis and unitized, the
+       length |a| = 1.  Unitized and mapped through the span basis, the
        n are the dual's rays in span(G); its lineality is span(G)^perp.
+       Span coordinates are any orthonormal chart of span(G), and the
+       argument uses nothing else, so a full-rank input (s = d) is
+       charted in R^d as it is, with no rotation into the SVD's basis
+       and back (`_chart`), as in branch 1.
        The pieces into which Qhull's triangulated output splits a facet
        repeat its equation row bit for bit, so the rows are grouped by
        exact equality.  No normal is derived from one piece's vertices,
@@ -472,7 +510,7 @@ def extreme_rays(G):
     span = span_basis(G)
     B, s = span
     if m <= s:
-        found = G, _simplicial_dual(G @ B.T) @ B
+        found = G, _unchart(_simplicial_dual(_chart(G, B)), B)
     else:
         found = _pointed_extreme(G, span) if s >= 2 else None
     if found is not None:
@@ -492,12 +530,11 @@ def extreme_rays(G):
 
 
 def rays_with_lineality(rays, lin):
-    """Plain generator list: pointed rays plus +/- lineality basis."""
-    parts = [rays] if rays.shape[0] else []
-    if lin.shape[0]:
-        parts.append(lin)
-        parts.append(-lin)
-    if not parts:
-        d = rays.shape[1] if rays.ndim == 2 else lin.shape[1]
-        return np.zeros((0, d))
-    return lex_sorted_rows(np.vstack(parts))
+    """Plain generator list: pointed rays plus +/- lineality basis.
+
+    The rays come lex-sorted, as `extreme_rays` and `dual_cone_rays`
+    return them, so without lineality they come back as they are;
+    otherwise the stacked rows are sorted."""
+    if not lin.shape[0]:
+        return rays
+    return lex_sorted_rows(np.vstack([rays, lin, -lin]))

@@ -10,6 +10,8 @@ cap) and `uniform_sphere_points` (uniform on the sphere) each return an
 array of unit rows.
 """
 
+import functools
+import math
 import numbers
 
 import numpy as np
@@ -254,13 +256,29 @@ def _signed_unit(w):
 
 
 def complement_basis(p):
-    """Canonical orthonormal basis (rows) of the complement of span(p).
+    """Canonical orthonormal basis (rows) of the complement of span(p),
+    as a read-only array.
 
     p, a UnitPoint too, is normalized afresh through `as_unit_point`,
-    which scales before it normalizes, so any scale works."""
+    which scales before it normalizes, so any scale works.  The rows
+    depend on nothing but the normalized vector, so they are cached
+    under its bytes (the last `_COMPLEMENT_CACHE` vectors asked for): a
+    repeated pole, as in `harness.gen_wulff`'s draws, gets the very rows
+    its first call computed, bit for bit, and runs no Gram-Schmidt."""
     v = as_unit_point(as_vector(p)).vec
-    proj = np.eye(v.size) - np.outer(v, v)
-    return subspace_canonical_basis(proj, v.size - 1)
+    return _complement_rows(v.tobytes())
+
+
+#: how many unit vectors `complement_basis` keeps the rows of
+_COMPLEMENT_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_COMPLEMENT_CACHE)
+def _complement_rows(key):
+    v = np.frombuffer(key)
+    B = subspace_canonical_basis(np.eye(v.size) - np.outer(v, v), v.size - 1)
+    B.flags.writeable = False
+    return B
 
 
 def sample_cap(center, radius, rng_seed, count):
@@ -286,24 +304,37 @@ def sample_cap(center, radius, rng_seed, count):
 def _draw_cap(center, basis, radius, rng_seed, count):
     """`sample_cap`'s draw on checked arguments: the unit vector center,
     `complement_basis(center)` (n rows) as basis, a float radius in
-    (0, pi/2) and a positive int count.  Each row is normalized as
-    `UnitPoint` normalizes its coordinates."""
+    (0, pi/2) and a positive int count.
+
+    The loop only draws: a colatitude theta and a unit tangent direction
+    w per accepted point, in the order the generator's stream has them
+    (|w| is sqrt(w . w), which is how `np.linalg.norm` takes it).
+    The rows cos(theta) center + sin(theta) (w @ basis) are then formed
+    in one array step and normalized as `UnitPoint` normalizes its
+    coordinates, with the same roundings: each row is scaled by
+    max(1, max|entry|), and its norm is sqrt(v . v) with the dot product
+    taken by `np.vecdot`, the BLAS ddot that `np.linalg.norm` uses on a
+    single vector (a summed or einsum square is not bit-identical)."""
     n = basis.shape[0]
     rng = np.random.default_rng(int(rng_seed))
     sin_r = np.sin(radius)
-    out = []
-    while len(out) < count:
-        theta = rng.uniform(0.0, radius)
+    thetas, dirs = [], []
+    while len(thetas) < count:
+        # rng.uniform(0, r) is 0 + r * rng.random(), bit for bit
+        theta = radius * rng.random()
         if n > 1:
-            if rng.uniform() > (np.sin(theta) / sin_r) ** (n - 1):
+            if rng.random() > (np.sin(theta) / sin_r) ** (n - 1):
                 continue
         w = rng.normal(size=n)
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(w @ w)
         if nw < NEAR_ZERO:
             continue
-        w /= nw
-        out.append(_unit(np.cos(theta) * center + np.sin(theta) * (w @ basis)))
-    return np.array(out)
+        thetas.append(theta)
+        dirs.append(w / nw)
+    thetas = np.array(thetas)[:, None]
+    V = np.cos(thetas) * center + np.sin(thetas) * (np.array(dirs) @ basis)
+    V /= np.maximum(1.0, np.abs(V).max(axis=1))[:, None]
+    return V / np.sqrt(np.vecdot(V, V))[:, None]
 
 
 def uniform_sphere_points(dim, count, seed):

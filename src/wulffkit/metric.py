@@ -43,10 +43,9 @@ source's boundary instead of with the grid.
 import math
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import kernels, oracles
-from .cones import FEAS_EPS, least_distance, span_basis, span_key
+from .cones import FEAS_EPS, least_distance, linprog, span_basis, span_key
 from .errors import (
     DimensionMismatchError,
     NonFiniteError,
@@ -510,7 +509,8 @@ def _exact_directed(a, b):
     if Na.shape[0]:
         slack = kernels.min_slack(X, Na)
         near = (slack >= -1e-9) & (slack < -MEMBERSHIP_TOL)
-        X[near] = _nearest_body_points(X[near], a)[1]
+        if near.any():
+            X[near] = _nearest_body_points(X[near], a)[1]
         X = X[slack >= -1e-9]
     best = float(batch_point_body_distance(np.vstack([Ga, X]), b).max())
     if best >= math.pi / 2.0 - 1e-9:

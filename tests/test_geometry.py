@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wulffkit import geometry, harness
 from wulffkit.errors import DimensionMismatchError, NonFiniteError, NormalizationError, WulffkitError
 from wulffkit.geometry import (
     Angle,
@@ -291,6 +292,32 @@ class TestSubspaceBasis:
         # direction, as in `as_unit_point`
         with pytest.raises(NormalizationError, match="cannot define a direction"):
             complement_basis([3e-300, 4e-300, 0.0])
+
+
+    def test_complement_basis_runs_its_gram_schmidt_once_per_pole(self, monkeypatch):
+        # repeated draws about one pole share its tangent frame: the
+        # canonical basis is computed on the pole's first call only, and
+        # every later call gets the same read-only rows
+        calls = []
+        canonical = geometry.subspace_canonical_basis
+
+        def counted(P, rank):
+            calls.append(rank)
+            return canonical(P, rank)
+
+        monkeypatch.setattr(geometry, "subspace_canonical_basis", counted)
+        geometry._complement_rows.cache_clear()
+        pole = harness.pole_axis(2)
+        first = complement_basis(pole)
+        for seed in range(5):
+            harness.gen_wulff(pole, 6, 0.7, seed)
+            sample_cap(pole, 0.5, seed, 4)
+        assert complement_basis(3.0 * pole.vec) is first
+        assert len(calls) == 1
+        sample_cap(harness.pole_axis(3), 0.5, 0, 4)
+        assert len(calls) == 2
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
 
 
 class TestSampleCap:

@@ -4,13 +4,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from wulffkit import body, harness, metric
+from wulffkit import body, cones, harness, metric
 from wulffkit.cli import main
 from wulffkit.errors import GenerationError
 
@@ -204,6 +206,45 @@ class TestGenerators:
                 )
                 digest.update(b.generator_array.tobytes())
         assert digest.hexdigest()[:16] == "41eeda6bfa088872"
+
+    def test_isometry_trials_load_no_solver(self):
+        # `scipy.optimize` is imported on the first linear program, and a
+        # trial of the isometry suite solves none: two drawn Wulff shapes
+        # and the exact Hausdorff distances of them and of their polars
+        # leave it unloaded
+        code = (
+            "import sys\n"
+            "import wulffkit\n"
+            "from wulffkit import harness, metric, transforms\n"
+            "p = harness.pole_axis(2)\n"
+            "a, b = harness.gen_wulff(p, 7, 0.8, 3), harness.gen_wulff(p, 6, 0.5, 4)\n"
+            "assert metric.hausdorff_with_bound(a, b)[2] == 'exact'\n"
+            "pa, pb = transforms.polar(a), transforms.polar(b)\n"
+            "assert metric.hausdorff_with_bound(pa, pb)[2] == 'exact'\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_wide_cap_still_solves_for_its_witness(self, monkeypatch):
+        # no row of a wide cap's regular polygon is a pointed witness, so
+        # building one reaches `cones.linprog`, which loads the solver
+        calls = []
+        solve = cones.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cones, "linprog", counted)
+        b = harness.gen_convex_body(harness.pole_axis(2), "wide_cap", np.random.default_rng(0))
+        assert len(calls) == 1
+        assert b.generator_array.shape[0] == 8
 
     def test_regular_simplex_is_built_once_and_read_only(self):
         S = harness._regular_simplex(3)
