@@ -44,8 +44,19 @@ class SphericalBody:
     +/- e has negative slack.
 
     The predicates below read only G and N.  `_cache` holds what is
-    derived from them at a cost: "span" (`span`) and "face_spans"
-    (`metric`'s nearest-point routine).
+    derived from them at a cost, under these keys:
+    - "span": (B, s), an orthonormal basis of span(G) and its rank.
+      `span` computes it by an SVD of G on first use.  `_seed_span`
+      seeds it as (I, d) where a constructor knows span(G) = R^d, since
+      every orthonormal basis of R^d serves: `from_generators`, when its
+      conversion found that span (the dual's lineality came back empty),
+      and `_swapped` (the polar), when its input is "pointed" (the dual
+      of a pointed cone has interior, so its rays span R^d).
+    - "pointed": True, seeded by `from_generators` when the conversion
+      found no lineality; read by `_swapped`.  Absent otherwise, which
+      claims nothing.
+    - "facet_bases" and "lower_spans": the face spans of `metric`'s
+      nearest-point routine and exact route, built there on first use.
     """
 
     def __init__(self, gens, normals, _trusted=False):
@@ -136,7 +147,30 @@ def from_generators(points):
     normals = cones.rays_with_lineality(*dual)
     body = SphericalBody(gens, normals, _trusted=True)
     _check_cross_consistency(body)
+    if not dual[1].shape[0]:
+        # the dual's lineality is the complement of span(G)
+        _seed_span(body)
+    if not lin.shape[0]:
+        body._cache["pointed"] = True
     return body
+
+
+def _swapped(body):
+    """The body with generators and normals swapped, trusted: the polar
+    of an admissible `body` (`transforms.polar`).  Its generators are the
+    rays of the dual of cone(G), which has interior when cone(G) is
+    pointed, so the polar of a "pointed" body is seeded as spanning R^d.
+    """
+    result = SphericalBody(body.normal_array, body.generator_array, _trusted=True)
+    if body._cache.get("pointed"):
+        _seed_span(result)
+    return result
+
+
+def _seed_span(body):
+    """Record span(G) = R^d, which the caller knows, so `span` runs no SVD."""
+    d = body.generator_array.shape[1]
+    body._cache["span"] = (np.eye(d), d)
 
 
 def _check_cross_consistency(body):

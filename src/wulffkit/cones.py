@@ -32,7 +32,7 @@ from scipy.linalg import qr
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NormalizationError
-from .geometry import NEAR_ZERO, subspace_canonical_basis
+from .geometry import NEAR_ZERO, line_complement, subspace_canonical_basis
 
 RAY_TOL = 1e-9    # two unit rays within this chordal distance are one ray
 CLASS_TOL = 1e-10  # sign classification of dot products / membership slack
@@ -372,11 +372,14 @@ def dual_cone_rays(G):
 
 def _span_complement(B):
     """Canonical orthonormal basis (rows) of the complement of the span
-    of the orthonormal rows B."""
+    of the orthonormal rows B; a line of R^2 gets the closed form
+    `geometry.line_complement`, as `geometry.complement_basis` does."""
     s, d = B.shape
     if s == d:
         # the projector below is rounding noise then, and has no basis
         return np.zeros((0, d))
+    if d == 2:
+        return line_complement(B[0])
     return subspace_canonical_basis(np.eye(d) - B.T @ B, d - s)
 
 
@@ -415,12 +418,8 @@ def _pointed_extreme(R, span):
     # extreme rays into vertices of a convex polytope
     t = Rs @ w
     X = Rs / t[:, None]
-    # any orthonormal basis of w's complement gives the same vertices;
-    # the SVD's has s - 1 rows for every w, where Gram-Schmidt on
-    # I - w w^T can keep an extra row when w is all but orthogonal to a
-    # coordinate axis (as a row witness of a thin cone is to the last
-    # span coordinate)
-    Bw = np.linalg.svd(w[None, :])[2][1:]
+    # any orthonormal basis of w's complement gives the same vertices
+    Bw = _reflected_complement(w)
     U = (X - w) @ Bw.T
     try:
         hull = ConvexHull(U)
@@ -432,6 +431,27 @@ def _pointed_extreme(R, span):
     eq = eq[np.concatenate([[True], (eq[1:] != eq[:-1]).any(axis=1)])]
     normals = unitize(-(eq[:, :-1] @ Bw + eq[:, -1:] * w))
     return R[np.sort(hull.vertices)], _unchart(normals, B)
+
+
+def _reflected_complement(w):
+    """Orthonormal basis (s - 1 rows) of the complement of the unit w in
+    R^s, from one Householder reflection.
+
+    With k the axis of w's largest |entry| and sigma its sign,
+    H = I - 2 v v^T / (v . v) for v = w + sigma e_k is symmetric and
+    orthogonal and maps w to -sigma e_k, so its rows other than k are
+    orthonormal and orthogonal to w.  v . v = 2 (1 + |w_k|) >= 2, so no
+    division amplifies rounding, and there are s - 1 rows for every w.
+    Gram-Schmidt on I - w w^T gives no such count: its residuals are
+    tested against a cutoff, and when w is all but orthogonal to a
+    coordinate axis (as a row witness of a thin cone is to the last
+    span coordinate) it can keep an extra row.
+    """
+    k = int(np.argmax(np.abs(w)))
+    v = w.copy()
+    v[k] += 1.0 if w[k] >= 0.0 else -1.0
+    H = np.eye(w.size) - (2.0 / (v @ v)) * np.outer(v, v)
+    return np.delete(H, k, axis=0)
 
 
 def _chart(R, B):

@@ -264,7 +264,8 @@ def complement_basis(p):
     depend on nothing but the normalized vector, so they are cached
     under its bytes (the last `_COMPLEMENT_CACHE` vectors asked for): a
     repeated pole, as in `harness.gen_wulff`'s draws, gets the very rows
-    its first call computed, bit for bit, and runs no Gram-Schmidt."""
+    its first call computed, bit for bit, and runs no Gram-Schmidt.
+    In R^2 the row is `line_complement`'s closed form."""
     v = as_unit_point(as_vector(p)).vec
     return _complement_rows(v.tobytes())
 
@@ -276,9 +277,33 @@ _COMPLEMENT_CACHE = 64
 @functools.lru_cache(maxsize=_COMPLEMENT_CACHE)
 def _complement_rows(key):
     v = np.frombuffer(key)
-    B = subspace_canonical_basis(np.eye(v.size) - np.outer(v, v), v.size - 1)
+    if v.size == 2:
+        B = line_complement(v)
+    else:
+        B = subspace_canonical_basis(np.eye(v.size) - np.outer(v, v), v.size - 1)
     B.flags.writeable = False
     return B
+
+
+def line_complement(c):
+    """The complement of the unit c in R^2 as one row: (-c_2, c_1), with
+    the sign fix of `subspace_canonical_basis` (largest-magnitude entry
+    positive).
+
+    The row is exact: its dot product with c is -c_2 c_1 + c_1 c_2, two
+    products of one rounding that cancel to 0.  Gram-Schmidt over the
+    projector I - c c^T is not: its first column (1 - c_1^2, -c_1 c_2)
+    carries the rounding of 1 - c_1^2, which the division by its length
+    |c_2| amplifies, and for c = (-0.99986, -0.01673) the row it kept
+    was 1.9e-14 off orthogonal.  Where that column is exact, as for an
+    axis, both give the same bits.  A tie |c_1| = |c_2| keeps the
+    first entry positive, as `_signed_unit`'s argmax does, and adding
+    0.0 after the sign fix turns a -0.0 entry into the 0.0 that
+    Gram-Schmidt returns there."""
+    e = np.array([-c[1], c[0]])
+    if e[int(np.argmax(np.abs(e)))] < 0:
+        e = -e
+    return e[None, :] + 0.0
 
 
 def sample_cap(center, radius, rng_seed, count):

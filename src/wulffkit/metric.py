@@ -8,7 +8,13 @@ itself when it is inside, the nearest generator, and the normalized
 projections onto the spans of the body's faces, found at once for the
 whole block.  The closest candidate is exact.
 The facet spans are read off the normals, and the lower faces off the
-generator-normal incidence (`_face_spans`).
+generator-normal incidence (`_face_spans`).  A full-rank body (span(G)
+= R^d, d >= 3) needs no basis for a facet: its unit normal n stands for
+the facet span n^perp (`_facet_normals`), the projection onto it is
+x - (x . n) n, and the candidates of a facet pair of two such bodies
+have a closed form (`_facet_pair_candidates`).  Only the other spans,
+lower faces and the faces of rank-deficient bodies, are read through
+orthonormal bases (`_basis_spans`), so on S^2 no facet basis is built.
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
@@ -18,6 +24,8 @@ of the distance is then C^1, every interior extremum over a source
 face is an eigenvector of a small operator projected on a source face
 span and a target face span, and the finite candidate set (source
 generators plus those eigenvectors) provably contains the maximizer.
+For two facets the eigenvector is closed form; pairs with a face span
+read through a basis go to `np.linalg.eigh`.
 The maximum can land strictly inside a face — generators alone are
 NOT enough; a regression test pins a pair where the best generator is
 off by more than 2.5e-3.  Outside the certified regime the directed
@@ -40,6 +48,7 @@ cells that can still reach the maximum, and the work grows with the
 source's boundary instead of with the grid.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -129,51 +138,110 @@ def _norms(A):
 # ---------------------------------------------------------------------------
 
 
+def _facet_normals(body):
+    """The unit normals that stand for the facet spans of a full-rank body.
+
+    When span(G) = R^d (d >= 3) the dual has no lineality, so every
+    stored normal n is the normal of a facet, and that facet spans n's
+    orthogonal complement n^perp.  Those spans are read off the normals
+    with no basis: the projection onto n^perp is x - (x . n) n.  For any
+    other body the result is empty and every face span is read through
+    its basis (`_basis_spans`); on S^1 the facets are single generators,
+    which are no face spans.
+    """
+    N = body.normal_array
+    d = N.shape[1]
+    return N if d >= 3 and body.span()[1] == d else N[:0]
+
+
+def _basis_spans(body):
+    """The face spans read through orthonormal bases: every span of
+    `_face_spans` but the facets that `_facet_normals` stands for."""
+    return _lower_spans(body) if _facet_normals(body).shape[0] else _face_spans(body)
+
+
 def _face_spans(body):
     """Orthonormal bases of the spans of the body's faces, stacked by dimension.
 
     One basis is kept per distinct span of rank 2 up to d - 1 (single
     generators are covered by the nearest-generator candidate, and the
-    whole space by the membership test).  With B the basis of span(G),
-    of rank s, the faces come in three groups:
+    whole space by the membership test).  With span(G) of rank s, the
+    faces come in three groups:
 
-    - facets: each pointed normal n lies in span(G) (see
-      `SphericalBody`), and its facet spans n's orthogonal complement
-      inside span(G), of rank s - 1.  The rows of B with their
-      component along n removed span it, so the first s - 1 right
-      singular vectors of those rows are its basis; one batched SVD
-      covers all facets.  The lineality normals are orthogonal to
-      span(G), so |B n| is 1 on a pointed normal and 0 on a lineality
-      one, and |B n|^2 > 1/4 tells the two exact cases apart, not a
-      tuned cutoff;
-    - the body itself, when it is rank-deficient (2 <= s < d);
-    - lower faces, of rank 2 to s - 2, which exist only when s >= 4
-      (never on S^2): each is an intersection of facets, read off the
-      generator-normal incidence.  The closure intersects only the sets
-      found in the previous round with the facets, until a round finds
-      nothing new; sets of fewer than two generators are dropped.  Sets
-      are deduplicated as rows packed big-endian by `np.packbits`, which
-      sort the way the boolean rows do, and their spans by `span_key`.
+    - facets (`_facet_bases`), each of rank s - 1;
+    - the body itself, when it is rank-deficient (2 <= s < d), and
+    - lower faces, of rank 2 to s - 2 (both `_lower_spans`).
+
+    Every face span is returned, facets included, but the nearest-point
+    routine and the exact route read the facets of a full-rank body off
+    its normals (`_facet_normals`) and only the other spans through
+    these bases (`_basis_spans`), so a full-rank body's facet bases are
+    built on first use: by the tests and the subset oracle's
+    comparisons, and by the exact route for pairs of a facet with a
+    lower face (S^3 and up).
 
     Returns a list of (s, f, d) arrays, one per span dimension f.
     """
-    cached = body._cache.get("face_spans")
+    return _facet_bases(body) + _lower_spans(body)
+
+
+def _facet_bases(body):
+    """The bases of the facet spans: a list of one (k, s - 1, d) stack,
+    or an empty list when s < 3 or there are no facets; cached.
+
+    With B the basis of span(G), of rank s, each pointed normal n lies
+    in span(G) (see `SphericalBody`), and its facet spans n's orthogonal
+    complement inside span(G).  The rows of B with their component
+    along n removed span it, so the first s - 1 right singular vectors
+    of those rows are its basis; one batched SVD covers all facets.
+    """
+    cached = body._cache.get("facet_bases")
+    if cached is None:
+        B, s = body.span()
+        N, C = _pointed_normals(body)
+        cached = []
+        if s >= 3 and N.shape[0]:
+            rows = B - C[:, :, None] * N[:, None, :]
+            cached.append(np.linalg.svd(rows, full_matrices=False)[2][:, : s - 1])
+        body._cache["facet_bases"] = cached
+    return cached
+
+
+def _pointed_normals(body):
+    """(N, C): the normals in span(G), which are the facets' normals, and
+    their coordinates in the span basis B.  The lineality normals are
+    orthogonal to span(G), so |B n| is 1 on a pointed normal and 0 on a
+    lineality one, and |B n|^2 > 1/4 tells the two exact cases apart,
+    not a tuned cutoff."""
+    B, _ = body.span()
+    C = body.normal_array @ B.T
+    pointed = np.einsum("ij,ij->i", C, C) > 0.25
+    return body.normal_array[pointed], C[pointed]
+
+
+def _lower_spans(body):
+    """The face spans that are no facets, stacked by dimension: the body
+    itself when it is rank-deficient (2 <= s < d), and the lower faces,
+    of rank 2 to s - 2, which exist only when s >= 4 (never on S^2).
+
+    Each lower face is an intersection of facets, read off the
+    generator-normal incidence.  The closure intersects only the sets
+    found in the previous round with the facets, until a round finds
+    nothing new; sets of fewer than two generators are dropped.  Sets
+    are deduplicated as rows packed big-endian by `np.packbits`, which
+    sort the way the boolean rows do, and their spans by `span_key`.
+    """
+    cached = body._cache.get("lower_spans")
     if cached is not None:
         return cached
     G = body.generator_array
     m, d = G.shape
     B, s = body.span()
-    C = body.normal_array @ B.T
-    pointed = np.einsum("ij,ij->i", C, C) > 0.25
-    N = body.normal_array[pointed]
     spans = []
-    if s >= 3 and N.shape[0]:
-        rows = B - C[pointed][:, :, None] * N[:, None, :]
-        spans.append(np.linalg.svd(rows, full_matrices=False)[2][:, : s - 1])
     if 2 <= s < d:
         spans.append(B[None])
     if s >= 4:
-        facets = np.abs(G @ N.T).T <= 1e-9
+        facets = np.abs(G @ _pointed_normals(body)[0].T).T <= 1e-9
         known = np.unique(np.packbits(facets, axis=1), axis=0)
         fresh = np.unpackbits(known, axis=1, count=m).astype(bool)
         lower = np.zeros((0, (m + 7) // 8), dtype=np.uint8)
@@ -194,7 +262,7 @@ def _face_spans(body):
         for Bf in seen.values():
             by_dim.setdefault(Bf.shape[0], []).append(Bf)
         spans += [np.stack(bases) for bases in by_dim.values()]
-    body._cache["face_spans"] = spans
+    body._cache["lower_spans"] = spans
     return spans
 
 
@@ -218,7 +286,10 @@ def _nearest_body_points(X, body):
       feasible normalized projections compete (the nearest cone point
       lies in the relative interior of a face, so one of them is it);
       only projections nearer than the nearest generator can win, so
-      only those get the membership test.
+      only those get the membership test.  A facet span n^perp of a
+      full-rank body is projected onto as x - (x . n) n, with x . n an
+      einsum product (see `_facet_normals`); the other spans go through
+      their bases.
 
     Angles take the stable form atan2(|perp|, dot): arccos of a cosine
     has a 1e-8 precision floor near zero distance.
@@ -234,18 +305,19 @@ def _nearest_body_points(X, body):
     # angle of a different point; callers normalize single points
     if (np.abs(_norms(X) - 1.0) > _UNIT_TOL).any():
         raise ValueError(f"point block rows must be unit vectors within {_UNIT_TOL}")
-    spans = _face_spans(body)
-    width = m + sum(T.shape[0] for T in spans)
+    facets = _facet_normals(body)
+    spans = _basis_spans(body)
+    width = m + facets.shape[0] + sum(T.shape[0] for T in spans)
     step = max(1, _BLOCK_PAIRS // width)
     angles = np.empty(X.shape[0])
     points = np.empty_like(X)
     for lo in range(0, X.shape[0], step):
         blk = slice(lo, lo + step)
-        angles[blk], points[blk] = _nearest_block(X[blk], body, spans)
+        angles[blk], points[blk] = _nearest_block(X[blk], body, facets, spans)
     return angles, points
 
 
-def _nearest_block(X, body, spans):
+def _nearest_block(X, body, facets, spans):
     G = body.generator_array
     N = body.normal_array
     d = G.shape[1]
@@ -258,8 +330,10 @@ def _nearest_block(X, body, spans):
     Xl = X[live]
     # P[i, k]: orthogonal projection of live row i onto its k-th face
     # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
-    # from the row
-    parts = [np.empty((live.size, 0, d))]
+    # from the row.  x . n is an einsum product, which, unlike a BLAS
+    # product, rounds each row the same way in a block of any size
+    D = np.einsum("ik,jk->ij", Xl, facets)
+    parts = [Xl[:, None, :] - D[:, :, None] * facets[None, :, :]]
     for T in spans:
         C = (Xl @ T.reshape(-1, d).T).reshape(live.size, *T.shape[:2])
         parts.append(np.matmul(C.swapaxes(0, 1), T).swapaxes(0, 1))
@@ -459,7 +533,10 @@ def _exact_directed(a, b):
     where the squared spherical support x -> |proj_cone(x)|^2 is
     continuously differentiable).  Any interior maximizer on a face
     with span F, whose nearest point has active span E, is then an
-    eigenvector of P_F P_E P_F; vertices cover the rest.
+    eigenvector of P_F P_E P_F; vertices cover the rest.  A facet of a
+    full-rank a against a facet of a full-rank b has that eigenvector in
+    closed form (`_facet_pair_candidates`); every other pair of face
+    spans is enumerated by `np.linalg.eigh` in the spans' bases.
 
     The generators and the surviving candidates are scored in one exact
     batch.  A candidate survives when its own stationary branch value,
@@ -490,20 +567,28 @@ def _exact_directed(a, b):
     Na = a.normal_array
     d = Ga.shape[1]
     screen = float(_hemisphere_lower_bound(Ga, b).max()) - _PRUNE_MARGIN
-    parts = [np.zeros((0, d))]
-    for TF in _face_spans(a):
+    Fa, Fb = _facet_normals(a), _facet_normals(b)
+    Sa, Sb = _basis_spans(a), _basis_spans(b)
+    parts = [_facet_pair_candidates(Fa, Fb, screen)]
+    # a facet read off a normal meets a span read through a basis in
+    # the facet's own basis
+    pairs = list(itertools.product(Sa, Sb))
+    if Sb and Fa.shape[0]:
+        pairs += itertools.product(_facet_bases(a), Sb)
+    if Sa and Fb.shape[0]:
+        pairs += itertools.product(Sa, _facet_bases(b))
+    for TF, TE in pairs:
         sa, f = TF.shape[:2]
-        for TE in _face_spans(b):
-            sb, e = TE.shape[:2]
-            # T[i, j]: the f x e inner products of face span i of a with
-            # face span j of b, so T T^T is P_F P_E P_F in F's basis
-            T = (TF.reshape(-1, d) @ TE.reshape(-1, d).T).reshape(sa, f, sb, e).swapaxes(1, 2)
-            vals, vecs = np.linalg.eigh(T @ T.swapaxes(2, 3))
-            X = (vecs.swapaxes(2, 3) @ TF[:, None, :, :]).reshape(-1, d)
-            sig = np.sqrt(np.clip(vals.reshape(-1), 0.0, 1.0))
-            nrm = np.linalg.norm(X, axis=1)
-            ok = (nrm > 1e-9) & (np.arccos(sig) > screen)
-            parts.append(X[ok] / nrm[ok, None])
+        sb, e = TE.shape[:2]
+        # T[i, j]: the f x e inner products of face span i of a with
+        # face span j of b, so T T^T is P_F P_E P_F in F's basis
+        T = (TF.reshape(-1, d) @ TE.reshape(-1, d).T).reshape(sa, f, sb, e).swapaxes(1, 2)
+        vals, vecs = np.linalg.eigh(T @ T.swapaxes(2, 3))
+        X = (vecs.swapaxes(2, 3) @ TF[:, None, :, :]).reshape(-1, d)
+        sig = np.sqrt(np.clip(vals.reshape(-1), 0.0, 1.0))
+        nrm = np.linalg.norm(X, axis=1)
+        ok = (nrm > 1e-9) & (np.arccos(sig) > screen)
+        parts.append(X[ok] / nrm[ok, None])
     X = np.vstack(parts)
     X = np.vstack([X, -X])
     if Na.shape[0]:
@@ -516,6 +601,39 @@ def _exact_directed(a, b):
     if best >= math.pi / 2.0 - 1e-9:
         return None
     return best
+
+
+def _facet_pair_candidates(F, E, screen):
+    """The stationary candidates of every facet of a (unit normals F)
+    against every facet of b (unit normals E), two full-rank bodies, in
+    closed form; the unit rows m / |m| that pass the screen.
+
+    For the facet spans f^perp of a and e^perp of b, the operator
+    P_F P_E P_F on f^perp is P_F - m m^T with m = P_F e = e - (e . f) f,
+    since P_E = I - e e^T.  Its eigenvalues are 1 - |m|^2 = (e . f)^2
+    along m, so the branch value there is arccos(sigma) with
+    sigma = |e . f|, and 1 on the rest of f^perp, which is m^perp.  An
+    eigenvalue-1 vector x of f^perp has |P_E x| = 1, so x lies in e^perp
+    and its branch value is arccos(1) = 0: were a maximizer there, the
+    directed distance would be 0, which the generators of a, scored
+    along with the candidates, attain, since no distance is negative.
+    So +/- m / |m| (the caller adds the antipodes) are the only
+    candidates of the pair; m = 0, where the facets coincide, gives
+    none.  A nonzero m of rounding size gives a candidate of no use, but
+    no harm either: like every candidate it is moved onto a before it is
+    scored.  m is computed once more against f, m <- m - (m . f) f, which
+    puts the rounding of the first subtraction back inside f^perp: a
+    candidate off its facet span by rounding alone can land a few ulps
+    across a's boundary and score above the true maximum by as much.
+    The products are einsum sums, which round each pair alike.
+    """
+    ef = np.einsum("ik,jk->ij", F, E)
+    M = E[None, :, :] - ef[:, :, None] * F[:, None, :]
+    M -= np.einsum("ijk,ik->ij", M, F)[:, :, None] * F[:, None, :]
+    M = M.reshape(-1, F.shape[1])
+    nrm = _norms(M)
+    ok = (nrm > 0.0) & (np.arccos(np.minimum(np.abs(ef.reshape(-1)), 1.0)) > screen)
+    return M[ok] / nrm[ok, None]
 
 
 def _hemisphere_lower_bound(X, body):

@@ -10,7 +10,6 @@ original generators become its support normals.
 from . import body as body_mod
 from . import kernels
 from .body import (
-    SphericalBody,
     canonicalize,
     from_generators,
     is_hemispherical,
@@ -54,11 +53,12 @@ def polar(body):
     Swapping the arrays therefore gives the polar with both descriptions
     canonical, and no conversion runs: the polar shares its input's
     arrays, and its slack matrix is the transpose of the input's, which
-    the input's constructor already checked.
+    the input's constructor already checked.  `body_mod._swapped` builds
+    it, and seeds its span as R^d when the input is known to be pointed.
     """
     if not polar_admissible(body):
         raise PolarEmptyError()
-    return SphericalBody(body.normal_array, body.generator_array, _trusted=True)
+    return body_mod._swapped(body)
 
 
 def double_polar(body):

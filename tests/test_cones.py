@@ -645,6 +645,22 @@ class TestExtremeRays:
         assert branches == {"simplicial", "witness hull", "read without lineality",
                             "read with lineality", "read of a subspace"}
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(0, 12))
+    def test_reflected_complement_has_s_minus_one_orthonormal_rows(self, s, seed, decades):
+        # the section chart's basis of w^perp: s - 1 rows for every unit w,
+        # also one whose entries span many orders of magnitude, and the
+        # thin R^4 cone's row witness, all but orthogonal to two axes
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=s) * 10.0 ** -rng.integers(0, decades + 1, size=s)
+        witness = np.array([-0.97296, 0.23097, -8.3805e-4, -5.6553e-11])
+        for v in (w, witness, np.eye(s)[seed % s], -np.eye(s)[seed % s]):
+            v = v / np.linalg.norm(v)
+            Bw = cones._reflected_complement(v)
+            assert Bw.shape == (v.size - 1, v.size)
+            assert np.abs(Bw @ Bw.T - np.eye(v.size - 1)).max() <= 1e-15
+            assert np.abs(Bw @ v).max() <= 1e-15
+
     def test_qhull_refusal_falls_back_to_the_dual_read(self, monkeypatch):
         # when Qhull refuses the gnomonic section, `_pointed_extreme` gives
         # up and both descriptions are read off `dual_cone_rays`

@@ -18,6 +18,7 @@ from wulffkit.geometry import (
     hemisphere_contains,
     sample_cap,
     subspace_canonical_basis,
+    uniform_sphere_points,
 )
 
 
@@ -271,6 +272,21 @@ class TestSubspaceBasis:
         assert B.shape == (3, 4)
         assert np.abs(B @ B.T - np.eye(3)).max() <= 1e-15
         assert np.abs(B @ w).max() <= 1e-15
+
+    def test_complement_of_a_line_of_r2_is_closed_form(self):
+        # Gram-Schmidt over I - c c^T kept a row 1.9e-14 off orthogonal for
+        # this c, dividing the rounding of 1 - c_1^2 by |c_2| = 0.0167;
+        # (-c_2, c_1) is orthogonal to c up to the rounding of the check
+        c = uniform_sphere_points(1, 1, 904)[0]
+        e = complement_basis(c)
+        assert e.shape == (1, 2)
+        assert abs(float(e[0] @ c)) <= 4e-16
+        assert e[0, int(np.argmax(np.abs(e[0])))] > 0.0
+        # on the axes, where Gram-Schmidt is exact, both give the same bits
+        for c in ([0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]):
+            c = np.array(c)
+            ref = subspace_canonical_basis(np.eye(2) - np.outer(c, c), 1)
+            assert complement_basis(c).tobytes() == ref.tobytes()
 
     def test_complement_basis(self):
         p = UnitPoint((0.0, 0.0, 1.0))

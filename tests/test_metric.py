@@ -340,12 +340,14 @@ class TestNearestBodyPointsProperties:
     def test_face_spans_match_the_subset_oracle(self, case):
         # the spans of all generator subsets include every face span, so
         # swapping them in must leave distances and exact directed
-        # distances unchanged
+        # distances unchanged; with no facets read off the normals, the
+        # oracle's bases stand for every face span, facets included
         a, b, X = case
         new = metric._nearest_body_points(X, b)[0]
         new_directed = metric._exact_directed(a, b)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metric, "_face_spans", oracles.face_spans_bruteforce)
+            mp.setattr(metric, "_facet_normals", lambda body: body.normal_array[:0])
             old = metric._nearest_body_points(X, b)[0]
             old_directed = metric._exact_directed(a, b)
         assert np.abs(new - old).max() <= 1e-12
@@ -511,6 +513,108 @@ class TestFaceSpans:
         assert metric._face_spans(body.from_generators([POLE])) == []
         full = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
         assert metric._face_spans(full) == []
+
+
+def _facet_basis(n):
+    """An orthonormal basis of n^perp from the SVD, as `_face_spans`
+    builds a facet's."""
+    d = n.size
+    return np.linalg.svd(np.eye(d) - np.outer(n, n))[2][: d - 1]
+
+
+@st.composite
+def facet_normal_pairs(draw):
+    """Unit normals f and e on S^2 or S^3 at a drawn angle t in (0, pi):
+    e = cos(t) f + sin(t) g for a unit g orthogonal to f."""
+    d = draw(st.sampled_from([3, 4]))
+    t = draw(st.floats(1e-6, math.pi - 1e-6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f, g = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+    return f, math.cos(t) * f + math.sin(t) * g
+
+
+@st.composite
+def full_rank_s2_bodies(draw):
+    """A full-rank body on S^2: a seeded body of a full-rank kind, or the
+    polar of one (the polar of a pointed body is full rank too)."""
+    b, _, seed = _draw_body(draw, 2, ["wulff", "hull", "wide_cap", "many", "hemisphere"])
+    if draw(st.booleans()) and body.is_hemispherical(b):
+        b = transforms.polar(b)
+    return b, seed
+
+
+class TestFacetsByNormals:
+    """A full-rank body's facets are read off its unit normals."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(facet_normal_pairs())
+    def test_closed_form_candidates_are_the_eigh_enumeration(self, pair):
+        f, e = pair
+        d = f.size
+        sigma = abs(float(e @ f))
+        X = metric._facet_pair_candidates(f[None], e[None], -1.0)
+        assert X.shape == (1, d)
+        x = X[0]
+        # an eigenvector of P_F P_E P_F of eigenvalue sigma^2 in f^perp, on
+        # the whole range of angles (to a few ulps of these products)
+        image = x - (x @ e) * e
+        image -= (image @ f) * f
+        assert abs(x @ f) <= 1e-15
+        assert np.abs(image - sigma**2 * x).max() <= 2e-15
+        # the pair's eigh enumeration in facet bases has one eigenvalue
+        # below 1, sigma^2, and its eigenvector is +/- x; eigh resolves that
+        # eigenvector only to about 1e-16 / (1 - sigma^2), which reaches
+        # 6e-14 at sigma = 0.99, so it is compared where the gap is wide
+        F, E = _facet_basis(f), _facet_basis(e)
+        vals, V = np.linalg.eigh(F @ E.T @ E @ F.T)
+        assert np.abs(vals[1:] - 1.0).max() <= 2e-15
+        if sigma <= 0.6:
+            assert abs(vals[0] - sigma**2) <= 1e-15
+            y = V[:, 0] @ F
+            assert min(np.abs(x - y).max(), np.abs(x + y).max()) <= 1e-15
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(full_rank_s2_bodies())
+    def test_a_row_reads_the_same_alone_and_in_a_block(self, case):
+        # einsum rounds each row's products the same way in a block of any
+        # size, so a row's distance and nearest point do not depend on the
+        # rows evaluated with it
+        b, seed = case
+        assert b.span()[1] == 3
+        X = uniform_sphere_points(2, 1000, seed)
+        angles, points = metric._nearest_body_points(X, b)
+        for i in np.random.default_rng(seed).integers(0, 1000, 20):
+            one = metric.batch_point_body_distance(X[i : i + 1], b)
+            alone, point = metric._nearest_body_points(X[i : i + 1], b)
+            assert one[0] == alone[0] == angles[i]
+            assert np.array_equal(point[0], points[i])
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from(_KINDS + ["hemisphere", "lune", "thin"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_seeded_span_has_the_svd_rank(self, dim, kind, use_polar, seed):
+        # `has_interior` and `_facet_normals` read the span a constructor
+        # seeded: it must be R^d exactly when the SVD finds rank d
+        if kind == "thin":
+            b = _thin_body(seed % 100, 1e-8)
+        else:
+            b = _seeded_body(kind, dim, seed)[0]
+        if use_polar and transforms.polar_admissible(b):
+            b = transforms.polar(b)
+        d = b.generator_array.shape[1]
+        rank = cones.span_basis(b.generator_array)[1]
+        seeded = b._cache.get("span")
+        if seeded is not None:
+            assert seeded[1] == rank == d
+            assert np.array_equal(seeded[0], np.eye(d))
+        if kind != "hemisphere" and not use_polar:
+            # a body `from_generators` built is seeded whenever it spans R^d
+            assert (seeded is not None) == (rank == d)
+        assert body.has_interior(b) == (rank == d)
 
 
 class TestDirectedDistance:
