@@ -3,7 +3,7 @@
 Usage (from the root of a checkout):
 
     python3 bench/ab_bench.py --before ../parent --after . \\
-        --seeds 2601 2610 --out BENCH_26.json
+        --seeds 2711 2720 --out BENCH_27.json
 
 Both trees need ``src/wulffkit`` and ``perfbench/``.  For every seed, and
 for every workload of ``BENCHMARK.json`` in its order, the script runs
@@ -23,7 +23,11 @@ and ``metric._nearest_body_points`` by whether their facets can be read
 off their normals: d >= 3, at least one normal, and generators of rank
 d (``cones.span_basis``).  It reports the share of ``_exact_directed``
 calls with both, one or neither body so, and the share of
-``_nearest_body_points`` calls and rows whose body is so.
+``_nearest_body_points`` calls and rows whose body is so.  It also times
+each ``metric.directed_distance_sampled`` call, the sampled route, and
+counts the rows given to ``kernels.min_slack`` and to
+``metric.batch_point_body_distance`` inside it, and reports its calls per
+op, microseconds per call and those rows per call.
 
 The summary gives, per workload and metric, the inclusive quartiles of
 each side, the pairs the after tree won, and the median change as a
@@ -73,10 +77,14 @@ def layer_probe(tree, workload):
     """In this process: count and time the layers over `LAYER_OPS` ops."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     import workloads
-    from wulffkit import cones, metric
+    from wulffkit import cones, kernels, metric
 
     calls = {"svd": 0, "eigh": 0}
     directed = []
+    # the seconds of each sampled call, and the rows the counted layers got
+    # inside those calls
+    sampled = []
+    sampled_rows = {"min_slack": 0, "batch": 0}
     # the bodies each call saw, kept alive so their ids stay unique
     bodies, directed_pairs, nearest_rows = {}, [], []
 
@@ -104,6 +112,27 @@ def layer_probe(tree, workload):
             return fn(X, body)
         return wrapper
 
+    in_sampled = False
+
+    def rows_in_sampled(name, fn):
+        def wrapper(X, *args):
+            if in_sampled:
+                sampled_rows[name] += X.shape[0]
+            return fn(X, *args)
+        return wrapper
+
+    def sampled_timed(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal in_sampled
+            in_sampled = True
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sampled.append(time.perf_counter() - t0)
+                in_sampled = False
+        return wrapper
+
     op = workloads.WORKLOADS[workload].op
     op(0, LAYER_SEED)
     svd, eigh = np.linalg.svd, np.linalg.eigh
@@ -111,6 +140,9 @@ def layer_probe(tree, workload):
     np.linalg.eigh = counted("eigh", eigh)
     metric._exact_directed = timed(metric._exact_directed)
     metric._nearest_body_points = recorded(metric._nearest_body_points)
+    metric.directed_distance_sampled = sampled_timed(metric.directed_distance_sampled)
+    kernels.min_slack = rows_in_sampled("min_slack", kernels.min_slack)
+    metric.batch_point_body_distance = rows_in_sampled("batch", metric.batch_point_body_distance)
     cpu = time.process_time()
     for t in range(LAYER_OPS):
         op(t, LAYER_SEED)
@@ -126,6 +158,7 @@ def layer_probe(tree, workload):
     sides = [read[a] + read[b] for a, b in directed_pairs]
     n_pairs = max(len(sides), 1)
     n_rows = max(sum(rows for _, rows in nearest_rows), 1)
+    n_sampled = max(len(sampled), 1)
     return {
         "svd_calls_per_op": calls["svd"] / LAYER_OPS,
         "eigh_calls_per_op": calls["eigh"] / LAYER_OPS,
@@ -140,6 +173,10 @@ def layer_probe(tree, workload):
             sum(read[key] for key, _ in nearest_rows) / max(len(nearest_rows), 1),
         "nearest_facets_by_normals_row_frac":
             sum(rows for key, rows in nearest_rows if read[key]) / n_rows,
+        "sampled_calls_per_op": len(sampled) / LAYER_OPS,
+        "sampled_us_per_call": 1e6 * sum(sampled) / n_sampled,
+        "sampled_min_slack_rows_per_call": sampled_rows["min_slack"] / n_sampled,
+        "sampled_batch_rows_per_call": sampled_rows["batch"] / n_sampled,
     }
 
 

@@ -36,9 +36,17 @@ cells of the cached sphere grid (`oracles.grid_cells`), and every
 sample lies in a cell.  A cell whose radius keeps it wholly inside the
 source is "deep" and gives its grid rows as samples; a cell that keeps
 it far outside holds none; the rows of the cells near the source's
-boundary are sampled one by one and grouped by their cell, with band
-rows moved onto the source.  Since dist(., b) is 1-Lipschitz, every
-cell is bounded by the distance from its center to b plus its radius.
+boundary, the edge cells, are sampled one by one, with band rows moved
+onto the source, and only when their cell is visited.  Every cell is
+bounded by its center u alone: its samples lie within a radius R of u,
+the grid radius r of a deep cell, and for an edge cell of the source a,
+with t = dist(u, a), the smaller of 2 r + t and r + 2 t.  (A band row x
+lies within r of u and moves to its nearest point y of a.  dist(., a)
+is 1-Lipschitz, so angle(x, y) <= t + r and angle(u, y) <= 2 r + t;
+and y is no farther than x from the point z of a nearest to u, so
+angle(u, y) <= t + angle(z, x) <= r + 2 t; see `_cell_samples`.)
+Since dist(., b) is 1-Lipschitz too, a cell's samples lie within
+dist(u, b) + R of b.
 After the source's generators set a first maximum, cells inside b and
 cells whose cheaper bound (through b's nearest generator) falls short
 of it are dropped, the rest get the exact bound from one batch of
@@ -81,7 +89,8 @@ DEFAULT_RESOLUTION = {1: 0.005, 2: 0.005, 3: 0.06}
 #: boundary band excluded by the dilation-intersection identity check
 IDENTITY_BAND = 1e-6
 
-# sampled paths refuse to expand more than this many band points
+# `_edge_samples` refuses a block of edge rows with more band rows than
+# this to project onto the body
 _BAND_LIMIT = 2_000_000
 
 _SAFE_ASSIGN = 1e-12
@@ -330,13 +339,14 @@ def _nearest_block(X, body, facets, spans):
     Xl = X[live]
     # P[i, k]: orthogonal projection of live row i onto its k-th face
     # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
-    # from the row.  x . n is an einsum product, which, unlike a BLAS
-    # product, rounds each row the same way in a block of any size
+    # from the row.  x . n and a span's basis coordinates and projection
+    # are einsum products, which, unlike BLAS products, round each row
+    # the same way in a block of any size
     D = np.einsum("ik,jk->ij", Xl, facets)
     parts = [Xl[:, None, :] - D[:, :, None] * facets[None, :, :]]
     for T in spans:
-        C = (Xl @ T.reshape(-1, d).T).reshape(live.size, *T.shape[:2])
-        parts.append(np.matmul(C.swapaxes(0, 1), T).swapaxes(0, 1))
+        C = np.einsum("ik,sfk->isf", Xl, T)
+        parts.append(np.einsum("isf,sfk->isk", C, T))
     P = np.concatenate(parts, axis=1)
     if P.shape[1]:
         c = _norms(P)
@@ -390,66 +400,72 @@ def batch_point_body_distance(X, body):
 
 
 def _cell_samples(body, resolution):
-    """The body's sample set, split by cells of the sphere grid.
+    """The cells of the sphere grid that hold the body's samples.
 
-    Returns (explicit, groups, grid, cells, deep).  The deep cells
-    (indices into the grid's `oracles.GridCells`) lie wholly inside the
-    body, so all of their grid rows are samples.  The explicit samples
-    come from the other cells near the body, the edge cells, in grid
-    order: an edge row inside the body is kept, and an edge row in the
-    sampling band is replaced by its nearest body point.  `groups` is a
-    `GridCells` over the explicit rows (identity permutation) with one
-    group per edge cell that keeps a row.  A group's center is its
-    cell's center, and its radius is the cell's radius plus the largest
-    band displacement in it: a replaced row is within its displacement
-    of a row of the cell, so every explicit row lies within its group's
-    radius of the group's center.  The body's generators are samples
-    too, in neither part.
+    Returns (grid, cells, deep, edge, band_width): the cached grid, its
+    `oracles.GridCells`, the indices of the deep and of the edge cells,
+    and the slack width of the sampling band.  The deep cells lie wholly
+    inside the body, so all of their grid rows are samples.  The edge
+    cells are the other cells near the body, and their rows are sampled
+    one by one (`_edge_samples`): a row inside the body is kept, a row
+    in the band is replaced by its nearest body point, and the rest are
+    dropped.  The body's generators are samples too, in neither part.
 
     With s_u the worst normal slack of a cell's center u and c the chord
-    of its radius, every row x of the cell has n . x >= n . u - c for
-    each unit normal n, and n . x <= s_u + c for the normal attaining
-    s_u.  A cell with s_u - c >= `_DEEP_SLACK` is therefore inside the
-    body, and one with s_u + c < -band_width holds no row of the band
-    or of the body; only the edge cells between get a slack per row.
+    of its radius r (`GridCells.chords`), every row x of the cell has
+    n . x >= n . u - c for each unit normal n, and n . x <= s_u + c for
+    the normal attaining s_u.  A cell with s_u - c >= `_DEEP_SLACK` is
+    therefore inside the body, and one with s_u + c < -band_width holds
+    no row of the band or of the body; only the edge cells between get
+    a slack per row, and only when their rows are read.
+
+    Every sample of an edge cell lies within r + t + min(r, t) of u,
+    with t = dist(u, body): within 2 r + t and within r + 2 t.  A kept
+    row lies within r of u.  A band row x moves to its nearest body
+    point y, and then:
+
+    - dist(., body) is 1-Lipschitz, so angle(x, y) = dist(x, body) <=
+      t + r and angle(u, y) <= r + angle(x, y) <= 2 r + t;
+    - y is p / |p|, with p the projection of x onto the body's cone.
+      For every z of the cone, (x - p) . z <= 0, so z . p >= z . x, and
+      |p| <= 1.  For the body point z nearest to u, angle(z, x) <= t + r,
+      which is below pi/2 when t <= r (every cell radius is below pi/4:
+      at the coarsest resolution `_check_resolution` admits, the
+      largest is 0.29).  Then z . x >= 0, cos angle(z, y) = z . p / |p|
+      >= z . x and angle(z, y) <= angle(z, x) <= t + r, so angle(u, y)
+      <= t + angle(z, y) <= r + 2 t.
+
+    So an edge cell is bounded by its center alone, before any of its
+    rows is read.
     """
     sphere_dim = body.generator_array.shape[1] - 1
     r_cov = resolution / 2.05
     spacing = r_cov / oracles.COVERING_COEFF.get(sphere_dim, math.inf)
     grid = oracles.sphere_grid(sphere_dim, spacing)
     cells = oracles.grid_cells(sphere_dim, spacing)
-    N = body.normal_array
     # a grid point within r_cov of a body point violates each
     # constraint by at most the chord length 2 sin(r_cov / 2)
     band_width = 2.0 * math.sin(r_cov / 2.0) + MEMBERSHIP_TOL
-    center_slack = kernels.min_slack(cells.centers, N)
-    chord = 2.0 * np.sin(cells.radii / 2.0)
-    deep = center_slack - chord >= _DEEP_SLACK
-    edge = np.flatnonzero(~deep & (center_slack + chord >= -band_width))
-    rows = grid[cells.rows(edge)]
-    slack = kernels.min_slack(rows, N)
+    center_slack = kernels.min_slack(cells.centers, body.normal_array)
+    deep = center_slack - cells.chords >= _DEEP_SLACK
+    edge = np.flatnonzero(~deep & (center_slack + cells.chords >= -band_width))
+    return grid, cells, np.flatnonzero(deep), edge, band_width
+
+
+def _edge_samples(body, rows, band_width):
+    """The samples of a block of edge rows (see `_cell_samples`), in row
+    order: every row inside the body as it is, and every row in the band
+    (slack at least -band_width) replaced by its nearest body point."""
+    slack = kernels.min_slack(rows, body.normal_array)
     inside = slack >= -MEMBERSHIP_TOL
-    band = (~inside) & (slack >= -band_width)
-    band_count = int(band.sum())
-    if band_count > _BAND_LIMIT:
-        raise ResolutionError(
-            f"sampling at resolution {resolution} needs {band_count} projections; "
-            "increase the resolution"
-        )
-    shift = np.zeros(rows.shape[0])
-    shift[band], rows[band] = _nearest_body_points(rows[band], body)
-    keep = inside | band
-    # cell[i]: the position in `edge` of the cell holding row i
-    cell = np.repeat(np.arange(edge.size), cells.starts[edge + 1] - cells.starts[edge])
-    widen = np.zeros(edge.size)
-    np.maximum.at(widen, cell, shift)
-    kept = np.bincount(cell[keep], minlength=edge.size)
-    edge, widen = edge[kept > 0], widen[kept > 0]
-    starts = np.concatenate([[0], np.cumsum(kept[kept > 0])])
-    groups = oracles.GridCells(
-        np.arange(starts[-1]), starts, cells.centers[edge], cells.radii[edge] + widen
-    )
-    return np.ascontiguousarray(rows[keep]), groups, grid, cells, np.flatnonzero(deep)
+    keep = inside | (slack >= -band_width)
+    samples = rows[keep]
+    band = ~inside[keep]
+    moved = int(band.sum())
+    if moved > _BAND_LIMIT:
+        raise ResolutionError(f"sampling needs {moved} projections; increase the resolution")
+    samples[band] = _nearest_body_points(samples[band], body)[1]
+    return samples
 
 
 def _body_sample_points(body, resolution):
@@ -463,7 +479,8 @@ def _body_sample_points(body, resolution):
     normals (the full sphere) has every grid cell deep, so its samples
     are the whole grid and its generators.
     """
-    explicit, _, grid, cells, deep = _cell_samples(body, resolution)
+    grid, cells, deep, edge, band_width = _cell_samples(body, resolution)
+    explicit = _edge_samples(body, grid[cells.rows(edge)], band_width)
     deep_rows = grid[cells.rows(deep)]
     return np.ascontiguousarray(np.vstack([explicit, body.generator_array, deep_rows]))
 
@@ -660,50 +677,66 @@ def directed_distance_sampled(a, b, resolution=None):
     set of `_body_sample_points`, but evaluates only the samples that
     can still hold it.  The generators of a are evaluated first and
     seed the running maximum.  Every other sample lies in one cell
-    (`_cell_samples`): an edge group of the explicit samples or a deep
-    grid cell, each with a center u and a radius r that every one of
-    its samples lies within (r is padded for rounding).
+    (`_cell_samples`), each with a center u and a radius R that every
+    one of its samples lies within.  A deep cell's R is its grid radius
+    r.  An edge cell's R is r + t + min(r, t), with t = dist(u, a) from
+    one exact batch of the edge centers against a: its kept rows lie
+    within r of u, and a band row moved onto a lies within 2 r + t of
+    u, since dist(., a) is 1-Lipschitz, and within r + 2 t, since it is
+    no farther than its row from the point of a nearest to u (see
+    `_cell_samples`).  So an edge cell is bounded before its rows are
+    read, and they get their slack and band projections
+    (`_edge_samples`) only when the cell is visited.  (r is padded for
+    rounding.)
 
     dist(., b) is 1-Lipschitz in the geodesic metric, so every sample x
-    of a cell has dist(x, b) <= dist(u, b) + r <= arccos(g . u) + r,
+    of a cell has dist(x, b) <= dist(u, b) + R <= arccos(g . u) + R,
     where g is the generator of b nearest to u, a point of b.  A cell is
     dropped before any exact evaluation when its cheap bound
-    arccos(g . u) + r is at or below the running maximum less
-    `_PRUNE_MARGIN`, or when it lies inside b: with c the chord of r,
-    n . x >= n . u - c for every unit normal n of b, so a cell whose
-    center slack against b's normals, less c, is at least `_DEEP_SLACK`
-    has every sample strictly inside b, at distance 0.  The other cells
-    get the bound reach = dist(u, b) + r from one exact batch of their
-    centers, and are visited in decreasing reach, about `_CELL_BATCH`
-    rows at a time, until the next reach is at or below the running
-    maximum less the margin; the maximum only grows, and every later
-    cell has a smaller reach.
+    arccos(g . u) + R is at or below the running maximum less
+    `_PRUNE_MARGIN`, or when it lies inside b: with c the chord of
+    min(R, pi), n . x >= n . u - c for every unit normal n of b, so a
+    cell whose center slack against b's normals, less c, is at least
+    `_DEEP_SLACK` has every sample strictly inside b, at distance 0.
+    The other cells get the bound reach = dist(u, b) + R from one exact
+    batch of their centers, and are visited in decreasing reach, about
+    `_CELL_BATCH` grid rows at a time, until the next reach is at or
+    below the running maximum less the margin; the maximum only grows,
+    and every later cell has a smaller reach.
 
     So every skipped sample lies within its cell's bound, and that bound
     is at most the running maximum less the margin.  The exact routine
     returns the angle to a body point in the stable atan2 form, so the
-    Lipschitz bound adds values exact to a few ulp; only the arccos of
+    Lipschitz bounds add values exact to a few ulp; only the arccos of
     the cheap bound rounds by more, up to sqrt(2 * 4 ulp), about 3e-8,
     near zero distance, where the cosine rounds to 1.  The margin
     exceeds both, so a skipped sample is below the running maximum,
-    which an evaluated sample reaches.
+    which an evaluated sample reaches.  The bounds only decide what is
+    skipped: the value is the maximum over the same samples whichever
+    cells are pruned.
     """
     resolution = _resolve_resolution(resolution, a)
-    samples, groups, grid, cells, deep = _cell_samples(a, resolution)
+    grid, cells, deep, edge, band_width = _cell_samples(a, resolution)
     best = float(batch_point_body_distance(a.generator_array, b).max())
-    # cell j is edge group j for j < k, else deep cell deep[j - k]
-    k = groups.radii.size
-    u = np.vstack([groups.centers, cells.centers[deep]])
-    r = np.concatenate([groups.radii, cells.radii[deep]])
-    inside = kernels.min_slack(u, b.normal_array) - 2.0 * np.sin(r / 2.0) >= _DEEP_SLACK
-    cheap = _generator_upper_bound(u, b) + r
+    # cell j is edge cell edge[j] for j < k, else deep cell deep[j - k];
+    # its samples lie within R[j] of its center u[j], and c[j] is the
+    # chord of min(R[j], pi)
+    k = edge.size
+    cell = np.concatenate([edge, deep])
+    u = cells.centers[cell]
+    R = cells.radii[cell]
+    c = cells.chords[cell]
+    t = _nearest_body_points(u[:k], a)[0]
+    R[:k] += t + np.minimum(R[:k], t)
+    c[:k] = 2.0 * np.sin(np.minimum(R[:k], math.pi) / 2.0)
+    inside = kernels.min_slack(u, b.normal_array) - c >= _DEEP_SLACK
+    cheap = _generator_upper_bound(u, b) + R
     live = np.flatnonzero(~inside & (cheap > best - _PRUNE_MARGIN))
-    reach = batch_point_body_distance(u[live], b) + r[live]
+    reach = batch_point_body_distance(u[live], b) + R[live]
     order = np.argsort(-reach, kind="stable")
     live, reach = live[order], reach[order]
-    size = np.concatenate([np.diff(groups.starts), cells.starts[deep + 1] - cells.starts[deep]])
-    # taken[j]: rows in the first j cells of that order
-    taken = np.concatenate([[0], np.cumsum(size[live])])
+    # taken[j]: grid rows in the first j cells of that order
+    taken = np.concatenate([[0], np.cumsum(np.diff(cells.starts)[cell[live]])])
     done = 0
     while True:
         stop = min(
@@ -713,10 +746,12 @@ def directed_distance_sampled(a, b, resolution=None):
         if stop <= done:
             break
         pick = live[done:stop]
-        X = np.vstack(
-            [samples[groups.rows(pick[pick < k])], grid[cells.rows(deep[pick[pick >= k] - k])]]
-        )
-        best = max(best, float(batch_point_body_distance(X, b).max()))
+        X = np.vstack([
+            _edge_samples(a, grid[cells.rows(cell[pick[pick < k]])], band_width),
+            grid[cells.rows(cell[pick[pick >= k]])],
+        ])
+        if X.shape[0]:
+            best = max(best, float(batch_point_body_distance(X, b).max()))
         done = stop
     return Angle(best), resolution
 

@@ -81,8 +81,9 @@ leading one and floored in steps of ``_CELL_SPAN`` grid spacings.
 Each cell carries a unit center (its normalized row sum) and a
 geodesic radius measured from its own rows, padded for rounding, so
 every row of a cell lies within the cell's radius of its center
-however the cell is shaped.  The index is built once per grid and kept
-in the grid's cache entry, so the two are evicted together.
+however the cell is shaped, and the chord of that radius, which the
+sampled route's slack bounds read.  The index is built once per grid
+and kept in the grid's cache entry, so the two are evicted together.
 """
 
 import dataclasses
@@ -216,13 +217,17 @@ class GridCells:
 
     Cell k holds the grid rows ``perm[starts[k]:starts[k + 1]]``, and
     every one of them lies within geodesic distance ``radii[k]`` of the
-    unit vector ``centers[k]``.
+    unit vector ``centers[k]``.  ``chords[k]`` is the chord of that
+    radius, 2 sin(radii[k] / 2), computed once with the index, so that a
+    unit normal n has n . x >= n . centers[k] - chords[k] on every row x
+    of the cell.
     """
 
     perm: np.ndarray
     starts: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
+    chords: np.ndarray
 
     def rows(self, cells):
         """Grid row indices of the given cells, cell after cell."""
@@ -281,7 +286,7 @@ def _build_cells(grid, spacing):
         far = np.maximum.reduceat(np.linalg.norm(rows - centers[cell], axis=1), run)
         chord[cell[run]] = np.maximum(chord[cell[run]], far)
     radii = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0)) + _RADIUS_PAD
-    return GridCells(perm, starts, centers, radii)
+    return GridCells(perm, starts, centers, radii, 2.0 * np.sin(radii / 2.0))
 
 
 def face_spans_bruteforce(body):

@@ -543,6 +543,17 @@ def full_rank_s2_bodies(draw):
     return b, seed
 
 
+@st.composite
+def block_bodies(draw):
+    """A full-rank body on S^2 (`full_rank_s2_bodies`), or an arc or a hull
+    on S^2 or S^3: an arc's face spans all go through bases, and so do a
+    hull's lower faces on S^3."""
+    if draw(st.booleans()):
+        return draw(full_rank_s2_bodies())
+    b, _, seed = _draw_body(draw, draw(st.sampled_from([2, 3])), ["arc", "hull"])
+    return b, seed
+
+
 class TestFacetsByNormals:
     """A full-rank body's facets are read off its unit normals."""
 
@@ -573,15 +584,15 @@ class TestFacetsByNormals:
             y = V[:, 0] @ F
             assert min(np.abs(x - y).max(), np.abs(x + y).max()) <= 1e-15
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(full_rank_s2_bodies())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(block_bodies())
     def test_a_row_reads_the_same_alone_and_in_a_block(self, case):
         # einsum rounds each row's products the same way in a block of any
-        # size, so a row's distance and nearest point do not depend on the
-        # rows evaluated with it
+        # size, for facets read off normals and for spans read through
+        # bases alike, so a row's distance and nearest point do not depend
+        # on the rows evaluated with it
         b, seed = case
-        assert b.span()[1] == 3
-        X = uniform_sphere_points(2, 1000, seed)
+        X = uniform_sphere_points(b.ambient_dim, 1000, seed)
         angles, points = metric._nearest_body_points(X, b)
         for i in np.random.default_rng(seed).integers(0, 1000, 20):
             one = metric.batch_point_body_distance(X[i : i + 1], b)
@@ -859,6 +870,10 @@ def _evaluated_rows(monkeypatch, a, b, resolution):
 
 _FULL_SPHERE = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
 _LUNE = body.from_generators([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0], [0, 1.0, 0]])
+# a lune 0.02 rad wide, narrower than a grid cell at the pruning resolutions
+_THIN_LUNE = body.from_generators(
+    [[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0], [math.cos(0.02), math.sin(0.02), 0]]
+)
 
 
 class TestSampledPruning:
@@ -871,6 +886,9 @@ class TestSampledPruning:
     @example((body.hemisphere_body([0.0, 0.0, 1.0]), cap_body(0.5, [0, 120, 240])))
     @example((body.hemisphere_body(POLE), harness.cap_polytope([0.2, 0.1, -1.0], 0.3, 5)))
     @example((_LUNE, cap_body(0.7, [30, 150, 270])))
+    # band rows of the thin lune move onto it farther than their cells'
+    # radii (see test_band_rows_move_farther_than_their_cell_radius)
+    @example((_THIN_LUNE, cap_body(0.5, [0, 120, 240])))
     @example((_FULL_SPHERE, cap_body(0.6, [0, 90, 180, 270])))
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(sampled_pairs())
@@ -894,21 +912,68 @@ class TestSampledPruning:
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(sampled_bodies())
-    def test_every_explicit_sample_lies_in_one_edge_group(self, a):
+    def test_every_edge_sample_lies_within_its_cell_bound(self, a):
         r = _PRUNE_RESOLUTION[a.ambient_dim]
-        explicit, groups, grid, cells, deep = metric._cell_samples(a, r)
-        # the groups cut the explicit rows into consecutive nonempty runs
-        assert np.array_equal(groups.perm, np.arange(explicit.shape[0]))
-        assert groups.starts[0] == 0 and groups.starts[-1] == explicit.shape[0]
-        assert (np.diff(groups.starts) > 0).all()
-        owner = np.repeat(np.arange(groups.radii.size), np.diff(groups.starts))
-        assert (kernels.angles(groups.centers[owner], explicit) <= groups.radii[owner]).all()
+        grid, cells, deep, edge, width = metric._cell_samples(a, r)
+        explicit = metric._edge_samples(a, grid[cells.rows(edge)], width)
         # with the deep rows they hold each grid row inside a or in its band
         # once, a band row moved onto a
         slack = kernels.min_slack(grid, a.normal_array)
         band_width = 2.0 * math.sin(r / 2.05 / 2.0) + 1e-10
         assert explicit.shape[0] + cells.rows(deep).size == int((slack >= -band_width).sum())
         assert all(body.contains(a, x) for x in explicit[:: max(1, explicit.shape[0] // 200)])
+        # the samples come in the order of the edge rows they stem from, so
+        # each has its cell c, and lies within 2 r_c + t_c and within
+        # r_c + 2 t_c of u_c, where t_c = dist(u_c, a)
+        owner = np.repeat(np.arange(edge.size), np.diff(cells.starts)[edge])
+        owner = owner[slack[cells.rows(edge)] >= -band_width]
+        t = metric.batch_point_body_distance(cells.centers[edge], a)[owner]
+        r_c = cells.radii[edge[owner]]
+        spread = kernels.angles(explicit, cells.centers[edge[owner]])
+        assert (spread <= 2.0 * r_c + t).all()
+        assert (spread <= r_c + 2.0 * t).all()
+
+    def test_band_rows_move_farther_than_their_cell_radius(self):
+        # near the thin lune's poles a row far outside it can have a slack
+        # inside the band, and moves onto a pole region far beyond its
+        # cell's radius: only the dist(u, a) term of the edge radius
+        # holds it
+        a = _THIN_LUNE
+        r = _PRUNE_RESOLUTION[2]
+        grid, cells, _, edge, band_width = metric._cell_samples(a, r)
+        rows = grid[cells.rows(edge)]
+        owner = np.repeat(edge, np.diff(cells.starts)[edge])
+        owner = owner[kernels.min_slack(rows, a.normal_array) >= -band_width]
+        spread = kernels.angles(metric._edge_samples(a, rows, band_width), cells.centers[owner])
+        assert (spread > 5.0 * cells.radii[owner]).any()
+        r_c = cells.radii[owner]
+        t = metric.batch_point_body_distance(cells.centers[owner], a)
+        assert (spread <= r_c + t + np.minimum(r_c, t)).all()
+
+    def test_far_target_reads_few_edge_rows(self, monkeypatch):
+        # the hemisphere's edge cells line its boundary circle; against a
+        # small cap far below it they are bounded by their centers, and
+        # few of their rows get a slack: about 600 beyond one per cell
+        # center, where reading the whole ring would slack 18,308
+        source = body.hemisphere_body(POLE)
+        target = harness.cap_polytope([0.2, 0.1, -1.0], 0.3, 5)
+        r = 0.01
+        _, cells, _, edge, _ = metric._cell_samples(source, r)
+        ring = int(np.diff(cells.starts)[edge].sum())
+        rows = []
+        slack = kernels.min_slack
+
+        def counted(X, M):
+            if np.array_equal(M, source.normal_array):
+                rows.append(X.shape[0])
+            return slack(X, M)
+
+        monkeypatch.setattr(kernels, "min_slack", counted)
+        metric.directed_distance_sampled(source, target, r)
+        # one slack per cell center classifies the cells; the rest are
+        # edge rows and the exact routine's membership tests on a
+        assert ring > 18000
+        assert sum(rows) - cells.radii.size < 0.1 * ring
 
     @pytest.mark.parametrize(
         "source, target",
@@ -1019,7 +1084,7 @@ class TestSampledPruning:
         source = body.hemisphere_body(POLE)
         target = harness.cap_polytope(center, 0.3, 5)
         r = 0.01
-        _, _, _, cells, deep = metric._cell_samples(source, r)
+        _, cells, deep, _, _ = metric._cell_samples(source, r)
         centers = {row.tobytes() for row in cells.centers[deep]}
         _, exact = _all_sample_distances(source, target, r)
         blocks = _record_batches(monkeypatch)
