@@ -19,13 +19,13 @@ workload at ``LAYER_SEED`` after one warm-up op, with wrappers that count
 ``metric._exact_directed`` call, and reports calls per op, microseconds
 of ``_exact_directed`` per op and the CPU time per op.  After the timed
 ops it sorts the bodies those ops passed to ``metric._exact_directed``
-and ``metric._nearest_body_points`` by whether their facets can be read
-off their normals: d >= 3, at least one normal, and generators of rank
-d (``cones.span_basis``).  It reports the share of ``_exact_directed``
-calls with both, one or neither body so, and the share of
-``_nearest_body_points`` calls and rows whose body is so.  It also times
-each ``metric.directed_distance_sampled`` call, the sampled route, and
-counts the rows given to ``kernels.min_slack`` and to
+and ``metric._nearest_body_points`` by whether their face spans of rank
+d - 1 are read off normals: d >= 3, and generators (``cones.span_basis``)
+of rank d - 1, or of rank d with at least one normal.  It reports the
+share of ``_exact_directed`` calls with both, one or neither body so,
+and the share of ``_nearest_body_points`` calls and rows whose body is
+so.  It also times each ``metric.directed_distance_sampled`` call, the
+sampled route, and counts the rows given to ``kernels.min_slack`` and to
 ``metric.batch_point_body_distance`` inside it, and reports its calls per
 op, microseconds per call and those rows per call.
 
@@ -152,7 +152,8 @@ def layer_probe(tree, workload):
     def by_normals(body):
         G = body.generator_array
         d = G.shape[1]
-        return d >= 3 and body.normal_array.shape[0] > 0 and cones.span_basis(G)[1] == d
+        rank = cones.span_basis(G)[1]
+        return d >= 3 and (rank == d - 1 or (rank == d and body.normal_array.shape[0] > 0))
 
     read = {key: by_normals(b) for key, b in bodies.items()}
     sides = [read[a] + read[b] for a, b in directed_pairs]

@@ -55,8 +55,10 @@ class SphericalBody:
     - "pointed": True, seeded by `from_generators` when the conversion
       found no lineality; read by `_swapped`.  Absent otherwise, which
       claims nothing.
-    - "facet_bases" and "lower_spans": the face spans of `metric`'s
-      nearest-point routine and exact route, built there on first use.
+    - "facet_normals" and "basis_spans": the face spans of `metric`'s
+      nearest-point routine and exact route, built there on first use:
+      the unit normals n whose spans n^perp are those of rank d - 1, and
+      the bases of the others.
     """
 
     def __init__(self, gens, normals, _trusted=False):

@@ -7,14 +7,13 @@ is a batch of one).  Its candidates are genuine body members: the row
 itself when it is inside, the nearest generator, and the normalized
 projections onto the spans of the body's faces, found at once for the
 whole block.  The closest candidate is exact.
-The facet spans are read off the normals, and the lower faces off the
-generator-normal incidence (`_face_spans`).  A full-rank body (span(G)
-= R^d, d >= 3) needs no basis for a facet: its unit normal n stands for
-the facet span n^perp (`_facet_normals`), the projection onto it is
-x - (x . n) n, and the candidates of a facet pair of two such bodies
-have a closed form (`_facet_pair_candidates`).  Only the other spans,
-lower faces and the faces of rank-deficient bodies, are read through
-orthonormal bases (`_basis_spans`), so on S^2 no facet basis is built.
+The face spans follow one rule.  A span of rank d - 1 (d >= 3) is
+n^perp for a unit normal n (`_facet_normals`): a facet of a full-rank
+body, or the own span of a body of rank d - 1, such as an arc on S^2.
+It needs no basis: the projection onto it is x - (x . n) n.  Every
+other span, of rank 2 to d - 2, exists only on S^3 and up and is read
+through an orthonormal basis from one incidence closure
+(`_basis_spans`), so on S^2 no basis is built at all.
 
 Directed distances are exact when the pair is certified quarter-turn
 free (some point of the target within a strict quarter turn of the
@@ -24,8 +23,9 @@ of the distance is then C^1, every interior extremum over a source
 face is an eigenvector of a small operator projected on a source face
 span and a target face span, and the finite candidate set (source
 generators plus those eigenvectors) provably contains the maximizer.
-For two facets the eigenvector is closed form; pairs with a face span
-read through a basis go to `np.linalg.eigh`.
+When either span is n^perp the eigenvector is closed form; only a pair
+of two spans read through bases goes to `np.linalg.eigh`, which never
+happens on S^2.
 The maximum can land strictly inside a face — generators alone are
 NOT enough; a regression test pins a pair where the best generator is
 off by more than 2.5e-3.  Outside the certified regime the directed
@@ -148,131 +148,99 @@ def _norms(A):
 
 
 def _facet_normals(body):
-    """The unit normals that stand for the facet spans of a full-rank body.
+    """Unit normals n that stand for the body's face spans of rank d - 1,
+    each the span n^perp; cached.
 
-    When span(G) = R^d (d >= 3) the dual has no lineality, so every
-    stored normal n is the normal of a facet, and that facet spans n's
-    orthogonal complement n^perp.  Those spans are read off the normals
-    with no basis: the projection onto n^perp is x - (x . n) n.  For any
-    other body the result is empty and every face span is read through
-    its basis (`_basis_spans`); on S^1 the facets are single generators,
-    which are no face spans.
+    Every span of rank d - 1 is read off its normal, with no basis: the
+    projection onto n^perp is x - (x . n) n, and the stationary
+    candidates of a pair with such a span have closed forms (see
+    `_exact_directed`).  On S^1 those spans are single generators, which
+    are no face spans, so d >= 3 here, and with s the rank of span(G):
+
+    - s = d: the dual has no lineality, so every stored normal is the
+      normal of a facet, and that facet spans n^perp;
+    - s = d - 1: the facets have rank d - 2 (`_basis_spans`), and the
+      one span of rank d - 1 is the body's own: the arc's plane on S^2,
+      a lune's 3-space on S^3.  Its normal is derived from the span
+      basis B: I - B^T B is n n^T, whose d columns have squared norms
+      summing to 1, so the largest has norm at least 1 / sqrt(d); it is
+      orthogonalized once more against B and normalized.  The stored
+      lineality rows come from `subspace_canonical_basis` and can lie
+      6.4e-14 off the span, which moves distances by ulps; the derived
+      normal is orthogonal to every generator within 1e-15;
+    - s < d - 1: there is no span of rank d - 1.
     """
-    N = body.normal_array
-    d = N.shape[1]
-    return N if d >= 3 and body.span()[1] == d else N[:0]
-
-
-def _basis_spans(body):
-    """The face spans read through orthonormal bases: every span of
-    `_face_spans` but the facets that `_facet_normals` stands for."""
-    return _lower_spans(body) if _facet_normals(body).shape[0] else _face_spans(body)
-
-
-def _face_spans(body):
-    """Orthonormal bases of the spans of the body's faces, stacked by dimension.
-
-    One basis is kept per distinct span of rank 2 up to d - 1 (single
-    generators are covered by the nearest-generator candidate, and the
-    whole space by the membership test).  With span(G) of rank s, the
-    faces come in three groups:
-
-    - facets (`_facet_bases`), each of rank s - 1;
-    - the body itself, when it is rank-deficient (2 <= s < d), and
-    - lower faces, of rank 2 to s - 2 (both `_lower_spans`).
-
-    Every face span is returned, facets included, but the nearest-point
-    routine and the exact route read the facets of a full-rank body off
-    its normals (`_facet_normals`) and only the other spans through
-    these bases (`_basis_spans`), so a full-rank body's facet bases are
-    built on first use: by the tests and the subset oracle's
-    comparisons, and by the exact route for pairs of a facet with a
-    lower face (S^3 and up).
-
-    Returns a list of (s, f, d) arrays, one per span dimension f.
-    """
-    return _facet_bases(body) + _lower_spans(body)
-
-
-def _facet_bases(body):
-    """The bases of the facet spans: a list of one (k, s - 1, d) stack,
-    or an empty list when s < 3 or there are no facets; cached.
-
-    With B the basis of span(G), of rank s, each pointed normal n lies
-    in span(G) (see `SphericalBody`), and its facet spans n's orthogonal
-    complement inside span(G).  The rows of B with their component
-    along n removed span it, so the first s - 1 right singular vectors
-    of those rows are its basis; one batched SVD covers all facets.
-    """
-    cached = body._cache.get("facet_bases")
+    cached = body._cache.get("facet_normals")
     if cached is None:
+        N = body.normal_array
+        d = N.shape[1]
         B, s = body.span()
-        N, C = _pointed_normals(body)
-        cached = []
-        if s >= 3 and N.shape[0]:
-            rows = B - C[:, :, None] * N[:, None, :]
-            cached.append(np.linalg.svd(rows, full_matrices=False)[2][:, : s - 1])
-        body._cache["facet_bases"] = cached
+        cached = N if d >= 3 and s == d else N[:0]
+        if d >= 3 and s == d - 1:
+            # I - B^T B is symmetric, so its rows are its columns
+            P = np.eye(d) - B.T @ B
+            n = P[np.argmax(_norms(P))]
+            n -= (B @ n) @ B
+            cached = n[None] / np.linalg.norm(n)
+        body._cache["facet_normals"] = cached
     return cached
 
 
-def _pointed_normals(body):
-    """(N, C): the normals in span(G), which are the facets' normals, and
-    their coordinates in the span basis B.  The lineality normals are
-    orthogonal to span(G), so |B n| is 1 on a pointed normal and 0 on a
-    lineality one, and |B n|^2 > 1/4 tells the two exact cases apart,
-    not a tuned cutoff."""
-    B, _ = body.span()
-    C = body.normal_array @ B.T
-    pointed = np.einsum("ij,ij->i", C, C) > 0.25
-    return body.normal_array[pointed], C[pointed]
+def _basis_spans(body):
+    """Orthonormal bases of the body's face spans of rank 2 to d - 2,
+    stacked by rank; cached.
 
+    Every face span of rank d - 1 is read off its normal
+    (`_facet_normals`), single generators are covered by the
+    nearest-generator candidate, and the whole space by the membership
+    test.  The spans left exist only on S^3 and up: the body's own span
+    when 2 <= s <= d - 2, the facets of a rank-deficient body and the
+    lower faces.  All of them are read off the generator-normal
+    incidence.  The generators tight on one normal form a facet, or the
+    whole body for a lineality normal, which is orthogonal to span(G);
+    the closure intersects the sets found in the previous round with
+    those, until a round finds nothing new, and sets of fewer than two
+    generators are dropped.  Sets are deduplicated as rows packed
+    big-endian by `np.packbits`, which sort the way the boolean rows do,
+    and their spans by `span_key`.
 
-def _lower_spans(body):
-    """The face spans that are no facets, stacked by dimension: the body
-    itself when it is rank-deficient (2 <= s < d), and the lower faces,
-    of rank 2 to s - 2, which exist only when s >= 4 (never on S^2).
-
-    Each lower face is an intersection of facets, read off the
-    generator-normal incidence.  The closure intersects only the sets
-    found in the previous round with the facets, until a round finds
-    nothing new; sets of fewer than two generators are dropped.  Sets
-    are deduplicated as rows packed big-endian by `np.packbits`, which
-    sort the way the boolean rows do, and their spans by `span_key`.
+    Returns a list of (k, f, d) arrays, one per span rank f.
     """
-    cached = body._cache.get("lower_spans")
+    cached = body._cache.get("basis_spans")
     if cached is not None:
         return cached
     G = body.generator_array
     m, d = G.shape
-    B, s = body.span()
-    spans = []
-    if 2 <= s < d:
-        spans.append(B[None])
-    if s >= 4:
-        facets = np.abs(G @ _pointed_normals(body)[0].T).T <= 1e-9
+    by_rank = {}
+    if d >= 4:
+        tight = (np.abs(G @ body.normal_array.T) <= 1e-9).T
+        facets = tight[tight.sum(axis=1) >= 2]
         known = np.unique(np.packbits(facets, axis=1), axis=0)
         fresh = np.unpackbits(known, axis=1, count=m).astype(bool)
-        lower = np.zeros((0, (m + 7) // 8), dtype=np.uint8)
         while fresh.shape[0]:
             meets = (fresh[:, None, :] & facets[None, :, :]).reshape(-1, m)
             meets = np.packbits(meets[meets.sum(axis=1) >= 2], axis=1)
             grown, first = np.unique(np.vstack([known, meets]), axis=0, return_index=True)
-            fresh = grown[first >= known.shape[0]]
-            lower = np.vstack([lower, fresh])
-            fresh = np.unpackbits(fresh, axis=1, count=m).astype(bool)
+            fresh = np.unpackbits(grown[first >= known.shape[0]], axis=1, count=m).astype(bool)
             known = grown
         seen = {}
-        for face in np.unpackbits(lower, axis=1, count=m).astype(bool):
+        for face in np.unpackbits(known, axis=1, count=m).astype(bool):
             Bf, r = span_basis(G[face])
-            if 2 <= r <= s - 2:
+            if 2 <= r <= d - 2:
                 seen.setdefault(span_key(Bf), Bf)
-        by_dim = {}
         for Bf in seen.values():
-            by_dim.setdefault(Bf.shape[0], []).append(Bf)
-        spans += [np.stack(bases) for bases in by_dim.values()]
-    body._cache["lower_spans"] = spans
-    return spans
+            by_rank.setdefault(Bf.shape[0], []).append(Bf)
+    cached = [np.stack(bases) for bases in by_rank.values()]
+    body._cache["basis_spans"] = cached
+    return cached
+
+
+def _span_projections(X, T):
+    """P[i, j]: the orthogonal projection of row i of X onto span j of
+    the (k, f, d) stack T of orthonormal bases.  Both products are
+    einsum sums, which, unlike BLAS products, round each row the same
+    way in a block of any size."""
+    return np.einsum("isf,sfk->isk", np.einsum("ik,sfk->isf", X, T), T)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +263,10 @@ def _nearest_body_points(X, body):
       feasible normalized projections compete (the nearest cone point
       lies in the relative interior of a face, so one of them is it);
       only projections nearer than the nearest generator can win, so
-      only those get the membership test.  A facet span n^perp of a
-      full-rank body is projected onto as x - (x . n) n, with x . n an
-      einsum product (see `_facet_normals`); the other spans go through
-      their bases.
+      only those get the membership test.  A span n^perp of rank d - 1
+      is projected onto as x - (x . n) n, with x . n an einsum product
+      (see `_facet_normals`); the other spans go through their bases
+      (`_span_projections`).
 
     Angles take the stable form atan2(|perp|, dot): arccos of a cosine
     has a 1e-8 precision floor near zero distance.
@@ -339,14 +307,12 @@ def _nearest_block(X, body, facets, spans):
     Xl = X[live]
     # P[i, k]: orthogonal projection of live row i onto its k-th face
     # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
-    # from the row.  x . n and a span's basis coordinates and projection
-    # are einsum products, which, unlike BLAS products, round each row
-    # the same way in a block of any size
+    # from the row.  x . n is an einsum product, like the projections
+    # onto the basis spans, so each row rounds the same way in a block
+    # of any size
     D = np.einsum("ik,jk->ij", Xl, facets)
     parts = [Xl[:, None, :] - D[:, :, None] * facets[None, :, :]]
-    for T in spans:
-        C = np.einsum("ik,sfk->isf", Xl, T)
-        parts.append(np.einsum("isf,sfk->isk", C, T))
+    parts += [_span_projections(Xl, T) for T in spans]
     P = np.concatenate(parts, axis=1)
     if P.shape[1]:
         c = _norms(P)
@@ -550,10 +516,34 @@ def _exact_directed(a, b):
     where the squared spherical support x -> |proj_cone(x)|^2 is
     continuously differentiable).  Any interior maximizer on a face
     with span F, whose nearest point has active span E, is then an
-    eigenvector of P_F P_E P_F; vertices cover the rest.  A facet of a
-    full-rank a against a facet of a full-rank b has that eigenvector in
-    closed form (`_facet_pair_candidates`); every other pair of face
-    spans is enumerated by `np.linalg.eigh` in the spans' bases.
+    eigenvector of P_F P_E P_F with eigenvalue sigma^2, sigma =
+    cos(dist(x, b)); vertices cover the rest.  Each pair of spans gets
+    one rule, with f^perp and e^perp the spans of rank d - 1 read off
+    normals (`_facet_normals`) and the others read through bases
+    (`_basis_spans`):
+
+    - f^perp against e^perp: `_facet_pair_candidates`;
+    - f^perp against a basis span E: the single candidate
+      P_F P_E f = P_E f - |P_E f|^2 f, with sigma^2 = 1 - |P_E f|^2;
+    - a basis span F against e^perp: the single candidate P_F e, with
+      sigma^2 = 1 - |P_F e|^2;
+    - two basis spans: the eigenvectors of `np.linalg.eigh` in the
+      spans' bases, which exist only on S^3 and up.
+
+    Proof of the two middle rules.  P_F P_E P_F = X X^T with X = P_F P_E,
+    and X^T X = P_E P_F P_E, so the two share their nonzero spectrum, and
+    X maps an eigenvector v of X^T X to one of X X^T, of the same
+    eigenvalue.  For F = f^perp, P_E P_F P_E = P_E - u u^T on E with
+    u = P_E f: eigenvalue 1 - |u|^2 along u, which X maps to
+    P_F u = u - (u . f) f = P_E f - |P_E f|^2 f, and 1 on the rest of
+    E.  For E = e^perp, P_F P_E P_F = P_F - w w^T on F with w = P_F e:
+    eigenvalue 1 - |w|^2 along w and 1 on the rest of F.  An
+    eigenvalue-1 vector x has |P_E x| = 1, so it lies in F and E, where
+    the branch value arccos(1) is 0: a maximum there is 0, which the
+    generators attain.  An eigenvalue-0 vector has sigma = 0, a branch
+    value of pi/2, which the certified regime (every distance below
+    pi/2) excludes.  So the one candidate of the pair and its antipode,
+    which the caller adds, are all that the pair contributes.
 
     The generators and the surviving candidates are scored in one exact
     batch.  A candidate survives when its own stationary branch value,
@@ -587,25 +577,24 @@ def _exact_directed(a, b):
     Fa, Fb = _facet_normals(a), _facet_normals(b)
     Sa, Sb = _basis_spans(a), _basis_spans(b)
     parts = [_facet_pair_candidates(Fa, Fb, screen)]
-    # a facet read off a normal meets a span read through a basis in
-    # the facet's own basis
-    pairs = list(itertools.product(Sa, Sb))
-    if Sb and Fa.shape[0]:
-        pairs += itertools.product(_facet_bases(a), Sb)
-    if Sa and Fb.shape[0]:
-        pairs += itertools.product(Sa, _facet_bases(b))
-    for TF, TE in pairs:
+    for TE in Sb:
+        # U[i, j] = P_E f for normal f = Fa[i] and span E = TE[j]; the
+        # candidate is its projection onto f^perp
+        U = _span_projections(Fa, TE)
+        X = U - np.einsum("ijk,ik->ij", U, Fa)[:, :, None] * Fa[:, None, :]
+        parts.append(_screened_candidates(X, 1.0 - np.einsum("ijk,ijk->ij", U, U), screen))
+    for TF in Sa:
+        # U[i, j] = P_F e for normal e = Fb[i] and span F = TF[j]
+        U = _span_projections(Fb, TF)
+        parts.append(_screened_candidates(U, 1.0 - np.einsum("ijk,ijk->ij", U, U), screen))
+    for TF, TE in itertools.product(Sa, Sb):
         sa, f = TF.shape[:2]
         sb, e = TE.shape[:2]
         # T[i, j]: the f x e inner products of face span i of a with
         # face span j of b, so T T^T is P_F P_E P_F in F's basis
         T = (TF.reshape(-1, d) @ TE.reshape(-1, d).T).reshape(sa, f, sb, e).swapaxes(1, 2)
         vals, vecs = np.linalg.eigh(T @ T.swapaxes(2, 3))
-        X = (vecs.swapaxes(2, 3) @ TF[:, None, :, :]).reshape(-1, d)
-        sig = np.sqrt(np.clip(vals.reshape(-1), 0.0, 1.0))
-        nrm = np.linalg.norm(X, axis=1)
-        ok = (nrm > 1e-9) & (np.arccos(sig) > screen)
-        parts.append(X[ok] / nrm[ok, None])
+        parts.append(_screened_candidates(vecs.swapaxes(2, 3) @ TF[:, None, :, :], vals, screen))
     X = np.vstack(parts)
     X = np.vstack([X, -X])
     if Na.shape[0]:
@@ -621,11 +610,11 @@ def _exact_directed(a, b):
 
 
 def _facet_pair_candidates(F, E, screen):
-    """The stationary candidates of every facet of a (unit normals F)
-    against every facet of b (unit normals E), two full-rank bodies, in
-    closed form; the unit rows m / |m| that pass the screen.
+    """The stationary candidates of every span of rank d - 1 of a (unit
+    normals F) against every span of rank d - 1 of b (unit normals E),
+    in closed form; the unit rows m / |m| that pass the screen.
 
-    For the facet spans f^perp of a and e^perp of b, the operator
+    For the spans f^perp of a and e^perp of b, the operator
     P_F P_E P_F on f^perp is P_F - m m^T with m = P_F e = e - (e . f) f,
     since P_E = I - e e^T.  Its eigenvalues are 1 - |m|^2 = (e . f)^2
     along m, so the branch value there is arccos(sigma) with
@@ -635,12 +624,12 @@ def _facet_pair_candidates(F, E, screen):
     directed distance would be 0, which the generators of a, scored
     along with the candidates, attain, since no distance is negative.
     So +/- m / |m| (the caller adds the antipodes) are the only
-    candidates of the pair; m = 0, where the facets coincide, gives
+    candidates of the pair; m = 0, where the spans coincide, gives
     none.  A nonzero m of rounding size gives a candidate of no use, but
     no harm either: like every candidate it is moved onto a before it is
     scored.  m is computed once more against f, m <- m - (m . f) f, which
     puts the rounding of the first subtraction back inside f^perp: a
-    candidate off its facet span by rounding alone can land a few ulps
+    candidate off its span f^perp by rounding alone can land a few ulps
     across a's boundary and score above the true maximum by as much.
     The products are einsum sums, which round each pair alike.
     """
@@ -651,6 +640,16 @@ def _facet_pair_candidates(F, E, screen):
     nrm = _norms(M)
     ok = (nrm > 0.0) & (np.arccos(np.minimum(np.abs(ef.reshape(-1)), 1.0)) > screen)
     return M[ok] / nrm[ok, None]
+
+
+def _screened_candidates(X, sig2, screen):
+    """The unit rows x / |x| of the nonzero candidates, the rows of X
+    along its last axis, whose branch value arccos(sigma) passes the
+    screen, with sigma^2 the matching entry of sig2."""
+    X = X.reshape(-1, X.shape[-1])
+    nrm = _norms(X)
+    ok = (nrm > 0.0) & (np.arccos(np.sqrt(np.clip(sig2.reshape(-1), 0.0, 1.0))) > screen)
+    return X[ok] / nrm[ok, None]
 
 
 def _hemisphere_lower_bound(X, body):

@@ -11,7 +11,7 @@ answers it computes another way.  The tests cross-validate against
 them; no production path calls them.
 
 - `face_spans_bruteforce`: subset enumeration for the face spans of
-  `metric`.
+  `metric`, of every rank.
 - `dual_cone_rays_exact`: the exact reference for
   `cones.dual_cone_rays`.
 - `extreme_rays_exact`: the exact reference for `cones.extreme_rays`.
@@ -290,14 +290,17 @@ def _build_cells(grid, spacing):
 
 
 def face_spans_bruteforce(body):
-    """Subset-enumeration oracle for `metric._face_spans`.
+    """Subset-enumeration oracle for the face spans of `metric`.
 
     A span of rank r is spanned by r of the generators in it, so the
     spans of all generator subsets of size 2 up to min(rank, d - 1)
     include every face span of rank 2 to d - 1, along with spans that
     carry no face (whose projections the nearest-point routine rejects
-    as infeasible or beaten).  Same layout as the production routine:
-    one (s, f, d) stack per span dimension f.  The count grows as
+    as infeasible or beaten).  `metric` reads the face spans of rank
+    d - 1 off unit normals (`metric._facet_normals`) and only the others
+    through bases (`metric._basis_spans`); these bases, in the layout of
+    the latter, one (s, f, d) stack per span dimension f, stand for all
+    of them when the normals are left out.  The count grows as
     C(m, d - 1); it is a test oracle, not a production path.
     """
     G = body.generator_array

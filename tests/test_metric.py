@@ -340,13 +340,14 @@ class TestNearestBodyPointsProperties:
     def test_face_spans_match_the_subset_oracle(self, case):
         # the spans of all generator subsets include every face span, so
         # swapping them in must leave distances and exact directed
-        # distances unchanged; with no facets read off the normals, the
-        # oracle's bases stand for every face span, facets included
+        # distances unchanged; with no spans read off the normals, the
+        # oracle's bases stand for every face span, those of rank d - 1
+        # included
         a, b, X = case
         new = metric._nearest_body_points(X, b)[0]
         new_directed = metric._exact_directed(a, b)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metric, "_face_spans", oracles.face_spans_bruteforce)
+            mp.setattr(metric, "_basis_spans", oracles.face_spans_bruteforce)
             mp.setattr(metric, "_facet_normals", lambda body: body.normal_array[:0])
             old = metric._nearest_body_points(X, b)[0]
             old_directed = metric._exact_directed(a, b)
@@ -388,12 +389,13 @@ def _span_projector(T):
     return np.round(T.T @ T, 9)
 
 
-def _face_span_keys_by_incidence(b):
-    """`span_key`s of the body's face spans of rank 2 to d - 1, every face
-    read off the generator-normal incidence: the generators tight on one
-    normal form a facet, a rank-deficient body is a face of itself, and
-    the closure intersects the sets of the previous round with the
-    facets until a round finds nothing new."""
+def _face_bases_by_incidence(b):
+    """Orthonormal bases of the body's face spans of rank 2 to d - 1, by
+    `span_key`, every face read off the generator-normal incidence: the
+    generators tight on one normal form a facet, a rank-deficient body
+    is a face of itself, and the closure intersects the sets of the
+    previous round with the facets until a round finds nothing new.
+    Each basis is `cones.span_basis` of the face's tight generators."""
     G = b.generator_array
     m, d = G.shape
     tight = (np.abs(G @ b.normal_array.T) <= 1e-9).T
@@ -406,12 +408,23 @@ def _face_span_keys_by_incidence(b):
         meets = {tuple(np.array(f) & g) for f in fresh for g in facets}
         fresh = {f for f in meets if sum(f) >= 2} - known
         known |= fresh
-    keys = set()
-    for face in known:
+    bases = {}
+    for face in sorted(known):
         B, r = cones.span_basis(G[np.array(face)])
         if 2 <= r < d:
-            keys.add(cones.span_key(B))
-    return keys
+            bases.setdefault(cones.span_key(B), B)
+    return bases
+
+
+def _span_shapes(b):
+    """(count, rank, d) of the route's face spans, one entry per rank and
+    sorted by rank: the stacks of `_basis_spans`, and the spans n^perp of
+    the normals of `_facet_normals` as one entry of rank d - 1."""
+    N = metric._facet_normals(b)
+    d = N.shape[1]
+    shapes = [T.shape for T in metric._basis_spans(b)]
+    shapes += [(N.shape[0], d - 1, d)] if N.shape[0] else []
+    return sorted(shapes, key=lambda shape: shape[1])
 
 
 def _face_span_cases():
@@ -438,16 +451,26 @@ def _face_span_cases():
 
 
 class TestFaceSpans:
-    """The face spans are exactly the body's faces of rank 2 to d - 1."""
+    """The face spans are exactly the body's faces of rank 2 to d - 1:
+    those of rank d - 1 read off normals, the others through bases."""
 
     def test_matches_the_incidence_closure(self):
         ranks = set()
         for b in _face_span_cases():
-            spans = metric._face_spans(b)
-            keys = [cones.span_key(B) for T in spans for B in T]
+            d = b.generator_array.shape[1]
+            faces = _face_bases_by_incidence(b)
+            keys = [cones.span_key(B) for T in metric._basis_spans(b) for B in T]
             assert len(keys) == len(set(keys))
-            assert set(keys) == _face_span_keys_by_incidence(b)
-            ranks.add((b.span()[1], tuple(sorted(T.shape[1] for T in spans))))
+            assert set(keys) == {key for key, B in faces.items() if B.shape[0] <= d - 2}
+            # the faces of rank d - 1 and the normals match one to one, each
+            # normal orthogonal to its face's basis
+            N = metric._facet_normals(b)
+            hyper = [B for B in faces.values() if B.shape[0] == d - 1]
+            assert N.shape[0] == len(hyper)
+            if hyper:
+                tight = np.linalg.norm(np.stack(hyper) @ N.T, axis=1) <= 1e-9
+                assert (tight.sum(axis=0) == 1).all() and (tight.sum(axis=1) == 1).all()
+            ranks.add((b.span()[1], tuple(rank for _, rank, _ in _span_shapes(b))))
         # (span rank, face ranks): an arc is a face of itself, S^2 bodies
         # have facets only, an S^3 lune has facets and itself, and the
         # full S^3 and S^4 bodies have lower faces too
@@ -456,40 +479,40 @@ class TestFaceSpans:
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 12])
     def test_regular_polygon_has_one_span_per_edge(self, m):
         b = harness.cap_polytope(harness.pole_axis(2), 0.7, m)
-        spans = metric._face_spans(b)
-        assert [T.shape for T in spans] == [(m, 2, 3)]
+        assert _span_shapes(b) == [(m, 2, 3)]
         # the subset oracle also carries every diagonal plane
         assert [T.shape for T in oracles.face_spans_bruteforce(b)] == [(math.comb(m, 2), 2, 3)]
         # each edge plane holds two adjacent vertices
         G = b.generator_array
-        inside = np.abs(np.linalg.norm(G @ spans[0].transpose(0, 2, 1), axis=2) - 1.0) <= 1e-12
-        assert (inside.sum(axis=1) == 2).all()
+        inside = np.abs(G @ metric._facet_normals(b).T) <= 1e-12
+        assert (inside.sum(axis=0) == 2).all()
 
     def test_hemisphere_has_its_boundary_circle(self):
-        spans = metric._face_spans(body.hemisphere_body(POLE))
-        assert [T.shape for T in spans] == [(1, 2, 3)]
-        assert np.allclose(_span_projector(spans[0][0]), np.diag([1.0, 1.0, 0.0]))
+        hemi = body.hemisphere_body(POLE)
+        assert _span_shapes(hemi) == [(1, 2, 3)]
+        n = metric._facet_normals(hemi)[0]
+        assert np.allclose(np.round(np.eye(3) - np.outer(n, n), 9), np.diag([1.0, 1.0, 0.0]))
 
     def test_arc_has_its_own_plane(self):
         arc = body.from_generators([[1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
-        spans = metric._face_spans(arc)
-        assert [T.shape for T in spans] == [(1, 2, 3)]
+        assert _span_shapes(arc) == [(1, 2, 3)]
         B, _ = arc.span()
-        assert np.array_equal(_span_projector(spans[0][0]), _span_projector(B))
+        n = metric._facet_normals(arc)[0]
+        assert np.array_equal(np.round(np.eye(3) - np.outer(n, n), 9), _span_projector(B))
 
     def test_cube_cone_on_s3(self):
         G = np.array([[x, y, z, 3.0] for x, y, z in itertools.product([1.0, -1.0], repeat=3)])
         cube = body.from_generators(G)
-        spans = sorted(metric._face_spans(cube), key=lambda T: T.shape[1])
-        assert [T.shape for T in spans] == [(12, 2, 4), (6, 3, 4)]
+        assert _span_shapes(cube) == [(12, 2, 4), (6, 3, 4)]
         # the oracle's spans: 28 planes of vertex pairs and 20 3-spaces of
         # vertex triples, where each of the 12 coplanar quadruples gives one
         assert sum(T.shape[0] for T in oracles.face_spans_bruteforce(cube)) == 48
         # edge planes hold 2 cube vertices, facet 3-spaces hold 4
         U = cube.generator_array
-        for T, per in zip(spans, (2, 4)):
-            inside = np.abs(np.linalg.norm(U @ T.transpose(0, 2, 1), axis=2) - 1.0) <= 1e-12
-            assert (inside.sum(axis=1) == per).all()
+        (edges,) = metric._basis_spans(cube)
+        inside = np.abs(np.linalg.norm(U @ edges.transpose(0, 2, 1), axis=2) - 1.0) <= 1e-12
+        assert (inside.sum(axis=1) == 2).all()
+        assert ((np.abs(U @ metric._facet_normals(cube).T) <= 1e-12).sum(axis=0) == 4).all()
 
     @pytest.mark.parametrize(
         "kind, counts",
@@ -506,18 +529,16 @@ class TestFaceSpans:
         else:
             V = np.vstack([np.eye(4), -np.eye(4)])
         b = body.from_generators(np.hstack([V, np.full((V.shape[0], 1), 3.0)]))
-        spans = sorted(metric._face_spans(b), key=lambda T: T.shape[1])
-        assert [T.shape for T in spans] == counts
+        assert _span_shapes(b) == counts
 
     def test_no_spans_for_a_point_or_the_whole_sphere(self):
-        assert metric._face_spans(body.from_generators([POLE])) == []
+        assert _span_shapes(body.from_generators([POLE])) == []
         full = body.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
-        assert metric._face_spans(full) == []
+        assert _span_shapes(full) == []
 
 
 def _facet_basis(n):
-    """An orthonormal basis of n^perp from the SVD, as `_face_spans`
-    builds a facet's."""
+    """An orthonormal basis of n^perp from the SVD."""
     d = n.size
     return np.linalg.svd(np.eye(d) - np.outer(n, n))[2][: d - 1]
 
@@ -607,6 +628,10 @@ class TestFacetsByNormals:
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
+    # an arc whose stored lineality row lies 2.3e-13 off its plane
+    @example(2, "arc", False, 789)
+    @example(3, "lune", False, 0)
+    @example(3, "lune", True, 0)
     def test_seeded_span_has_the_svd_rank(self, dim, kind, use_polar, seed):
         # `has_interior` and `_facet_normals` read the span a constructor
         # seeded: it must be R^d exactly when the SVD finds rank d
@@ -626,6 +651,11 @@ class TestFacetsByNormals:
             # a body `from_generators` built is seeded whenever it spans R^d
             assert (seeded is not None) == (rank == d)
         assert body.has_interior(b) == (rank == d)
+        # the normal of a span of rank d - 1 is derived from the span
+        # basis, orthogonal to every generator within 1e-15
+        if d >= 3 and rank == d - 1:
+            (n,) = metric._facet_normals(b)
+            assert np.abs(b.generator_array @ n).max() <= 1e-15
 
 
 class TestDirectedDistance:
@@ -716,23 +746,24 @@ def _unscreened_exact(a, b):
     eigenvector candidate within slack 1e-9 of a, moved onto a, with no
     screen: for each pair of face spans F of a and E of b, the
     eigenvectors of P_F P_E P_F in F below eigenvalue 1 and their
-    antipodes."""
+    antipodes, in the bases of the faces' tight generators
+    (`_face_bases_by_incidence`)."""
     Ga, Na = a.generator_array, a.normal_array
     cands = [Ga]
-    for TF in metric._face_spans(a):
-        for TE in metric._face_spans(b):
-            for F, E in itertools.product(TF, TE):
-                vals, V = np.linalg.eigh(F @ E.T @ E @ F.T)
-                # an eigenvalue of 1 to rounding marks a point of F in
-                # span(E), of branch value 0: no stationary point, and
-                # never a maximum above the generators'
-                X = V.T[vals < 1.0 - 1e-12] @ F
-                nrm = np.linalg.norm(X, axis=1)
-                X = X[nrm > 1e-9] / nrm[nrm > 1e-9, None]
-                X = np.vstack([X, -X])
-                if Na.shape[0]:
-                    X = metric._nearest_body_points(X[(X @ Na.T).min(axis=1) >= -1e-9], a)[1]
-                cands.append(X)
+    faces_a = _face_bases_by_incidence(a).values()
+    faces_b = _face_bases_by_incidence(b).values()
+    for F, E in itertools.product(faces_a, faces_b):
+        vals, V = np.linalg.eigh(F @ E.T @ E @ F.T)
+        # an eigenvalue of 1 to rounding marks a point of F in span(E),
+        # of branch value 0: no stationary point, and never a maximum
+        # above the generators'
+        X = V.T[vals < 1.0 - 1e-12] @ F
+        nrm = np.linalg.norm(X, axis=1)
+        X = X[nrm > 1e-9] / nrm[nrm > 1e-9, None]
+        X = np.vstack([X, -X])
+        if Na.shape[0]:
+            X = metric._nearest_body_points(X[(X @ Na.T).min(axis=1) >= -1e-9], a)[1]
+        cands.append(X)
     return float(metric.batch_point_body_distance(np.vstack(cands), b).max())
 
 
@@ -744,8 +775,8 @@ def _lune(dim):
 
 def _exact_route_pairs():
     """Certified pairs on S^1 to S^3: seeded Wulff bodies, their polars,
-    and hemisphere and lune targets; then the pinned pair whose maximum
-    lies inside a face."""
+    and hemisphere and lune targets; arcs against hulls and back on S^2
+    and S^3; then the pinned pair whose maximum lies inside a face."""
     for dim in (1, 2, 3):
         pole = harness.pole_axis(dim)
         targets = [body.hemisphere_body(pole.vec)] + ([_lune(dim)] if dim > 1 else [])
@@ -762,6 +793,10 @@ def _exact_route_pairs():
             yield from ((w1, w2), (w2, w1), (p1, p2), (p2, p1), (w1, p2), (p1, w2))
             for target in targets:
                 yield from ((w1, target), (p1, target))
+            if dim > 1:
+                rng = np.random.default_rng([dim, t, 13])
+                hull, arc = (harness.gen_convex_body(pole, kind, rng) for kind in ("hull", "arc"))
+                yield from ((hull, arc), (arc, hull))
     pole = harness.pole_axis(2)
     yield harness.gen_wulff(pole, 8, 0.9, 9), harness.gen_wulff(pole, 8, 0.9, 10009)
 
@@ -826,6 +861,32 @@ class TestExactRoute:
         value, err, path = metric.directed_distance_with_bound(a, b, 0.01)
         assert path == "sampled" and err == 0.01
         assert abs(float(value) - float(exact)) <= 0.01
+
+    def test_hull_to_arc_regression(self):
+        # the hull -> arc pair of the mixed_convex benchmark, seed 3, op
+        # 106, against the value of a 40-digit scan of the hull's edges;
+        # read off the arc's stored lineality row, the plane moved the
+        # value 4.7e-15 below it
+        rng = np.random.default_rng([3, 106])
+        hull, arc = (harness.gen_convex_body(harness.pole_axis(2), kind, rng) for kind in ("hull", "arc"))
+        assert abs(metric._exact_directed(hull, arc) - 0.79386496320719345327) <= 1e-15
+
+    def test_no_eigh_on_s2(self, monkeypatch):
+        # every face span of an S^2 body has rank 2 = d - 1, so every pair
+        # has a closed form
+        bodies = []
+        for seed in range(4):
+            rng = np.random.default_rng([2, seed, 17])
+            for kind in ("hull", "arc", "point", "wide_cap"):
+                b = harness.gen_convex_body(harness.pole_axis(2), kind, rng)
+                bodies += [b, transforms.polar(b)] if transforms.polar_admissible(b) else [b]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigh called on S^2")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        certified = sum(metric._exact_directed(a, b) is not None for a in bodies for b in bodies)
+        assert certified >= 100
 
     def test_one_exact_batch(self, monkeypatch):
         blocks = _record_batches(monkeypatch)
