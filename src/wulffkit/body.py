@@ -9,7 +9,9 @@ equal bodies have identical representations up to tolerance.
 
 Non-pointed cones (hemispheres, lunes, subspheres) carry their
 lineality as explicit +/- basis-vector generator pairs; normals carry
-the complement of a lower-dimensional cone's span the same way.
+the complement of a lower-dimensional cone's span the same way.  A body
+also keeps both bases as arrays of their own, as its conversion found
+them.
 """
 
 import dataclasses
@@ -31,47 +33,44 @@ class SphericalBody:
     """Canonical polyhedral-cone cap on S^n.
 
     Build through `from_generators`, `hemisphere_body` or
-    `transforms.polar`; the raw constructor trusts its inputs.  A polar
-    swaps its input's two arrays and shares them (they are read-only);
-    only the cache is its own.
+    `transforms.polar`; the raw constructor trusts its inputs, which are
+    four arrays: the generators G, the normals N, and the two linealities
+    the conversion found along with them:
+    - `lineality_array`, an orthonormal basis of the lineality of
+      cone(G), whose +/- rows are among the generators;
+    - `complement_array`, an orthonormal basis of span(G)^perp, which is
+      the lineality of the dual cone, and whose +/- rows are among the
+      normals.
+    So span(G) has rank d - len(complement_array).  A polar swaps its
+    input's pairs (G, lineality) and (N, complement) and shares the
+    arrays (they are read-only): the lineality of the dual cone K* is
+    span(G)^perp, and span(K*)^perp is the lineality of K = cone(G).
+    Only the cache is its own.
 
     Invariant: every unit c orthogonal to span(G) has n . c < 0 for some
     normal n, so the slack test min(N q) >= -tol alone decides membership.
-    Proof: the constructors store N as the dual cone's rays plus +/- an
-    orthonormal basis of its lineality, the complement of span(G) (a
-    polar's normals are its input's generators, which carry their
-    lineality that way); c . e != 0 for some basis vector e, and one of
-    +/- e has negative slack.
+    Proof: c . e != 0 for some row e of the complement basis, since c is
+    a nonzero vector of the span of those rows, and one of +/- e, both
+    stored normals, has negative slack.
 
-    The predicates below read only G and N.  `_cache` holds what is
-    derived from them at a cost, under these keys:
-    - "span": (B, s), an orthonormal basis of span(G) and its rank.
-      `span` computes it by an SVD of G on first use.  `_seed_span`
-      seeds it as (I, d) where a constructor knows span(G) = R^d, since
-      every orthonormal basis of R^d serves: `from_generators`, when its
-      conversion found that span (the dual's lineality came back empty),
-      and `_swapped` (the polar), when its input is "pointed" (the dual
-      of a pointed cone has interior, so its rays span R^d).
-    - "pointed": True, seeded by `from_generators` when the conversion
-      found no lineality; read by `_swapped`.  Absent otherwise, which
-      claims nothing.
-    - "facet_normals" and "basis_spans": the face spans of `metric`'s
-      nearest-point routine and exact route, built there on first use:
-      the unit normals n whose spans n^perp are those of rank d - 1, and
-      the bases of the others.
+    The predicates below read only the stored arrays.  `_cache` holds
+    the one thing derived from them at a cost, under its one key,
+    "basis_spans": the face spans of `metric`'s nearest-point routine
+    and exact route that are read through bases, built there on first
+    use.
     """
 
-    def __init__(self, gens, normals, _trusted=False):
+    def __init__(self, gens, normals, lineality=None, complement=None, _trusted=False):
+        # every trusted caller passes all four arrays; the defaults only
+        # let an untrusted call reach the error below
         if not _trusted:
             raise TypeError(
                 "construct bodies via from_generators or hemisphere_body"
             )
-        gens = np.asarray(gens, dtype=float)
-        normals = np.asarray(normals, dtype=float).reshape(-1, gens.shape[1])
-        gens.flags.writeable = False
-        normals.flags.writeable = False
-        self._gens = gens
-        self._normals = normals
+        arrays = [np.asarray(a, dtype=float) for a in (gens, normals, lineality, complement)]
+        for a in arrays:
+            a.flags.writeable = False
+        self._gens, self._normals, self._lineality, self._complement = arrays
         self._cache = {}
 
     # -- representation ------------------------------------------------
@@ -88,12 +87,13 @@ class SphericalBody:
     def normal_array(self):
         return self._normals
 
-    def span(self):
-        """Orthonormal basis (rows) of the cone's linear span; cached."""
-        if "span" not in self._cache:
-            B, rank = cones.span_basis(self._gens)
-            self._cache["span"] = (B, rank)
-        return self._cache["span"]
+    @property
+    def lineality_array(self):
+        return self._lineality
+
+    @property
+    def complement_array(self):
+        return self._complement
 
     def __repr__(self):
         return (
@@ -115,7 +115,8 @@ def from_generators(points):
     positively span the whole space the body is the full sphere and the
     normal list is empty.
 
-    Each body costs one conversion call: the normals are the dual that
+    Each body costs one conversion call, and keeps both linealities it
+    found (see `SphericalBody`): the normals are the dual that
     `extreme_rays` found along with the generators, in closed form for
     independent rows (simplicial and arc inputs), off the section hull,
     or off the double description it read the rays from.  The normals
@@ -147,32 +148,10 @@ def from_generators(points):
     if gens.shape[0] == 0:
         raise ValueError("generators span no direction")
     normals = cones.rays_with_lineality(*dual)
-    body = SphericalBody(gens, normals, _trusted=True)
+    # the dual's lineality is span(G)^perp, G the generators stored
+    body = SphericalBody(gens, normals, lin, dual[1], _trusted=True)
     _check_cross_consistency(body)
-    if not dual[1].shape[0]:
-        # the dual's lineality is the complement of span(G)
-        _seed_span(body)
-    if not lin.shape[0]:
-        body._cache["pointed"] = True
     return body
-
-
-def _swapped(body):
-    """The body with generators and normals swapped, trusted: the polar
-    of an admissible `body` (`transforms.polar`).  Its generators are the
-    rays of the dual of cone(G), which has interior when cone(G) is
-    pointed, so the polar of a "pointed" body is seeded as spanning R^d.
-    """
-    result = SphericalBody(body.normal_array, body.generator_array, _trusted=True)
-    if body._cache.get("pointed"):
-        _seed_span(result)
-    return result
-
-
-def _seed_span(body):
-    """Record span(G) = R^d, which the caller knows, so `span` runs no SVD."""
-    d = body.generator_array.shape[1]
-    body._cache["span"] = (np.eye(d), d)
 
 
 def _check_cross_consistency(body):
@@ -189,15 +168,15 @@ def hemisphere_body(center):
     """The closed hemisphere H(center) as a body.
 
     Generators are the center plus +/- a canonical orthonormal basis of
-    its orthogonal complement; the single support normal is the center.
+    its orthogonal complement, which is the cone's lineality; the single
+    support normal is the center, and the cone spans R^d.
     """
     c = as_unit_point(center)
     comp = complement_basis(c)
     gens = cones.lex_sorted_rows(
         np.vstack([c.vec[None, :], comp, -comp])
     )
-    normals = c.vec[None, :]
-    return SphericalBody(gens, normals, _trusted=True)
+    return SphericalBody(gens, c.vec[None, :], comp, comp[:0], _trusted=True)
 
 
 def contains(body, q):
@@ -257,8 +236,9 @@ def has_interior(body):
 
     A cone spanning R^d holds d independent rays, whose positive
     combinations form an open set; a cone in a proper subspace has none.
+    The span has rank d less the stored complement's rows.
     """
-    return body.span()[1] == body.ambient_dim + 1
+    return body.complement_array.shape[0] == 0
 
 
 def is_wulff_relative(body, p):

@@ -32,7 +32,7 @@ from scipy.linalg import qr
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NormalizationError
-from .geometry import NEAR_ZERO, line_complement, subspace_canonical_basis
+from .geometry import NEAR_ZERO, span_complement, subspace_canonical_basis
 
 RAY_TOL = 1e-9    # two unit rays within this chordal distance are one ray
 CLASS_TOL = 1e-10  # sign classification of dot products / membership slack
@@ -367,20 +367,7 @@ def dual_cone_rays(G):
     if s == 0:
         raise NormalizationError("cone has no span")
     rays = _dd_in_span(lex_sorted_rows(unitize(G @ B.T))) @ B
-    return lex_sorted_rows(rays), _span_complement(B)
-
-
-def _span_complement(B):
-    """Canonical orthonormal basis (rows) of the complement of the span
-    of the orthonormal rows B; a line of R^2 gets the closed form
-    `geometry.line_complement`, as `geometry.complement_basis` does."""
-    s, d = B.shape
-    if s == d:
-        # the projector below is rounding noise then, and has no basis
-        return np.zeros((0, d))
-    if d == 2:
-        return line_complement(B[0])
-    return subspace_canonical_basis(np.eye(d) - B.T @ B, d - s)
+    return lex_sorted_rows(rays), span_complement(B)
 
 
 def _pointed_extreme(R, span):
@@ -524,6 +511,14 @@ def extreme_rays(G):
        rays.  A row is tight on n when |g . n| <= CLASS_TOL, and both
        ranks are taken at SPAN_TOL.  Without lineality the rows are not
        moved, so they come back with their bits as given.
+
+    span(G)^perp, the dual's lineality, is the complement of the span of
+    the rows returned (rays plus lineality): the input rows' span is cut
+    at singular value SPAN_TOL, so rows lying up to that far off the
+    extreme rays' span would tilt it by as much.  When rows were dropped
+    and s < d it is taken from one more SVD of the returned rows, whose
+    span is span(G) in exact arithmetic; otherwise the rows are the input
+    rows and their span basis is reused.
     """
     G = dedupe_rays(unitize(np.asarray(G, dtype=float)))
     m, d = G.shape
@@ -535,7 +530,9 @@ def extreme_rays(G):
         found = _pointed_extreme(G, span) if s >= 2 else None
     if found is not None:
         rays, normals = found
-        dual = lex_sorted_rows(normals), _span_complement(B)
+        if len(rays) < m and s < d:
+            B = span_basis(rays)[0]
+        dual = lex_sorted_rows(normals), span_complement(B)
         return lex_sorted_rows(rays), np.zeros((0, d)), dual
     N, N_lin = dual_cone_rays(G)
     Bn, r = span_basis(N)
@@ -546,6 +543,8 @@ def extreme_rays(G):
         rest = dedupe_rays(unitize(rest[np.linalg.norm(rest, axis=1) > NEAR_ZERO]))
     tight = np.abs(rest @ N.T) <= CLASS_TOL
     keep = np.array([span_basis(N[t])[1] == r - 1 for t in tight], dtype=bool)
+    if not keep.all() and s < d:
+        N_lin = span_complement(span_basis(np.vstack([rest[keep], lin]))[0])
     return lex_sorted_rows(rest[keep]), lin, (N, N_lin)
 
 

@@ -197,33 +197,45 @@ def subspace_canonical_basis(projector, rank):
     projected standard basis vectors with a sign fix (largest-magnitude
     entry made positive), and exactly `rank` rows come back.
 
-    The columns are taken in axis order, each kept when its residual
-    exceeds 1e-9.  A kept row carries its column's rounding, about
-    1e-16, divided by its residual, so these rows are returned only when
-    there are exactly `rank` of them and every residual exceeds the
-    margin 1e-4, which keeps each row within about 1e-12 of the
-    subspace.  A residual just above 1e-9 gives a row up to about 1e-7
-    off it, and usually an extra row as well: the next column keeps a
-    residual of that size.  Otherwise each row is taken from the column
-    of largest residual; at each step the squared residuals of the d
-    columns sum to the rank still missing, so that residual is at least
-    1 / sqrt(d), and each row is exact to a few ulps times sqrt(d).
+    A line (rank 1) is the largest column of the projector, normalized
+    and sign-fixed.  That row is canonical: the projector onto the line
+    of a unit n is n n^T, so every column is a multiple of n and each
+    nonzero one, sign-fixed, is n itself.  It is also exact to a few
+    ulps: the squared norms of the d columns sum to 1, so the largest
+    has norm at least 1 / sqrt(d) and its normalization amplifies no
+    rounding.
 
-    Both paths stay because the basis must not depend on the spanning
-    set the projector came from, and each path fails that on its own
-    kind of subspace.  Rows of few distinct values tie the residuals,
-    and rounding then picks the largest: on 3,000 subspaces of R^2 to
-    R^6 spanned by random {-1, 0, 1} rows, each projected from two
-    spanning sets, the two bases agreed to 1.2e-14 as computed here,
-    but the largest-residual path alone picked different columns on 714
-    of them, with rows up to 1.0 apart.  On 3,000 Gaussian subspaces
-    the largest-residual path alone agreed to 7e-15, and axis order,
-    whose kept residuals can lie just above the margin, to 1e-13.
+    For rank 2 and up the columns are taken in axis order, each kept
+    when its residual exceeds 1e-9.  A kept row carries its column's
+    rounding, about 1e-16, divided by its residual, so these rows are
+    returned only when there are exactly `rank` of them and every
+    residual exceeds the margin 1e-4, which keeps each row within about
+    1e-12 of the subspace.  A residual just above 1e-9 gives a row up to
+    about 1e-7 off it, and usually an extra row as well: the next column
+    keeps a residual of that size.  Otherwise each row is taken from the
+    column of largest residual, as for a line; at each step the squared
+    residuals of the d columns sum to the rank still missing, so that
+    residual is at least 1 / sqrt(d), and each row is exact to a few
+    ulps times sqrt(d).
+
+    Both paths stay for rank 2 and up because the basis must not depend
+    on the spanning set the projector came from, and each path fails
+    that on its own kind of subspace.  Rows of few distinct values tie
+    the residuals, and rounding then picks the largest: on 3,000
+    subspaces of R^2 to R^6 spanned by random {-1, 0, 1} rows, each
+    projected from two spanning sets, the two bases agreed to 1.2e-14
+    as computed here, but the largest-residual path alone picked
+    different columns on 714 of them, with rows up to 1.0 apart.  On
+    3,000 Gaussian subspaces the largest-residual path alone agreed to
+    7e-15, and axis order, whose kept residuals can lie just above the
+    margin, to 1e-13.  A line has no such tie to break, its columns all
+    being one row up to sign and scale.
     """
     P = np.asarray(projector, dtype=float)
     d = P.shape[0]
     rows, kept = [], []
-    for j in range(d):
+    # a line, and the empty subspace, go straight to the largest column
+    for j in range(d if rank > 1 else 0):
         w = _residual(P[:, j], rows)
         nw = float(np.linalg.norm(w))
         if nw > 1e-9:
@@ -255,17 +267,34 @@ def _signed_unit(w):
     return -w if w[k] < 0 else w
 
 
+def span_complement(B):
+    """Canonical orthonormal basis (rows) of the complement of the span
+    of the orthonormal rows B: `subspace_canonical_basis` of the
+    projector I - B^T B, except that a line of R^2 gets the closed form
+    `line_complement`, and R^d itself the empty complement.
+
+    This is the one routine for the complement of a span: the cone
+    layer takes a cone's span complement from it, and `complement_basis`
+    is it on a single row."""
+    s, d = B.shape
+    if s == d:
+        # the projector below is rounding noise then, and has no basis
+        return np.zeros((0, d))
+    if d == 2:
+        return line_complement(B[0])
+    return subspace_canonical_basis(np.eye(d) - B.T @ B, d - s)
+
+
 def complement_basis(p):
     """Canonical orthonormal basis (rows) of the complement of span(p),
-    as a read-only array.
+    as a read-only array: `span_complement` of the one row p.
 
     p, a UnitPoint too, is normalized afresh through `as_unit_point`,
     which scales before it normalizes, so any scale works.  The rows
     depend on nothing but the normalized vector, so they are cached
     under its bytes (the last `_COMPLEMENT_CACHE` vectors asked for): a
     repeated pole, as in `harness.gen_wulff`'s draws, gets the very rows
-    its first call computed, bit for bit, and runs no Gram-Schmidt.
-    In R^2 the row is `line_complement`'s closed form."""
+    its first call computed, bit for bit, and runs no Gram-Schmidt."""
     v = as_unit_point(as_vector(p)).vec
     return _complement_rows(v.tobytes())
 
@@ -276,11 +305,7 @@ _COMPLEMENT_CACHE = 64
 
 @functools.lru_cache(maxsize=_COMPLEMENT_CACHE)
 def _complement_rows(key):
-    v = np.frombuffer(key)
-    if v.size == 2:
-        B = line_complement(v)
-    else:
-        B = subspace_canonical_basis(np.eye(v.size) - np.outer(v, v), v.size - 1)
+    B = span_complement(np.frombuffer(key)[None])
     B.flags.writeable = False
     return B
 

@@ -149,41 +149,30 @@ def _norms(A):
 
 def _facet_normals(body):
     """Unit normals n that stand for the body's face spans of rank d - 1,
-    each the span n^perp; cached.
+    each the span n^perp, read off the stored arrays.
 
     Every span of rank d - 1 is read off its normal, with no basis: the
     projection onto n^perp is x - (x . n) n, and the stationary
     candidates of a pair with such a span have closed forms (see
     `_exact_directed`).  On S^1 those spans are single generators, which
-    are no face spans, so d >= 3 here, and with s the rank of span(G):
+    are no face spans, so d >= 3 here, and with C the stored complement
+    of span(G), of d - rank rows:
 
-    - s = d: the dual has no lineality, so every stored normal is the
-      normal of a facet, and that facet spans n^perp;
-    - s = d - 1: the facets have rank d - 2 (`_basis_spans`), and the
-      one span of rank d - 1 is the body's own: the arc's plane on S^2,
-      a lune's 3-space on S^3.  Its normal is derived from the span
-      basis B: I - B^T B is n n^T, whose d columns have squared norms
-      summing to 1, so the largest has norm at least 1 / sqrt(d); it is
-      orthogonalized once more against B and normalized.  The stored
-      lineality rows come from `subspace_canonical_basis` and can lie
-      6.4e-14 off the span, which moves distances by ulps; the derived
-      normal is orthogonal to every generator within 1e-15;
-    - s < d - 1: there is no span of rank d - 1.
+    - C empty (span(G) = R^d): the dual has no lineality, so every
+      stored normal is the normal of a facet, and that facet spans
+      n^perp;
+    - one row of C (rank d - 1): the facets have rank d - 2
+      (`_basis_spans`), and the one span of rank d - 1 is the body's
+      own, such as an arc's plane on S^2 or a lune's 3-space on S^3,
+      whose normal is that row: `geometry.subspace_canonical_basis`
+      takes a line's row from the largest column of its projector, so
+      it is orthogonal to the span the conversion found to a few ulps;
+    - two rows or more: there is no span of rank d - 1.
     """
-    cached = body._cache.get("facet_normals")
-    if cached is None:
-        N = body.normal_array
-        d = N.shape[1]
-        B, s = body.span()
-        cached = N if d >= 3 and s == d else N[:0]
-        if d >= 3 and s == d - 1:
-            # I - B^T B is symmetric, so its rows are its columns
-            P = np.eye(d) - B.T @ B
-            n = P[np.argmax(_norms(P))]
-            n -= (B @ n) @ B
-            cached = n[None] / np.linalg.norm(n)
-        body._cache["facet_normals"] = cached
-    return cached
+    N, C = body.normal_array, body.complement_array
+    if N.shape[1] < 3 or C.shape[0] > 1:
+        return N[:0]
+    return C if C.shape[0] else N
 
 
 def _basis_spans(body):
@@ -631,15 +620,16 @@ def _facet_pair_candidates(F, E, screen):
     puts the rounding of the first subtraction back inside f^perp: a
     candidate off its span f^perp by rounding alone can land a few ulps
     across a's boundary and score above the true maximum by as much.
-    The products are einsum sums, which round each pair alike.
+    The products are einsum sums, which round each pair alike.  The
+    candidates pass the one screen of every closed form,
+    `_screened_candidates`, with sigma^2 = (e . f)^2: in binary64 the
+    square root of a rounded square is the magnitude again, except
+    under underflow, where both read arccos(0) = pi/2.
     """
     ef = np.einsum("ik,jk->ij", F, E)
     M = E[None, :, :] - ef[:, :, None] * F[:, None, :]
     M -= np.einsum("ijk,ik->ij", M, F)[:, :, None] * F[:, None, :]
-    M = M.reshape(-1, F.shape[1])
-    nrm = _norms(M)
-    ok = (nrm > 0.0) & (np.arccos(np.minimum(np.abs(ef.reshape(-1)), 1.0)) > screen)
-    return M[ok] / nrm[ok, None]
+    return _screened_candidates(M, ef * ef, screen)
 
 
 def _screened_candidates(X, sig2, screen):
@@ -648,7 +638,7 @@ def _screened_candidates(X, sig2, screen):
     screen, with sigma^2 the matching entry of sig2."""
     X = X.reshape(-1, X.shape[-1])
     nrm = _norms(X)
-    ok = (nrm > 0.0) & (np.arccos(np.sqrt(np.clip(sig2.reshape(-1), 0.0, 1.0))) > screen)
+    ok = (nrm > 0.0) & (np.arccos(np.sqrt(sig2.reshape(-1).clip(0.0, 1.0))) > screen)
     return X[ok] / nrm[ok, None]
 
 

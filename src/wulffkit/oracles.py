@@ -306,7 +306,8 @@ def face_spans_bruteforce(body):
     G = body.generator_array
     m, d = G.shape
     seen = {}
-    for size in range(2, min(m, body.span()[1], d - 1) + 1):
+    rank = cones.span_basis(G)[1]
+    for size in range(2, min(m, rank, d - 1) + 1):
         for subset in itertools.combinations(range(m), size):
             B, r = cones.span_basis(G[list(subset)])
             if 2 <= r < d:

@@ -7,15 +7,17 @@ cone's extreme rays become the polar body's generators, and the
 original generators become its support normals.
 """
 
-from . import body as body_mod
 from . import kernels
 from .body import (
+    SphericalBody,
+    body_match_angle,
     canonicalize,
     from_generators,
     is_hemispherical,
     is_wulff_relative,
 )
 from .errors import (
+    DimensionMismatchError,
     NonHemisphericalError,
     NotAWulffShapeError,
     PolarEmptyError,
@@ -53,12 +55,15 @@ def polar(body):
     Swapping the arrays therefore gives the polar with both descriptions
     canonical, and no conversion runs: the polar shares its input's
     arrays, and its slack matrix is the transpose of the input's, which
-    the input's constructor already checked.  `body_mod._swapped` builds
-    it, and seeds its span as R^d when the input is known to be pointed.
+    the input's constructor already checked.  The two linealities swap
+    with them: the lineality of the dual cone K* is span(G)^perp, the
+    input's complement, and span(K*)^perp is the lineality of K, so the
+    polar's complement is the input's lineality.
     """
     if not polar_admissible(body):
         raise PolarEmptyError()
-    return body_mod._swapped(body)
+    G, N = body.generator_array, body.normal_array
+    return SphericalBody(N, G, body.complement_array, body.lineality_array, _trusted=True)
 
 
 def double_polar(body):
@@ -102,7 +107,7 @@ def spherical_hull(points):
             "points are not contained in any open hemisphere"
         )
     roundtrip = double_polar(hull)
-    gap = body_mod.body_match_angle(hull, roundtrip)
+    gap = body_match_angle(hull, roundtrip)
     if not gap <= 1e-10:
         raise AssertionError(f"hull is not double-polar stable (gap {gap:.3e})")
     return hull
@@ -113,8 +118,11 @@ def polar_antitone_check(a, b):
 
     Both inclusions are decided by `contains`'s slack test, batched over
     all generators of the inner body.  A failed precondition a ⊆ b is
-    an error, not a False return.
+    an error, not a False return, and so are bodies on different
+    spheres (`DimensionMismatchError`, before any slack is taken).
     """
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError("bodies live on different spheres")
     if kernels.min_slack(a.generator_array, b.normal_array).min() < -MEMBERSHIP_TOL:
         raise ValueError("precondition failed: a is not a subset of b")
     if not (polar_admissible(a) and polar_admissible(b)):

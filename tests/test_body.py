@@ -319,7 +319,7 @@ class TestLinealityNormals:
         for b in _seeded_bodies():
             N = b.normal_array
             # the linear-program rule, kept here as the reference
-            rule = b.span()[1] == b.ambient_dim + 1 and (N.shape[0] == 0 or cones.pointed_witness(N) is not None)
+            rule = cones.span_basis(b.generator_array)[1] == b.ambient_dim + 1 and (N.shape[0] == 0 or cones.pointed_witness(N) is not None)
             assert body.has_interior(b) == rule
 
 

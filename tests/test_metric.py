@@ -379,7 +379,7 @@ class TestOneMembershipTest:
         # and moved 0.8e-10 along each axis of the complement of the span
         nudge = rng.normal(size=G.shape)
         nudge *= rng.uniform(0.3e-10, 3e-10, (G.shape[0], 1)) / np.linalg.norm(nudge, axis=1, keepdims=True)
-        B, s = b.span()
+        B, s = cones.span_basis(G)
         axes = subspace_canonical_basis(np.eye(G.shape[1]) - B.T @ B, G.shape[1] - s)
         for x in np.vstack([G + nudge, G + 0.8e-10 * axes.sum(axis=0)]):
             assert body.contains(b, x) == (metric.point_body_distance(x, b) == 0.0)
@@ -399,7 +399,7 @@ def _face_bases_by_incidence(b):
     G = b.generator_array
     m, d = G.shape
     tight = (np.abs(G @ b.normal_array.T) <= 1e-9).T
-    if b.span()[1] < d:
+    if cones.span_basis(G)[1] < d:
         tight = np.vstack([tight, np.ones((1, m), dtype=bool)])
     facets = tight[tight.sum(axis=1) >= 2]
     known = {tuple(f) for f in facets}
@@ -470,7 +470,7 @@ class TestFaceSpans:
             if hyper:
                 tight = np.linalg.norm(np.stack(hyper) @ N.T, axis=1) <= 1e-9
                 assert (tight.sum(axis=0) == 1).all() and (tight.sum(axis=1) == 1).all()
-            ranks.add((b.span()[1], tuple(rank for _, rank, _ in _span_shapes(b))))
+            ranks.add((cones.span_basis(b.generator_array)[1], tuple(rank for _, rank, _ in _span_shapes(b))))
         # (span rank, face ranks): an arc is a face of itself, S^2 bodies
         # have facets only, an S^3 lune has facets and itself, and the
         # full S^3 and S^4 bodies have lower faces too
@@ -496,7 +496,7 @@ class TestFaceSpans:
     def test_arc_has_its_own_plane(self):
         arc = body.from_generators([[1.0, 0.0, 0.2], [0.0, 1.0, 0.3]])
         assert _span_shapes(arc) == [(1, 2, 3)]
-        B, _ = arc.span()
+        B, _ = cones.span_basis(arc.generator_array)
         n = metric._facet_normals(arc)[0]
         assert np.array_equal(np.round(np.eye(3) - np.outer(n, n), 9), _span_projector(B))
 
@@ -628,34 +628,64 @@ class TestFacetsByNormals:
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    # an arc whose stored lineality row lies 2.3e-13 off its plane
+    # an arc whose stored lineality row lay 2.3e-13 off its plane before
+    # a line got the largest column of its projector
     @example(2, "arc", False, 789)
     @example(3, "lune", False, 0)
     @example(3, "lune", True, 0)
+    # a thin rank-3 body of R^4 whose stored generators lay 2.7e-11 off
+    # the complement of its input rows' span
+    @example(3, "thin", False, 33)
     def test_seeded_span_has_the_svd_rank(self, dim, kind, use_polar, seed):
-        # `has_interior` and `_facet_normals` read the span a constructor
-        # seeded: it must be R^d exactly when the SVD finds rank d
+        # the two linealities a body stores have the ranks an SVD of its
+        # arrays finds, `has_interior` reads the span's rank off one of
+        # them, and a polar swaps them
         if kind == "thin":
             b = _thin_body(seed % 100, 1e-8)
         else:
             b = _seeded_body(kind, dim, seed)[0]
         if use_polar and transforms.polar_admissible(b):
             b = transforms.polar(b)
-        d = b.generator_array.shape[1]
-        rank = cones.span_basis(b.generator_array)[1]
-        seeded = b._cache.get("span")
-        if seeded is not None:
-            assert seeded[1] == rank == d
-            assert np.array_equal(seeded[0], np.eye(d))
-        if kind != "hemisphere" and not use_polar:
-            # a body `from_generators` built is seeded whenever it spans R^d
-            assert (seeded is not None) == (rank == d)
+        G, N = b.generator_array, b.normal_array
+        C, L = b.complement_array, b.lineality_array
+        d = G.shape[1]
+        rank = cones.span_basis(G)[1]
+        assert C.shape == (d - rank, d)
+        # the normals carry +/- the complement, so N^perp, the lineality,
+        # has d - rank(N) rows, and all d without normals
+        assert L.shape == (d - cones.span_basis(N)[1], d)
         assert body.has_interior(b) == (rank == d)
-        # the normal of a span of rank d - 1 is derived from the span
-        # basis, orthogonal to every generator within 1e-15
+        if transforms.polar_admissible(b):
+            p = transforms.polar(b)
+            assert p.lineality_array is C and p.complement_array is L
+        # the complement is orthogonal to every generator: the worst over
+        # 300 seeds of every seeded kind, S^1 to S^3, and their polars was
+        # 2.5e-13, from a rank-2 complement
+        assert np.abs(G @ C.T).max(initial=0.0) <= 1e-12
+        # a span of rank d - 1 is read off the one complement row, which
+        # the largest column of its projector makes exact: orthogonal to
+        # every generator within 1e-15
         if d >= 3 and rank == d - 1:
-            (n,) = metric._facet_normals(b)
-            assert np.abs(b.generator_array @ n).max() <= 1e-15
+            assert metric._facet_normals(b) is C
+            assert np.abs(G @ C[0]).max() <= 1e-15
+
+    def test_stored_complement_row_is_exact(self):
+        # a span of rank d - 1 is read off the stored complement row, now
+        # the largest column of its projector; axis order left these rows
+        # 6.4e-14 and 6.2e-13 off orthogonal to a generator (the seed-789
+        # arc is an example of `test_seeded_span_has_the_svd_rank`)
+        pole = harness.pole_axis(2)
+        bodies = [harness.gen_convex_body(pole, "arc", np.random.default_rng([2, 209, 7]))]
+        # the hull of 4 points in a random 3-space of R^4
+        rng = np.random.default_rng([4, 5])
+        Q = np.linalg.qr(rng.normal(size=(4, 3)))[0]
+        k = int(rng.integers(3, 7))
+        bodies.append(body.from_generators((0.3 * rng.normal(size=(k, 3)) + [0.0, 0.0, 1.0]) @ Q.T))
+        for b in bodies:
+            G, C = b.generator_array, b.complement_array
+            assert C.shape == (1, G.shape[1])
+            assert np.abs(G @ C[0]).max() <= 1e-15
+            assert metric._facet_normals(b) is C
 
 
 class TestDirectedDistance:

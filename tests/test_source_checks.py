@@ -95,6 +95,39 @@ def test_one_dual_conversion_per_body():
     assert _callers("dual_cone_rays") == {"cones.extreme_rays"}
 
 
+def test_span_svd_call_sites():
+    # a body keeps the span complement its conversion found, so neither
+    # `body` nor the metric's normals of rank d - 1 (`_facet_normals`) run
+    # a span SVD: the cone layer converts, `_basis_spans` takes the bases
+    # of lower faces and the subset oracle those of its subsets
+    assert _callers("span_basis") == {
+        "cones.dual_cone_rays",
+        "cones.extreme_rays",
+        "cones.pointed_witness",
+        "metric._basis_spans",
+        "oracles.face_spans_bruteforce",
+    }
+
+
+def test_one_span_complement_routine():
+    # every complement of a span comes from `geometry.span_complement`:
+    # a cone's, found by the conversion, and `complement_basis`'s rows;
+    # the closed form of R^2 and the canonical basis serve it, and the
+    # latter also the two lineality bases (the conversion's third branch
+    # and the exact oracle's float rows), which are no complements
+    assert _callers("span_complement") == {
+        "cones.dual_cone_rays",
+        "cones.extreme_rays",
+        "geometry._complement_rows",
+    }
+    assert _callers("line_complement") == {"geometry.span_complement"}
+    assert _callers("subspace_canonical_basis") == {
+        "geometry.span_complement",
+        "cones.extreme_rays",
+        "oracles._as_floats",
+    }
+
+
 def test_oracles_read_no_private_cone_name():
     # the oracles judge the cone layer, so they may not lean on its
     # internals: `oracles.py` reads only public `cones` names, as

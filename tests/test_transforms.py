@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wulffkit import body, cones, harness, metric, oracles, transforms
 from wulffkit.errors import (
+    DimensionMismatchError,
     NonHemisphericalError,
     NormalizationError,
     NotAWulffShapeError,
@@ -249,6 +250,14 @@ class TestAntitone:
         b2 = cap_polytope(0.3, [0, 90, 180, 270])
         with pytest.raises(ValueError, match="subset"):
             transforms.polar_antitone_check(a, b2)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_bodies_on_different_spheres_are_refused(self, swap):
+        # a package error, raised before any slack is taken: the slack
+        # kernel's own ValueError names a point block, not the bodies
+        pair = [cap_polytope(0.3, [0, 90, 180, 270]), body.hemisphere_body([0.0, 0.0, 0.0, 1.0])]
+        with pytest.raises(DimensionMismatchError, match="different spheres"):
+            transforms.polar_antitone_check(*(pair[::-1] if swap else pair))
 
     def test_random_nested_pairs(self):
         rng = np.random.default_rng(29)
