@@ -333,7 +333,7 @@ class ShapeSpec:
                 )
             if not np.isfinite(arr).all():
                 raise _FieldError(field, f"generator {i} has non-finite entries")
-            if np.linalg.norm(arr) < 1e-9:
+            if np.linalg.norm(arr) < NEAR_ZERO:
                 raise _FieldError(field, f"generator {i} is (numerically) zero")
             rows.append(tuple(arr))
         self.generator_rows = rows

@@ -22,9 +22,11 @@ Conventions
   tight on dual rays, stay stable under downstream arithmetic.  The
   coarser RAY_TOL = 1e-9 decides only which input rows are one ray
   (`dedupe_rays`); computed rays are never merged by distance.
-* The one solver, scipy's `linprog`, is imported on first use (see
-  `linprog`), so importing the package or building a body whose rows
-  hold a witness loads no `scipy.optimize`.
+* Two solvers: scipy's `linprog`, for the pointed witness, and the
+  in-house `nonneg_lstsq`, behind the least-distance program
+  `least_distance`.  `linprog` is imported on first use, so importing
+  the package or building a body whose rows hold a witness loads no
+  `scipy.optimize`.
 """
 
 import numpy as np

@@ -33,18 +33,17 @@ distance falls back to dense sampling of the source, within the
 sampling resolution of the true value.  That route needs only the
 largest sampled distance, so it works by branch and bound over small
 cells of the cached sphere grid (`oracles.grid_cells`), and every
-sample lies in a cell.  A cell whose radius keeps it wholly inside the
-source is "deep" and gives its grid rows as samples; a cell that keeps
-it far outside holds none; the rows of the cells near the source's
-boundary, the edge cells, are sampled one by one, with band rows moved
-onto the source, and only when their cell is visited.  Every cell is
-bounded by its center u alone: its samples lie within a radius R of u,
-the grid radius r of a deep cell, and for an edge cell of the source a,
-with t = dist(u, a), the smaller of 2 r + t and r + 2 t.  (A band row x
-lies within r of u and moves to its nearest point y of a.  dist(., a)
-is 1-Lipschitz, so angle(x, y) <= t + r and angle(u, y) <= 2 r + t;
-and y is no farther than x from the point z of a nearest to u, so
-angle(u, y) <= t + angle(z, x) <= r + 2 t; see `_cell_samples`.)
+sample lies in a cell.  A cell that keeps the source far outside holds
+none; the rows of every other cell, a near cell, are sampled one by
+one, with band rows moved onto the source, and only when their cell is
+visited.  Every cell is bounded by its center u alone: with r its grid
+radius and t = dist(u, a) for the source a, its samples lie within
+R = r + t + min(r, t) of u, the smaller of 2 r + t and r + 2 t, which
+is r when u lies in a.  (A kept row lies within r of u.  A band row x
+moves to its nearest point y of a.  dist(., a) is 1-Lipschitz, so
+angle(x, y) <= t + r and angle(u, y) <= 2 r + t; and y is no farther
+than x from the point z of a nearest to u, so angle(u, y) <=
+t + angle(z, x) <= r + 2 t; see `_cell_samples`.)
 Since dist(., b) is 1-Lipschitz too, a cell's samples lie within
 dist(u, b) + R of b.
 After the source's generators set a first maximum, cells inside b and
@@ -89,8 +88,11 @@ DEFAULT_RESOLUTION = {1: 0.005, 2: 0.005, 3: 0.06}
 #: boundary band excluded by the dilation-intersection identity check
 IDENTITY_BAND = 1e-6
 
-# `_edge_samples` refuses a block of edge rows with more band rows than
-# this to project onto the body
+# a distance counts as within a dilation radius r up to r plus this much
+_DILATION_TOL = 1e-10
+
+# `_row_samples` refuses a block of rows with more band rows than this to
+# project onto the body
 _BAND_LIMIT = 2_000_000
 
 _SAFE_ASSIGN = 1e-12
@@ -232,6 +234,17 @@ def _span_projections(X, T):
     return np.einsum("isf,sfk->isk", np.einsum("ik,sfk->isf", X, T), T)
 
 
+def _face_projections(X, normals, spans):
+    """P[i, j]: the orthogonal projection of row i of X onto face span j,
+    first the spans n^perp of the unit normals, as x - (x . n) n with
+    x . n an einsum product, then the spans of each basis stack of
+    `spans` (`_span_projections`), so each row rounds the same way in a
+    block of any size."""
+    D = np.einsum("ik,jk->ij", X, normals)
+    parts = [X[:, None, :] - D[:, :, None] * normals[None, :, :]]
+    return np.concatenate(parts + [_span_projections(X, T) for T in spans], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # nearest body points (exact)
 # ---------------------------------------------------------------------------
@@ -252,10 +265,9 @@ def _nearest_body_points(X, body):
       feasible normalized projections compete (the nearest cone point
       lies in the relative interior of a face, so one of them is it);
       only projections nearer than the nearest generator can win, so
-      only those get the membership test.  A span n^perp of rank d - 1
-      is projected onto as x - (x . n) n, with x . n an einsum product
-      (see `_facet_normals`); the other spans go through their bases
-      (`_span_projections`).
+      only those get the membership test.  One routine projects onto
+      every span, read off a normal or through a basis
+      (`_face_projections`).
 
     Angles take the stable form atan2(|perp|, dot): arccos of a cosine
     has a 1e-8 precision floor near zero distance.
@@ -286,7 +298,6 @@ def _nearest_body_points(X, body):
 def _nearest_block(X, body, facets, spans):
     G = body.generator_array
     N = body.normal_array
-    d = G.shape[1]
     dots = X @ G.T
     pick = dots.argmax(axis=1)
     Y = G[pick]
@@ -296,13 +307,8 @@ def _nearest_block(X, body, facets, spans):
     Xl = X[live]
     # P[i, k]: orthogonal projection of live row i onto its k-th face
     # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
-    # from the row.  x . n is an einsum product, like the projections
-    # onto the basis spans, so each row rounds the same way in a block
-    # of any size
-    D = np.einsum("ik,jk->ij", Xl, facets)
-    parts = [Xl[:, None, :] - D[:, :, None] * facets[None, :, :]]
-    parts += [_span_projections(Xl, T) for T in spans]
-    P = np.concatenate(parts, axis=1)
+    # from the row
+    P = _face_projections(Xl, facets, spans)
     if P.shape[1]:
         c = _norms(P)
         r = _norms(Xl[:, None, :] - P)
@@ -315,7 +321,7 @@ def _nearest_block(X, body, facets, spans):
         t = r / c
         ok &= t < np.tan(ang[live])[:, None] * (1.0 + 1e-9)
         sel = np.flatnonzero(ok)
-        Z = P.reshape(-1, d)[sel] / c.reshape(-1)[sel, None]
+        Z = P.reshape(-1, P.shape[2])[sel] / c.reshape(-1)[sel, None]
         np.put(ok, sel, kernels.min_slack(Z, N) >= -MEMBERSHIP_TOL)
         k = np.where(ok, t, np.inf).argmin(axis=1)
         pos = np.arange(live.size)
@@ -357,27 +363,27 @@ def batch_point_body_distance(X, body):
 def _cell_samples(body, resolution):
     """The cells of the sphere grid that hold the body's samples.
 
-    Returns (grid, cells, deep, edge, band_width): the cached grid, its
-    `oracles.GridCells`, the indices of the deep and of the edge cells,
-    and the slack width of the sampling band.  The deep cells lie wholly
-    inside the body, so all of their grid rows are samples.  The edge
-    cells are the other cells near the body, and their rows are sampled
-    one by one (`_edge_samples`): a row inside the body is kept, a row
-    in the band is replaced by its nearest body point, and the rest are
-    dropped.  The body's generators are samples too, in neither part.
+    Returns (grid, cells, near, outside, band_width): the cached grid,
+    its `oracles.GridCells`, the indices of the cells near the body, the
+    mask of the near cells whose center lies outside the body, and the
+    slack width of the sampling band.  The rows of the near cells are
+    sampled one by one (`_row_samples`): a row inside the body is kept,
+    a row in the band is replaced by its nearest body point, and the
+    rest are dropped.  The body's generators are samples too, in no
+    cell.
 
     With s_u the worst normal slack of a cell's center u and c the chord
     of its radius r (`GridCells.chords`), every row x of the cell has
-    n . x >= n . u - c for each unit normal n, and n . x <= s_u + c for
-    the normal attaining s_u.  A cell with s_u - c >= `_DEEP_SLACK` is
-    therefore inside the body, and one with s_u + c < -band_width holds
-    no row of the band or of the body; only the edge cells between get
-    a slack per row, and only when their rows are read.
+    n . x <= s_u + c for the normal n attaining s_u, so a cell with
+    s_u + c < -band_width holds no row of the band or of the body; the
+    others are the near cells.  A center is outside when
+    s_u < -MEMBERSHIP_TOL, the membership test of `_nearest_body_points`,
+    so t = dist(u, body) is 0 exactly at every other center.
 
-    Every sample of an edge cell lies within r + t + min(r, t) of u,
-    with t = dist(u, body): within 2 r + t and within r + 2 t.  A kept
-    row lies within r of u.  A band row x moves to its nearest body
-    point y, and then:
+    Every sample of a near cell lies within r + t + min(r, t) of u:
+    within 2 r + t and within r + 2 t, and within r when u lies in the
+    body.  A kept row lies within r of u.  A band row x moves to its
+    nearest body point y, and then:
 
     - dist(., body) is 1-Lipschitz, so angle(x, y) = dist(x, body) <=
       t + r and angle(u, y) <= r + angle(x, y) <= 2 r + t;
@@ -390,8 +396,8 @@ def _cell_samples(body, resolution):
       >= z . x and angle(z, y) <= angle(z, x) <= t + r, so angle(u, y)
       <= t + angle(z, y) <= r + 2 t.
 
-    So an edge cell is bounded by its center alone, before any of its
-    rows is read.
+    So a cell is bounded by its center alone, before any of its rows is
+    read.
     """
     sphere_dim = body.generator_array.shape[1] - 1
     r_cov = resolution / 2.05
@@ -402,15 +408,15 @@ def _cell_samples(body, resolution):
     # constraint by at most the chord length 2 sin(r_cov / 2)
     band_width = 2.0 * math.sin(r_cov / 2.0) + MEMBERSHIP_TOL
     center_slack = kernels.min_slack(cells.centers, body.normal_array)
-    deep = center_slack - cells.chords >= _DEEP_SLACK
-    edge = np.flatnonzero(~deep & (center_slack + cells.chords >= -band_width))
-    return grid, cells, np.flatnonzero(deep), edge, band_width
+    near = np.flatnonzero(center_slack + cells.chords >= -band_width)
+    return grid, cells, near, center_slack[near] < -MEMBERSHIP_TOL, band_width
 
 
-def _edge_samples(body, rows, band_width):
-    """The samples of a block of edge rows (see `_cell_samples`), in row
-    order: every row inside the body as it is, and every row in the band
-    (slack at least -band_width) replaced by its nearest body point."""
+def _row_samples(body, rows, band_width):
+    """The samples of a block of rows of near cells (see `_cell_samples`),
+    in row order: every row inside the body as it is, and every row in
+    the band (slack at least -band_width) replaced by its nearest body
+    point."""
     slack = kernels.min_slack(rows, body.normal_array)
     inside = slack >= -MEMBERSHIP_TOL
     keep = inside | (slack >= -band_width)
@@ -426,23 +432,25 @@ def _edge_samples(body, rows, band_width):
 def _body_sample_points(body, resolution):
     """Sample the body within geodesic covering radius resolution/2.
 
-    Grid points already inside the body are kept; grid points whose
-    worst constraint slack puts them within one covering radius of the
-    body are replaced by their nearest body points.  Together with the
-    generators these samples cover the body: every body point has a
-    sample within 2 * (resolution/2.05) < resolution.  A body with no
-    normals (the full sphere) has every grid cell deep, so its samples
-    are the whole grid and its generators.
+    The samples are the generators and the samples of every near cell
+    (`_cell_samples`): grid points inside the body are kept, and grid
+    points whose worst constraint slack puts them within one covering
+    radius of the body are replaced by their nearest body points.
+    Together these samples cover the body: every body point has a sample
+    within 2 * (resolution/2.05) < resolution.  A body with no normals
+    (the full sphere) has every grid point inside, so its samples are
+    the whole grid and its generators.
     """
-    grid, cells, deep, edge, band_width = _cell_samples(body, resolution)
-    explicit = _edge_samples(body, grid[cells.rows(edge)], band_width)
-    deep_rows = grid[cells.rows(deep)]
-    return np.ascontiguousarray(np.vstack([explicit, body.generator_array, deep_rows]))
+    grid, cells, near, _, band_width = _cell_samples(body, resolution)
+    samples = _row_samples(body, grid[cells.rows(near)], band_width)
+    return np.ascontiguousarray(np.vstack([samples, body.generator_array]))
 
 
 def point_body_distance_sampled(x, body, resolution=None):
     """Sampled distance oracle; within `resolution` of the exact value."""
     v = as_unit_point(x).vec
+    if v.size != body.generator_array.shape[1]:
+        raise DimensionMismatchError("point does not match the body's ambient space")
     resolution = _resolve_resolution(resolution, body)
     samples = _body_sample_points(body, resolution)
     return Angle(float(kernels.angles(samples, v).min()))
@@ -457,31 +465,31 @@ def _deep_witness(a, b):
     """A point of b strictly within a quarter turn of all of a, or None.
 
     A unit w counts when it passes two checks on the raw arrays:
-    min(G_a w) > 1e-9 and min(N_b w) >= -MEMBERSHIP_TOL.  The canonical
-    normal list N_b, with its +/- lineality rows, generates the dual cone
-    of b, so the second check says that w is a point of b; the first
-    puts it strictly within a quarter turn of every generator of a,
-    hence of every point of a.  Any w that passes proves what the exact
-    route needs, so the cheap candidates are tried first, in this order:
-    the rows of G_b, the normalized sum of G_b (a point of cone(G_b)),
-    and the normalized sum of a's normals (the point
-    `body.hemispherical_witness` reads).  Only when none passes is the
-    least-distance program min |z| subject to G_a z >= 1 and N_b z >= 0
-    solved (`cones.least_distance`).  A unit w in cone(G_b) with
-    G_a w > 0 scales to a feasible z, and a feasible z normalizes to
-    such a w, so the program is feasible exactly when some point of b
-    is strictly within a quarter turn of all of a; its w = z / |z| gets
-    the same two checks.  A candidate can thus only add pairs to the
-    exact route, never take one away from it.  The witness keeps all
-    point-to-body distances of the pair in the regime where the exact
-    extremum enumeration is complete.
+    min(G_a w) > FEAS_EPS, the witness margin, and
+    min(N_b w) >= -MEMBERSHIP_TOL.  The canonical normal list N_b, with
+    its +/- lineality rows, generates the dual cone of b, so the second
+    check says that w is a point of b; the first puts it strictly within
+    a quarter turn of every generator of a, hence of every point of a.
+    Any w that passes proves what the exact route needs, so the cheap
+    candidates are tried first, in this order: the rows of G_b, the
+    normalized sum of G_b (a point of cone(G_b)), and the normalized sum
+    of a's normals (the point `body.hemispherical_witness` reads).  Only
+    when none passes is the least-distance program min |z| subject to
+    G_a z >= 1 and N_b z >= 0 solved (`cones.least_distance`).  A unit w
+    in cone(G_b) with G_a w > 0 scales to a feasible z, and a feasible z
+    normalizes to such a w, so the program is feasible exactly when some
+    point of b is strictly within a quarter turn of all of a; its
+    w = z / |z| gets the same two checks.  A candidate can thus only add
+    pairs to the exact route, never take one away from it.  The witness
+    keeps all point-to-body distances of the pair in the regime where
+    the exact extremum enumeration is complete.
     """
     Ga = a.generator_array
     Gb = b.generator_array
     Nb = b.normal_array
 
     def first_verified(W):
-        ok = (kernels.min_slack(W, Ga) > 1e-9) & (kernels.min_slack(W, Nb) >= -MEMBERSHIP_TOL)
+        ok = (kernels.min_slack(W, Ga) > FEAS_EPS) & (kernels.min_slack(W, Nb) >= -MEMBERSHIP_TOL)
         return W[np.argmax(ok)] if ok.any() else None
 
     sums = np.vstack([Gb.sum(axis=0), a.normal_array.sum(axis=0)])
@@ -507,32 +515,34 @@ def _exact_directed(a, b):
     with span F, whose nearest point has active span E, is then an
     eigenvector of P_F P_E P_F with eigenvalue sigma^2, sigma =
     cos(dist(x, b)); vertices cover the rest.  Each pair of spans gets
-    one rule, with f^perp and e^perp the spans of rank d - 1 read off
-    normals (`_facet_normals`) and the others read through bases
-    (`_basis_spans`):
+    one rule, keyed by the kind of the target span, with f^perp and
+    e^perp the spans of rank d - 1 read off normals (`_facet_normals`)
+    and the others read through bases (`_basis_spans`):
 
-    - f^perp against e^perp: `_facet_pair_candidates`;
+    - any span F against e^perp: the single candidate P_F e, with
+      sigma^2 = 1 - |P_F e|^2 (`_normal_candidates`);
     - f^perp against a basis span E: the single candidate
       P_F P_E f = P_E f - |P_E f|^2 f, with sigma^2 = 1 - |P_E f|^2;
-    - a basis span F against e^perp: the single candidate P_F e, with
-      sigma^2 = 1 - |P_F e|^2;
-    - two basis spans: the eigenvectors of `np.linalg.eigh` in the
-      spans' bases, which exist only on S^3 and up.
+    - a basis span F against a basis span E: the eigenvectors of
+      `np.linalg.eigh` in the spans' bases, which exist only on S^3 and
+      up.
 
-    Proof of the two middle rules.  P_F P_E P_F = X X^T with X = P_F P_E,
-    and X^T X = P_E P_F P_E, so the two share their nonzero spectrum, and
-    X maps an eigenvector v of X^T X to one of X X^T, of the same
-    eigenvalue.  For F = f^perp, P_E P_F P_E = P_E - u u^T on E with
-    u = P_E f: eigenvalue 1 - |u|^2 along u, which X maps to
+    Proof of the two closed forms.  P_F P_E P_F = X X^T with
+    X = P_F P_E, and X^T X = P_E P_F P_E, so the two share their nonzero
+    spectrum, and X maps an eigenvector v of X^T X to one of X X^T, of
+    the same eigenvalue.  For E = e^perp, P_F P_E P_F = P_F - w w^T on F
+    with w = P_F e: eigenvalue 1 - |w|^2 along w and 1 on the rest of
+    F.  For F = f^perp, P_E P_F P_E = P_E - u u^T on E with u = P_E f:
+    eigenvalue 1 - |u|^2 along u, which X maps to
     P_F u = u - (u . f) f = P_E f - |P_E f|^2 f, and 1 on the rest of
-    E.  For E = e^perp, P_F P_E P_F = P_F - w w^T on F with w = P_F e:
-    eigenvalue 1 - |w|^2 along w and 1 on the rest of F.  An
-    eigenvalue-1 vector x has |P_E x| = 1, so it lies in F and E, where
-    the branch value arccos(1) is 0: a maximum there is 0, which the
-    generators attain.  An eigenvalue-0 vector has sigma = 0, a branch
-    value of pi/2, which the certified regime (every distance below
-    pi/2) excludes.  So the one candidate of the pair and its antipode,
-    which the caller adds, are all that the pair contributes.
+    E.  An eigenvalue-1 vector x has |P_E x| = 1, so it lies in F and E,
+    where the branch value arccos(1) is 0: were a maximizer there, the
+    directed distance would be 0, which the generators of a, scored
+    along with the candidates, attain, since no distance is negative.
+    An eigenvalue-0 vector has sigma = 0, a branch value of pi/2, which
+    the certified regime (every distance below pi/2) excludes.  So the
+    one candidate of the pair and its antipode, which the caller adds,
+    are all that the pair contributes.
 
     The generators and the surviving candidates are scored in one exact
     batch.  A candidate survives when its own stationary branch value,
@@ -565,17 +575,13 @@ def _exact_directed(a, b):
     screen = float(_hemisphere_lower_bound(Ga, b).max()) - _PRUNE_MARGIN
     Fa, Fb = _facet_normals(a), _facet_normals(b)
     Sa, Sb = _basis_spans(a), _basis_spans(b)
-    parts = [_facet_pair_candidates(Fa, Fb, screen)]
+    parts = [_normal_candidates(Fa, Sa, Fb, screen)]
     for TE in Sb:
         # U[i, j] = P_E f for normal f = Fa[i] and span E = TE[j]; the
         # candidate is its projection onto f^perp
         U = _span_projections(Fa, TE)
         X = U - np.einsum("ijk,ik->ij", U, Fa)[:, :, None] * Fa[:, None, :]
         parts.append(_screened_candidates(X, 1.0 - np.einsum("ijk,ijk->ij", U, U), screen))
-    for TF in Sa:
-        # U[i, j] = P_F e for normal e = Fb[i] and span F = TF[j]
-        U = _span_projections(Fb, TF)
-        parts.append(_screened_candidates(U, 1.0 - np.einsum("ijk,ijk->ij", U, U), screen))
     for TF, TE in itertools.product(Sa, Sb):
         sa, f = TF.shape[:2]
         sb, e = TE.shape[:2]
@@ -598,38 +604,29 @@ def _exact_directed(a, b):
     return best
 
 
-def _facet_pair_candidates(F, E, screen):
-    """The stationary candidates of every span of rank d - 1 of a (unit
-    normals F) against every span of rank d - 1 of b (unit normals E),
-    in closed form; the unit rows m / |m| that pass the screen.
+def _normal_candidates(Fa, Sa, Fb, screen):
+    """The stationary candidates of every face span F of a, the spans
+    f^perp of the unit normals Fa and then the basis stacks Sa, against
+    every span e^perp of b, e a row of Fb, in closed form: the unit rows
+    of P_F e that pass the screen, with sigma^2 = 1 - |P_F e|^2.
 
-    For the spans f^perp of a and e^perp of b, the operator
-    P_F P_E P_F on f^perp is P_F - m m^T with m = P_F e = e - (e . f) f,
-    since P_E = I - e e^T.  Its eigenvalues are 1 - |m|^2 = (e . f)^2
-    along m, so the branch value there is arccos(sigma) with
-    sigma = |e . f|, and 1 on the rest of f^perp, which is m^perp.  An
-    eigenvalue-1 vector x of f^perp has |P_E x| = 1, so x lies in e^perp
-    and its branch value is arccos(1) = 0: were a maximizer there, the
-    directed distance would be 0, which the generators of a, scored
-    along with the candidates, attain, since no distance is negative.
-    So +/- m / |m| (the caller adds the antipodes) are the only
-    candidates of the pair; m = 0, where the spans coincide, gives
-    none.  A nonzero m of rounding size gives a candidate of no use, but
-    no harm either: like every candidate it is moved onto a before it is
-    scored.  m is computed once more against f, m <- m - (m . f) f, which
-    puts the rounding of the first subtraction back inside f^perp: a
-    candidate off its span f^perp by rounding alone can land a few ulps
-    across a's boundary and score above the true maximum by as much.
-    The products are einsum sums, which round each pair alike.  The
-    candidates pass the one screen of every closed form,
-    `_screened_candidates`, with sigma^2 = (e . f)^2: in binary64 the
-    square root of a rounded square is the magnitude again, except
-    under underflow, where both read arccos(0) = pi/2.
+    Every eigenvector of P_F P_E P_F that can hold a maximizer is +/- w
+    with w = P_F e (see `_exact_directed`; the caller adds the
+    antipodes).  w = 0, where e is orthogonal to F (for F = f^perp,
+    where the spans coincide), gives none.  A nonzero w of rounding size
+    gives a candidate of no use, but no harm either: like every
+    candidate it is moved onto a before it is scored.  The columns of
+    a's normals are computed once more against f, w <- w - (w . f) f,
+    which puts the rounding of the first subtraction back inside f^perp:
+    a candidate off its span f^perp by rounding alone can land a few
+    ulps across a's boundary and score above the true maximum by as
+    much.  (A projection through a basis lies in its span as it is: it
+    is a combination of the basis rows.)  The products are einsum sums
+    (`_face_projections`), which round each pair alike.
     """
-    ef = np.einsum("ik,jk->ij", F, E)
-    M = E[None, :, :] - ef[:, :, None] * F[:, None, :]
-    M -= np.einsum("ijk,ik->ij", M, F)[:, :, None] * F[:, None, :]
-    return _screened_candidates(M, ef * ef, screen)
+    P = _face_projections(Fb, Fa, Sa)
+    P[:, : len(Fa)] -= np.einsum("ijk,jk->ij", P[:, : len(Fa)], Fa)[:, :, None] * Fa
+    return _screened_candidates(P, 1.0 - np.einsum("ijk,ijk->ij", P, P), screen)
 
 
 def _screened_candidates(X, sig2, screen):
@@ -665,18 +662,17 @@ def directed_distance_sampled(a, b, resolution=None):
     It returns the maximum of the exact distances to b over the sample
     set of `_body_sample_points`, but evaluates only the samples that
     can still hold it.  The generators of a are evaluated first and
-    seed the running maximum.  Every other sample lies in one cell
-    (`_cell_samples`), each with a center u and a radius R that every
-    one of its samples lies within.  A deep cell's R is its grid radius
-    r.  An edge cell's R is r + t + min(r, t), with t = dist(u, a) from
-    one exact batch of the edge centers against a: its kept rows lie
-    within r of u, and a band row moved onto a lies within 2 r + t of
-    u, since dist(., a) is 1-Lipschitz, and within r + 2 t, since it is
-    no farther than its row from the point of a nearest to u (see
-    `_cell_samples`).  So an edge cell is bounded before its rows are
-    read, and they get their slack and band projections
-    (`_edge_samples`) only when the cell is visited.  (r is padded for
-    rounding.)
+    seed the running maximum.  Every other sample lies in a near cell
+    of a (`_cell_samples`), with a center u and a radius R that every
+    one of its samples lies within: R = r + t + min(r, t), with r the
+    cell's grid radius and t = dist(u, a), from one exact batch of the
+    centers outside a and 0 at the others.  Its kept rows lie within r
+    of u, and a band row moved onto a lies within 2 r + t of u, since
+    dist(., a) is 1-Lipschitz, and within r + 2 t, since it is no
+    farther than its row from the point of a nearest to u (see
+    `_cell_samples`).  So a cell is bounded before its rows are read,
+    and they get their slack and band projections (`_row_samples`) only
+    when the cell is visited.  (r is padded for rounding.)
 
     dist(., b) is 1-Lipschitz in the geodesic metric, so every sample x
     of a cell has dist(x, b) <= dist(u, b) + R <= arccos(g . u) + R,
@@ -705,19 +701,16 @@ def directed_distance_sampled(a, b, resolution=None):
     cells are pruned.
     """
     resolution = _resolve_resolution(resolution, a)
-    grid, cells, deep, edge, band_width = _cell_samples(a, resolution)
+    grid, cells, near, outside, band_width = _cell_samples(a, resolution)
     best = float(batch_point_body_distance(a.generator_array, b).max())
-    # cell j is edge cell edge[j] for j < k, else deep cell deep[j - k];
-    # its samples lie within R[j] of its center u[j], and c[j] is the
-    # chord of min(R[j], pi)
-    k = edge.size
-    cell = np.concatenate([edge, deep])
-    u = cells.centers[cell]
-    R = cells.radii[cell]
-    c = cells.chords[cell]
-    t = _nearest_body_points(u[:k], a)[0]
-    R[:k] += t + np.minimum(R[:k], t)
-    c[:k] = 2.0 * np.sin(np.minimum(R[:k], math.pi) / 2.0)
+    # the samples of cell near[j] lie within R[j] of its center u[j], and
+    # c[j] is the chord of min(R[j], pi)
+    u = cells.centers[near]
+    t = np.zeros(near.size)
+    t[outside] = _nearest_body_points(u[outside], a)[0]
+    R = cells.radii[near]
+    R += t + np.minimum(R, t)
+    c = 2.0 * np.sin(np.minimum(R, math.pi) / 2.0)
     inside = kernels.min_slack(u, b.normal_array) - c >= _DEEP_SLACK
     cheap = _generator_upper_bound(u, b) + R
     live = np.flatnonzero(~inside & (cheap > best - _PRUNE_MARGIN))
@@ -725,7 +718,7 @@ def directed_distance_sampled(a, b, resolution=None):
     order = np.argsort(-reach, kind="stable")
     live, reach = live[order], reach[order]
     # taken[j]: grid rows in the first j cells of that order
-    taken = np.concatenate([[0], np.cumsum(np.diff(cells.starts)[cell[live]])])
+    taken = np.concatenate([[0], np.cumsum(np.diff(cells.starts)[near[live]])])
     done = 0
     while True:
         stop = min(
@@ -734,11 +727,7 @@ def directed_distance_sampled(a, b, resolution=None):
         )
         if stop <= done:
             break
-        pick = live[done:stop]
-        X = np.vstack([
-            _edge_samples(a, grid[cells.rows(cell[pick[pick < k]])], band_width),
-            grid[cells.rows(cell[pick[pick >= k]])],
-        ])
+        X = _row_samples(a, grid[cells.rows(near[live[done:stop]])], band_width)
         if X.shape[0]:
             best = max(best, float(batch_point_body_distance(X, b).max()))
         done = stop
@@ -805,7 +794,7 @@ def dilation_contains(body, r, x):
     r = float(r)
     if not (0.0 < r < math.pi):
         raise ValueError(f"dilation radius must lie in (0, pi), got {r}")
-    return float(point_body_distance(x, body)) <= r + 1e-10
+    return float(point_body_distance(x, body)) <= r + _DILATION_TOL
 
 
 def dilation_intersection_mismatches(w, r, samples, seed):
@@ -841,8 +830,8 @@ def dilation_intersection_mismatches(w, r, samples, seed):
     dist_polar = batch_point_body_distance(X, pw)
     worst = math.pi - batch_point_body_distance(-X, w)
     dist_hemis = np.maximum(worst - math.pi / 2.0, 0.0)
-    in_polar = dist_polar <= r + 1e-10
-    in_hemis = dist_hemis <= r + 1e-10
+    in_polar = dist_polar <= r + _DILATION_TOL
+    in_hemis = dist_hemis <= r + _DILATION_TOL
     near = (np.abs(dist_polar - r) <= IDENTITY_BAND) | (
         np.abs(dist_hemis - r) <= IDENTITY_BAND
     )

@@ -250,3 +250,12 @@ def test_every_package_definition_is_used():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_one_face_span_projection():
+    # one routine projects onto every face span, read off a normal or
+    # through a basis; a basis stack is projected onto through
+    # `_span_projections` from there and from the closed form of a
+    # normal against a basis span only
+    assert _callers("_face_projections") == {"metric._nearest_block", "metric._normal_candidates"}
+    assert _callers("_span_projections") == {"metric._face_projections", "metric._exact_directed"}
