@@ -12,11 +12,15 @@ for the nearest-generator upper bound of the sampled directed distance.
 point distance, ``metric``'s nearest-point routine and ``body``'s
 generator matching all read it.
 
-Inputs are validated once at entry.  Large blocks run in chunks of
-``_CHUNK`` rows to bound the temporaries.  The reductions run across
-the m rows of the (m, chunk) product, elementwise over long rows,
-which numpy does several times faster than reducing each short row of
-the transposed (chunk, m) product.
+Inputs are validated once at entry.  A block of at most ``_CHUNK``
+rows is reduced in one product, with no loop or output buffer: most
+calls hold one to a few thousand rows, where the fixed cost of each
+numpy call, not the rows, sets the time.  Larger blocks run in chunks of
+``_CHUNK`` rows to bound the temporaries.  Either way each row gets the
+same bits.  The reductions run across the m rows of the (m, chunk)
+product, elementwise over long rows, which numpy does several times
+faster than reducing each short row of the transposed (chunk, m)
+product.
 """
 
 import numpy as np
@@ -40,6 +44,8 @@ def _reduce_products(X, M, ufunc, empty):
         return np.full(X.shape[0], empty)
     if X.shape[1] != M.shape[1]:
         raise ValueError("point block and direction set disagree on dimension")
+    if X.shape[0] <= _CHUNK:
+        return ufunc.reduce(M @ X.T, axis=0)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _CHUNK):
         out[lo:lo + _CHUNK] = ufunc.reduce(M @ X[lo:lo + _CHUNK].T, axis=0)

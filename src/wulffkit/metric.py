@@ -49,10 +49,14 @@ dist(u, b) + R of b.
 After the source's generators set a first maximum, cells inside b and
 cells whose cheaper bound (through b's nearest generator) falls short
 of it are dropped, the rest get the exact bound from one batch of
-their centers, and they are visited in decreasing bound until the
-bound falls to the running maximum.  So the exact routine runs only on
-cells that can still reach the maximum, and the work grows with the
-source's boundary instead of with the grid.
+their centers, and they are visited in decreasing bound, about
+`_CELL_BATCH` grid rows at a time, until the bound falls to the running
+maximum.  So the exact routine runs only on cells that can still reach
+the maximum, and the work grows with the source's boundary instead of
+with the grid.  Each batch costs two nearest-point calls, one for its
+band rows and one for its samples; a smaller batch reads fewer rows past
+the stop and makes more calls, and the batch size is the measured best
+of that trade on S^2.
 """
 
 import itertools
@@ -105,8 +109,12 @@ _BLOCK_PAIRS = 1 << 16
 _UNIT_TOL = 1e-9
 
 # the sampled directed distance evaluates its cells in batches of about
-# this many rows, in decreasing order of their upper bounds
-_CELL_BATCH = 2048
+# this many rows, in decreasing order of their upper bounds.  A smaller
+# batch stops nearer the row where the bound falls to the maximum, for
+# two more nearest-point calls per batch; on `mixed_convex` ops (S^2),
+# interleaved in one process, 1024 ran about 3% faster than 2048 and as
+# fast as 512 and 768
+_CELL_BATCH = 1024
 
 # a grid cell counts as inside a body when the worst slack of its center
 # against the body's normals exceeds the cell's chord by this much
@@ -241,8 +249,10 @@ def _face_projections(X, normals, spans):
     `spans` (`_span_projections`), so each row rounds the same way in a
     block of any size."""
     D = np.einsum("ik,jk->ij", X, normals)
-    parts = [X[:, None, :] - D[:, :, None] * normals[None, :, :]]
-    return np.concatenate(parts + [_span_projections(X, T) for T in spans], axis=1)
+    P = X[:, None, :] - D[:, :, None] * normals[None, :, :]
+    if not spans:
+        return P
+    return np.concatenate([P] + [_span_projections(X, T) for T in spans], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +281,36 @@ def _nearest_body_points(X, body):
 
     Angles take the stable form atan2(|perp|, dot): arccos of a cosine
     has a 1e-8 precision floor near zero distance.
+
+    A block of at most `_BLOCK_PAIRS` (row, generator or face span) pairs,
+    which is nearly every call, goes to `_nearest_block` as it is; only a
+    longer one is cut into such blocks, written into output buffers.  On
+    S^2 a call of a few rows costs the fixed cost of its numpy calls, not
+    its rows, and most of those calls are on its live rows (those outside
+    the body and within a quarter turn of a generator): a block with no
+    live row, or a body with no face span, skips them, and so does a block
+    none of whose screened candidates is a member.  Each row rounds the
+    same way in a block of any size, so a row gets the same bits alone,
+    inside a block, or on either side of a seam.
     """
     X = np.asarray(X, dtype=float)
     G = body.generator_array
     m, d = G.shape
     if X.ndim != 2 or X.shape[1] != d:
         raise DimensionMismatchError("point block does not match the body's ambient space")
-    if not np.isfinite(X).all():
-        raise NonFiniteError("point block has non-finite coordinates")
     # rows are taken as they are, so a row off the sphere would get the
-    # angle of a different point; callers normalize single points
-    if (np.abs(_norms(X) - 1.0) > _UNIT_TOL).any():
+    # angle of a different point; callers normalize single points.  A
+    # non-finite row fails the unit test too, and is told apart only then
+    if not (np.abs(_norms(X) - 1.0) <= _UNIT_TOL).all():
+        if not np.isfinite(X).all():
+            raise NonFiniteError("point block has non-finite coordinates")
         raise ValueError(f"point block rows must be unit vectors within {_UNIT_TOL}")
     facets = _facet_normals(body)
     spans = _basis_spans(body)
     width = m + facets.shape[0] + sum(T.shape[0] for T in spans)
     step = max(1, _BLOCK_PAIRS // width)
+    if X.shape[0] <= step:
+        return _nearest_block(X, body, facets, spans)
     angles = np.empty(X.shape[0])
     points = np.empty_like(X)
     for lo in range(0, X.shape[0], step):
@@ -296,6 +320,9 @@ def _nearest_body_points(X, body):
 
 
 def _nearest_block(X, body, facets, spans):
+    # a call of a few rows is bound by the fixed cost of each numpy call,
+    # so the block reads the C-level forms (`.nonzero()`, `np.copyto`, flat
+    # indices) rather than the Python wrappers that cost a few times more
     G = body.generator_array
     N = body.normal_array
     dots = X @ G.T
@@ -303,13 +330,13 @@ def _nearest_block(X, body, facets, spans):
     Y = G[pick]
     ang = kernels.angles(X, Y)
     member = kernels.min_slack(X, N) >= -MEMBERSHIP_TOL
-    live = np.flatnonzero(~member & (dots[np.arange(X.shape[0]), pick] > 0.0))
-    Xl = X[live]
-    # P[i, k]: orthogonal projection of live row i onto its k-th face
-    # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
-    # from the row
-    P = _face_projections(Xl, facets, spans)
-    if P.shape[1]:
+    live = (~member & (dots[np.arange(X.shape[0]), pick] > 0.0)).nonzero()[0]
+    if live.size and (facets.shape[0] or spans):
+        Xl = X[live]
+        # P[i, k]: orthogonal projection of live row i onto its k-th face
+        # span, so the normalized candidate sits at angle atan2(|x - p|, |p|)
+        # from the row
+        P = _face_projections(Xl, facets, spans)
         c = _norms(P)
         r = _norms(Xl[:, None, :] - P)
         ok = c > 1e-12
@@ -319,18 +346,25 @@ def _nearest_block(X, body, facets, spans):
         # only candidates below the nearest generator's tangent (with
         # slack for rounding) can win, so only they get the membership test
         t = r / c
-        ok &= t < np.tan(ang[live])[:, None] * (1.0 + 1e-9)
-        sel = np.flatnonzero(ok)
+        ang_live = ang[live]
+        ok &= t < np.tan(ang_live)[:, None] * (1.0 + 1e-9)
+        sel = ok.ravel().nonzero()[0]
         Z = P.reshape(-1, P.shape[2])[sel] / c.reshape(-1)[sel, None]
-        np.put(ok, sel, kernels.min_slack(Z, N) >= -MEMBERSHIP_TOL)
-        k = np.where(ok, t, np.inf).argmin(axis=1)
-        pos = np.arange(live.size)
-        a = np.where(ok[pos, k], np.arctan2(r[pos, k], c[pos, k]), np.inf)
-        win = a < ang[live]
-        ang[live[win]] = a[win]
-        Y[live[win]] = P[win, k[win]] / c[win, k[win], None]
-    Y[member] = X[member]
-    ang[member] = 0.0
+        inside = kernels.min_slack(Z, N) >= -MEMBERSHIP_TOL
+        if inside.any():
+            ok.flat[sel] = inside
+            k = np.where(ok, t, np.inf).argmin(axis=1)
+            # best[i]: live row i's best candidate, as an index into the
+            # flattened (live row, face span) arrays
+            best = np.arange(0, t.size, t.shape[1]) + k
+            a = np.where(ok.flat[best], np.arctan2(r.flat[best], c.flat[best]), np.inf)
+            win = (a < ang_live).nonzero()[0]
+            rows = live[win]
+            ang[rows] = a[win]
+            # a winner passed the screen, so its unit candidate is a row of Z
+            Y[rows] = Z[sel.searchsorted(best[win])]
+    np.copyto(Y, X, where=member[:, None])
+    np.copyto(ang, 0.0, where=member)
     return ang, Y
 
 
@@ -473,7 +507,8 @@ def _deep_witness(a, b):
     Any w that passes proves what the exact route needs, so the cheap
     candidates are tried first, in this order: the rows of G_b, the
     normalized sum of G_b (a point of cone(G_b)), and the normalized sum
-    of a's normals (the point `body.hemispherical_witness` reads).  Only
+    of a's normals (the point `body.hemispherical_witness` reads); the
+    sums are built only when no row of G_b passes.  Only
     when none passes is the least-distance program min |z| subject to
     G_a z >= 1 and N_b z >= 0 solved (`cones.least_distance`).  A unit w
     in cone(G_b) with G_a w > 0 scales to a feasible z, and a feasible z
@@ -492,10 +527,13 @@ def _deep_witness(a, b):
         ok = (kernels.min_slack(W, Ga) > FEAS_EPS) & (kernels.min_slack(W, Nb) >= -MEMBERSHIP_TOL)
         return W[np.argmax(ok)] if ok.any() else None
 
+    w = first_verified(Gb)
+    if w is not None:
+        return w
     sums = np.vstack([Gb.sum(axis=0), a.normal_array.sum(axis=0)])
     norms = np.linalg.norm(sums, axis=1, keepdims=True)
     keep = norms[:, 0] >= NEAR_ZERO
-    w = first_verified(np.vstack([Gb, sums[keep] / norms[keep]]))
+    w = first_verified(sums[keep] / norms[keep])
     if w is not None:
         return w
     h = np.concatenate([np.ones(Ga.shape[0]), np.zeros(Nb.shape[0])])

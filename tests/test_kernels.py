@@ -1,6 +1,7 @@
 """Reference parity and edge-case behavior for the batch kernels."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,29 @@ class TestActiveBackend:
             assert np.array_equal(whole[lo:lo + 1000], part)
         seam = slice(kernels._CHUNK - 3, kernels._CHUNK + 3)
         assert np.abs(kernels.angles(X, M[0])[seam] - reference_angles(X[seam], M[0])).max() <= 1e-12
+
+    def test_one_chunk_and_the_chunk_loop_agree_bit_for_bit(self):
+        # a block within one chunk skips the chunk loop; it must give the
+        # bits the loop gives, with the block cut into chunks of 7 rows
+        X, M = random_blocks(8, n=60, m=9, d=4)
+        Y = np.roll(X, 1, axis=0)
+
+        def results():
+            return (kernels.min_slack(X, M), kernels.max_dot(X, M),
+                    kernels.angles(X, Y), kernels.angles(X, M[0]))
+
+        whole = results()
+        with mock.patch.object(kernels, "_CHUNK", 7):
+            chunked = results()
+            # empty direction sets and dimension mismatches as in one chunk
+            assert (kernels.min_slack(X, M[:0]) == np.inf).all()
+            assert (kernels.max_dot(X, M[:0]) == -np.inf).all()
+            with pytest.raises(ValueError):
+                kernels.min_slack(X, M[:, :3])
+            with pytest.raises(ValueError):
+                kernels.angles(X, X[:-1])
+        for one, loop in zip(whole, chunked):
+            assert np.array_equal(one, loop)
 
 
 class TestBackendSelection:

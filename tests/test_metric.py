@@ -356,6 +356,41 @@ class TestNearestBodyPointsProperties:
         if new_directed is not None:
             assert abs(new_directed - old_directed) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "dim, kind",
+        [
+            (dim, kind)
+            for dim in (1, 2, 3)
+            for kind in ("hull", "arc", "point", "wide_cap", "hemisphere", "lune")
+            if not (kind == "lune" and dim == 1)
+        ],
+    )
+    def test_each_row_keeps_its_bits_in_any_block(self, dim, kind):
+        # the sampled route evaluates whichever cells survive its bounds, in
+        # blocks of any size, and its value is the maximum over the same
+        # samples only because a row's distance and nearest point do not
+        # depend on the rows beside it: alone, inside a block, or on either
+        # side of a `_BLOCK_PAIRS` seam, a row gets the same bits
+        for seed in range(3):
+            b, rng = _seeded_body(kind, dim, seed)
+            for target in (b, transforms.polar(b)) if transforms.polar_admissible(b) else (b,):
+                X = _query_rows(target, rng, seed)
+                angles, points = metric._nearest_body_points(X, target)
+                for i in range(X.shape[0]):
+                    alone, point = metric._nearest_body_points(X[i : i + 1], target)
+                    assert np.array_equal(alone, angles[i : i + 1])
+                    assert np.array_equal(point, points[i : i + 1])
+                width = (
+                    target.generator_array.shape[0]
+                    + metric._facet_normals(target).shape[0]
+                    + sum(T.shape[0] for T in metric._basis_spans(target))
+                )
+                for rows in (2, 5, 7):
+                    with mock.patch.object(metric, "_BLOCK_PAIRS", rows * width):
+                        seamed, seamed_points = metric._nearest_body_points(X, target)
+                    assert np.array_equal(seamed, angles)
+                    assert np.array_equal(seamed_points, points)
+
 
 class TestOneMembershipTest:
     """`body.contains` and the nearest-point routine give one answer."""
