@@ -38,6 +38,12 @@ digest its own tree's ``perfbench/run.py`` prints for that seed.  The
 report gives each pass's op/s per side and their ratio, and the
 in-process nearest-point probe (`nearest_probe`).
 
+The import probe runs ``IMPORT_REPS`` fresh interpreters per tree and
+workload, alternated the same way.  Each is started with ``python -c``, so
+nothing of this script (which imports scipy) is loaded in it, and reports
+the wall time of ``import wulffkit`` and the scipy modules loaded after the
+import and after op 0 of the workload at ``LAYER_SEED``.
+
 The summary gives, per workload and metric, the inclusive quartiles of
 each side, the pairs the after tree won, and the median change as a
 fraction of the before median (positive is worse, as BENCHMARK.json's
@@ -189,6 +195,64 @@ def layer_probe(tree, workload):
         "sampled_batch_rows_per_call": sampled_rows["batch"] / n_sampled,
     })
     return out
+
+
+# fresh interpreters per tree and workload for the import probe
+IMPORT_REPS = 7
+
+# the import probe's interpreter: argv is (tree, workload, seed); it prints
+# the import's wall seconds and the scipy modules loaded after the import
+# and after op 0, as one JSON line
+IMPORT_PROBE = """
+import os, sys, time, json
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+tree, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path[:0] = [tree + "/src", tree + "/perfbench"]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+t0 = time.perf_counter()
+import wulffkit
+import_s = time.perf_counter() - t0
+after_import = scipy_modules()
+import workloads
+workloads.WORKLOADS[workload].op(0, seed)
+print(json.dumps({"import_s": import_s, "after_import": after_import,
+                  "after_op0": scipy_modules()}))
+"""
+
+
+def import_probe(trees, spec):
+    """Per tree: the median wall seconds of ``import wulffkit`` over every
+    fresh interpreter, and per workload the scipy modules loaded after the
+    import and after op 0 (the package names below ``scipy.`` and the count
+    of modules)."""
+    runs = {side: {w["name"]: [] for w in spec["workloads"]} for side in trees}
+    for w in spec["workloads"]:
+        for rep in range(IMPORT_REPS):
+            for side in ("before", "after") if rep % 2 == 0 else ("after", "before"):
+                out = subprocess.run(
+                    [sys.executable, "-c", IMPORT_PROBE, str(trees[side]), w["name"],
+                     str(LAYER_SEED)],
+                    check=True, capture_output=True, text=True,
+                ).stdout
+                runs[side][w["name"]].append(json.loads(out.strip().splitlines()[-1]))
+
+    def loaded(modules):
+        return {"modules": len(modules),
+                "packages": sorted({".".join(m.split(".")[:2]) for m in modules})}
+
+    doc = {}
+    for side, by_workload in runs.items():
+        times = [r["import_s"] for reps in by_workload.values() for r in reps]
+        doc[side] = {
+            "import_s": round(statistics.median(times), 4),
+            "import_s_quartiles": quartiles(times),
+            "scipy_after_import": loaded(next(iter(by_workload.values()))[0]["after_import"]),
+            "scipy_after_op0": {name: loaded(reps[0]["after_op0"])
+                                for name, reps in by_workload.items()},
+        }
+        print(json.dumps({"import_probe": side, **doc[side]}), file=sys.stderr)
+    return doc
 
 
 def run_layer_probe(tree, workload):
@@ -388,6 +452,7 @@ def main():
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     spec = json.loads((trees["after"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    imports = import_probe(trees, spec)
     pairs = []
     for seed in range(args.seeds[0], args.seeds[1] + 1):
         order = ("before", "after") if seed % 2 else ("after", "before")
@@ -421,9 +486,11 @@ def main():
             f"seeds {args.seeds[0]}-{args.seeds[1]}; one run per tree, workload and seed, "
             "before first on odd seeds and after first on even ones; "
             f"layer probes: {LAYER_REPS} alternated fresh processes per tree and workload, "
-            f"{LAYER_OPS} ops at seed {LAYER_SEED} after one warm-up op"
+            f"{LAYER_OPS} ops at seed {LAYER_SEED} after one warm-up op; "
+            f"import probe: {IMPORT_REPS} alternated fresh interpreters per tree and workload"
         ),
         "summary": summarize(pairs, spec),
+        "import_probe": imports,
         "layers": layers,
         "pairs": pairs,
     }

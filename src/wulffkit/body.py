@@ -130,10 +130,15 @@ def from_generators(points):
       made homogeneous by writing its constant as a multiple of x . w
       there; it then holds on all of cone(G), which is S scaled, and is
       tight exactly on the facet's rays (`cones.extreme_rays`, branch 2,
-      has the formula in Qhull's chart);
-    - Qhull's triangulated output splits a facet into simplices that all
-      carry the facet's hyperplane, one equation row bit for bit, so
-      grouping the pieces by that row gives each facet once.
+      has the formula in the section's chart);
+    - for rank 4 and up, Qhull's triangulated output splits a facet into
+      simplices that all carry the facet's hyperplane, one equation row
+      bit for bit, so grouping the pieces by that row gives each facet
+      once;
+    - for rank 3 the section is a polygon, hulled in closed form by a
+      monotone chain that keeps a point as a vertex only when it lies
+      more than `cones.CHORD_TOL` (times the section's scale) beyond its
+      neighbours' chord, so its edges are the facets, each once.
     """
     if isinstance(points, np.ndarray):
         raw = points.astype(float)

@@ -21,17 +21,35 @@ Conventions
   the double description reads, and the rows `extreme_rays` finds
   tight on dual rays, stay stable under downstream arithmetic.  The
   coarser RAY_TOL = 1e-9 decides only which input rows are one ray
-  (`dedupe_rays`); computed rays are never merged by distance.
+  (`dedupe_rays`); computed rays are never merged by distance.  The
+  finest, CHORD_TOL = 1e-14, decides only which points of a rank-3
+  gnomonic section are vertices of its polygon (`_section_polygon`): a
+  point goes when its slack beyond its neighbours' chord, along the
+  chord's unit outward normal, is at most CHORD_TOL times the section's
+  scale max(1, max |u|).  The slack is formed from coordinate
+  differences, so it rounds by a few units of 2.2e-16 of that scale;
+  rows of one great circle are collinear in the section only up to
+  that rounding, and a bound of 1e-16 still keeps 33 of 300 such middle
+  rows (1e-15 keeps none).  A true vertex of a thin cone has slack of
+  about the cone's thickness, which SPAN_TOL lets fall to about 1e-10:
+  a bound of 1e-12 drops one of 250 thin draws' vertices (thickness
+  1e-6 to 1e-10), and CLASS_TOL 46.  CHORD_TOL sits a decade inside
+  both ends; on 1,326 rank-3 inputs of these kinds, random clouds and
+  caps, its vertices and edge count equal Qhull's.
 * Two solvers: scipy's `linprog`, for the pointed witness, and the
   in-house `nonneg_lstsq`, behind the least-distance program
-  `least_distance`.  `linprog` is imported on first use, so importing
-  the package or building a body whose rows hold a witness loads no
-  `scipy.optimize`.
+  `least_distance`.
+* scipy is imported on first use only: `scipy.optimize` by `linprog`,
+  `scipy.linalg` (pivoted QR) by the double description `_dd_in_span`,
+  and `scipy.spatial` (Qhull) by `_section_hull`, the hull of a section
+  of rank 4 or more.  So importing the package, or building a body
+  whose rows hold a witness and span rank 3 or less (every such S^2
+  body), loads no scipy module.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg import qr
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NormalizationError
 from .geometry import NEAR_ZERO, span_complement, subspace_canonical_basis
@@ -40,6 +58,7 @@ RAY_TOL = 1e-9    # two unit rays within this chordal distance are one ray
 CLASS_TOL = 1e-10  # sign classification of dot products / membership slack
 FEAS_EPS = 1e-9   # strict-positivity margin demanded of pointed witnesses
 SPAN_TOL = 1e-10  # singular values below this do not extend a span
+CHORD_TOL = 1e-14  # a rank-3 section point this close to a chord is no vertex
 
 # `dedupe_rays` forms its pairwise gaps in blocks of about this many pairs
 _DEDUPE_PAIRS = 1 << 16
@@ -317,6 +336,8 @@ def _dd_in_span(C):
 
     Returns the extreme rays (k, s) as unit rows.
     """
+    from scipy.linalg import qr
+
     m, s = C.shape
     first = qr(C.T, mode="r", pivoting=True)[1][:s]
     C = np.vstack([C[first], np.delete(C, first, axis=0)])
@@ -382,10 +403,12 @@ def _pointed_extreme(R, span):
     w, two independent rows whose normals are their `_simplicial_dual`.
     A higher cone's extreme rays are the vertices of its gnomonic
     section, and its facets are the section's facets: one unit normal
-    per facet of the section hull (see `extreme_rays`).  Without a
-    witness, or when Qhull refuses the section (`QhullError`), the
-    result is None and the caller reads the dual instead.  `span` is
-    R's `span_basis`, passed in because `extreme_rays` already has it.
+    per facet of the section hull (see `extreme_rays`), a polygon for
+    s = 3 (`_section_polygon`) and Qhull's hull above (`_section_hull`).
+    Without a witness, or when the section routine finds no hull (a
+    polygon of fewer than 3 vertices, or a `QhullError`), the result is
+    None and the caller reads the dual instead.  `span` is R's
+    `span_basis`, passed in because `extreme_rays` already has it.
 
     Span coordinates are those of `_chart`: a full-rank input (s = d)
     is charted in R^d as it is, with no rotation.  The arguments above
@@ -410,16 +433,78 @@ def _pointed_extreme(R, span):
     # any orthonormal basis of w's complement gives the same vertices
     Bw = _reflected_complement(w)
     U = (X - w) @ Bw.T
+    found = _section_polygon(U) if s == 3 else _section_hull(U)
+    if found is None:
+        return None
+    vertices, eq = found
+    normals = unitize(-(eq[:, :-1] @ Bw + eq[:, -1:] * w))
+    return R[vertices], _unchart(normals, B)
+
+
+def _section_polygon(U):
+    """Hull of the points U of a rank-3 gnomonic section, a polygon in
+    R^2: (sorted vertex indices, one row (a, b) per edge with unit a and
+    a . u + b <= 0 on the polygon, as Qhull lays out `equations`), or
+    None when fewer than 3 vertices remain.
+
+    Andrew's monotone chain: the points sorted by (u_1, u_2), the lower
+    chain built left to right and the upper one right to left, so the
+    vertices come counterclockwise.  When a point b is added, the chain's
+    last point a, with o before it, stays a vertex only when its slack
+    beyond the chord from o to b, (a - o) x (b - o) / |b - o|, exceeds
+    CHORD_TOL times max(1, max |u|); otherwise it is popped, so a point
+    on an edge or within rounding of one is no vertex, as Qhull merges
+    it.  Each edge from v to v' gives a = (v' - v) turned clockwise and
+    unitized, the outward normal of a counterclockwise polygon, and
+    b = -a . v.
+    """
+    P = U.tolist()
+    order = sorted(range(len(P)), key=P.__getitem__)
+    tol = CHORD_TOL * max(1.0, float(np.abs(U).max()))
+
+    def chain(idx):
+        out = []
+        for k in idx:
+            bx, by = P[k]
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = P[out[-2]], P[out[-1]]
+                dx, dy = bx - ox, by - oy
+                if (ax - ox) * dy - (ay - oy) * dx > tol * math.hypot(dx, dy):
+                    break
+                out.pop()
+            out.append(k)
+        return out
+
+    ring = chain(order)[:-1] + chain(order[::-1])[:-1]
+    if len(ring) < 3:
+        return None
+    eq = []
+    for k, nxt in zip(ring, ring[1:] + ring[:1]):
+        (ox, oy), (bx, by) = P[k], P[nxt]
+        length = math.hypot(bx - ox, by - oy)
+        a0, a1 = (by - oy) / length, (ox - bx) / length
+        eq.append((a0, a1, -(a0 * ox + a1 * oy)))
+    return sorted(ring), np.array(eq)
+
+
+def _section_hull(U):
+    """Qhull's hull of the points U of a gnomonic section of dimension 3
+    or more: (sorted vertex indices, one `equations` row per facet), or
+    None when Qhull refuses them (`QhullError`).
+
+    The pieces of one triangulated facet repeat its equation row bit for
+    bit, so the first row of each run of equal sorted rows is kept.
+    `scipy.spatial` is imported on the first call.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(U)
     except QhullError:
         return None
-    # the pieces of one triangulated facet repeat its equation row bit
-    # for bit: keep the first row of each run of equal sorted rows
     eq = hull.equations[np.lexsort(hull.equations.T)]
     eq = eq[np.concatenate([[True], (eq[1:] != eq[:-1]).any(axis=1)])]
-    normals = unitize(-(eq[:, :-1] @ Bw + eq[:, -1:] * w))
-    return R[np.sort(hull.vertices)], _unchart(normals, B)
+    return np.sort(hull.vertices), eq
 
 
 def _reflected_complement(w):
@@ -475,15 +560,18 @@ def extreme_rays(G):
        `_simplicial_dual` of the rows in span coordinates, mapped back
        through the span basis (the start cone of the double
        description); the dual's lineality is span(G)^perp.
-    2. m > s >= 2, and `_pointed_extreme` finds a witness and Qhull
-       accepts the section: its hull rows.  An arc (s = 2) has two
+    2. m > s >= 2, and `_pointed_extreme` finds a witness and the hull
+       of the section: its hull rows.  An arc (s = 2) has two
        independent ends, and its dual is theirs as in branch 1.  For
        s >= 3 the dual is read off the same hull, one normal per facet
        of the section (why those are the cone's facets is proved in
        `body.from_generators`).  In span coordinates, with
        witness w and Bw an orthonormal basis of w's complement, the
        section is charted by u = Bw x on the hyperplane x . w = 1, and
-       Qhull reports a facet as a . u + b <= 0.  Since Bw^T a is
+       a facet is a row (a, b) with unit a and a . u + b <= 0 on the
+       section: one of Qhull's `equations` for s >= 4, and for s = 3,
+       where the section is a polygon in R^2, an edge of the monotone
+       chain `_section_polygon`, laid out the same way.  Since Bw^T a is
        orthogonal to w and x . w = 1 there, that is n . x >= 0 with
        n = -(Bw^T a + b w), which is homogeneous and so holds on the
        whole cone.  n is not zero: its part orthogonal to w is Bw^T a, of
@@ -493,10 +581,13 @@ def extreme_rays(G):
        argument uses nothing else, so a full-rank input (s = d) is
        charted in R^d as it is, with no rotation into the SVD's basis
        and back (`_chart`), as in branch 1.
-       The pieces into which Qhull's triangulated output splits a facet
-       repeat its equation row bit for bit, so the rows are grouped by
-       exact equality.  No normal is derived from one piece's vertices,
-       and none are merged by distance.
+       For s >= 4, the pieces into which Qhull's triangulated output
+       splits a facet repeat its equation row bit for bit, so the rows
+       are grouped by exact equality.  No normal is derived from one
+       piece's vertices, and none are merged by distance.  For s = 3
+       the chain keeps no point within CHORD_TOL of its neighbours'
+       chord, so each edge is one facet, and a section collinear up to
+       that rule has fewer than 3 vertices and falls to branch 3.
     3. Every other input is read off one `dual_cone_rays(G)`, which is
        also the dual.  Its rays N lie in span(G) and generate the dual's
        part there, the dual being that part plus span(G)^perp.  The

@@ -1,7 +1,12 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import wulffkit
 
@@ -91,8 +96,51 @@ def test_one_dual_conversion_per_body():
     # nothing in `transforms` converts, since the polar swaps the stored
     # arrays
     assert _callers("extreme_rays") == {"body.from_generators"}
-    assert _callers("ConvexHull") == {"cones._pointed_extreme"}
+    assert _callers("ConvexHull") == {"cones._section_hull"}
     assert _callers("dual_cone_rays") == {"cones.extreme_rays"}
+
+
+_S2_TRIAL = (
+    "from wulffkit import harness, metric, transforms\n"
+    "p = harness.pole_axis(2)\n"
+    "a, b = harness.gen_wulff(p, 7, 0.8, 3), harness.gen_wulff(p, 6, 0.5, 4)\n"
+    "assert metric.hausdorff_with_bound(a, b)[2] == 'exact'\n"
+    "pa, pb = transforms.polar(a), transforms.polar(b)\n"
+    "assert metric.hausdorff_with_bound(pa, pb)[2] == 'exact'\n"
+)
+
+# six rows about the pole of S^3: a full-rank cone whose section is a
+# 3-D polytope, hulled by Qhull
+_S3_BODY = (
+    "import numpy as np\n"
+    "from wulffkit import body\n"
+    "rows = np.random.default_rng(5).normal(size=(6, 4)) * 0.3 + [0.0, 0.0, 0.0, 1.0]\n"
+    "assert body.from_generators(rows).generator_array.shape[1] == 4\n"
+)
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("", set()),
+    (_S2_TRIAL, set()),
+    (_S3_BODY, {"scipy", "scipy.spatial"}),
+], ids=["import", "s2_trial", "s3_body"])
+def test_scipy_loads_only_where_it_is_used(code, loaded):
+    # scipy is imported on first use: importing the package, and an S^2
+    # isometry trial (two Wulff shapes, their polars and both exact
+    # Hausdorff distances, every section a polygon with a row witness),
+    # load no scipy module; a full-rank S^3 body of more than 4 rows
+    # hulls its section with Qhull and loads `scipy.spatial`
+    probe = (
+        "import sys\nimport wulffkit\n" + code
+        + "print(' '.join(m for m in ('scipy', 'scipy.spatial') if m in sys.modules))\n"
+    )
+    src = str(Path(wulffkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded
 
 
 def test_span_svd_call_sites():

@@ -160,9 +160,11 @@ class TestPolarBasics:
         # run one conversion, on the input's normals
         square = cap_polytope(math.pi / 6, [45, 135, 225, 315])
         inputs, conversions = [], []
-        extreme_rays, hull, dual = cones.extreme_rays, cones.ConvexHull, cones.dual_cone_rays
+        extreme_rays, dual = cones.extreme_rays, cones.dual_cone_rays
         monkeypatch.setattr(cones, "extreme_rays", lambda G: inputs.append(G) or extreme_rays(G))
-        monkeypatch.setattr(cones, "ConvexHull", lambda U: conversions.append(U) or hull(U))
+        for name in ("_section_polygon", "_section_hull"):
+            section = getattr(cones, name)
+            monkeypatch.setattr(cones, name, lambda U, f=section: conversions.append(U) or f(U))
         monkeypatch.setattr(cones, "dual_cone_rays", lambda G: conversions.append(G) or dual(G))
         transforms.double_polar(square)
         assert len(inputs) == 1 and np.array_equal(inputs[0], square.normal_array)
